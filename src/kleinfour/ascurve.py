@@ -82,6 +82,18 @@ def reduce_standard(f):
     return assemble(F, new_poly, new_parts)
 
 
+def invariants_of_reduced(r):
+    """Genus and 2-rank of y^2 + y = r for a non-constant r that is already
+    in canonical form, read off its pole divisor with no further reduction."""
+    genus = -1
+    k = 0
+    for (pl, n) in r.pole_divisor():
+        assert n % 2 == 1, "reduced form must have odd pole orders"
+        genus += pl.degree * (n + 1) // 2
+        k += pl.degree
+    return Invariants(genus, k - 1)
+
+
 class ASCurve:
     """y^2 + y = f(x), stored with f in canonical standard form."""
 
@@ -90,7 +102,17 @@ class ASCurve:
     def __init__(self, f):
         if not isinstance(f, RatFun):
             raise TypeError("ASCurve takes a RatFun")
-        reduced = reduce_standard(f)
+        self._set(f, reduce_standard(f))
+
+    @classmethod
+    def from_reduced(cls, r):
+        """The curve of an r already in canonical form; r is not reduced
+        again.  Passing an unreduced r gives wrong invariants."""
+        curve = cls.__new__(cls)
+        curve._set(r, r)
+        return curve
+
+    def _set(self, f, reduced):
         if reduced.is_constant:
             raise DegenerateCover(
                 f"y^2+y = {f} reduces to the constant {reduced}; "
@@ -100,14 +122,7 @@ class ASCurve:
 
     @functools.cached_property
     def invariants(self):
-        div = self.f.pole_divisor()
-        genus = -1
-        k = 0
-        for (pl, n) in div:
-            assert n % 2 == 1, "reduced form must have odd pole orders"
-            genus += pl.degree * (n + 1) // 2
-            k += pl.degree
-        return Invariants(genus, k - 1)
+        return invariants_of_reduced(self.f)
 
     @property
     def genus(self):

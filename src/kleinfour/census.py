@@ -1,18 +1,21 @@
 """Exhaustive enumeration of small covers as an empirical soundness check.
 
-Every coprime pair (f1, f2) of rational functions with numerator and
-denominator degrees up to a bound is tried; valid covers are deduplicated
-as unordered reduced triples and tabulated by (genus, 2-rank, type).  A
-cover landing in a cell the decision procedure declares impossible would
-disprove the classification; the run asserts that never happens.
+Every rational function with numerator and denominator degrees up to a
+bound is reduced to its canonical form, and the distinct non-constant
+forms (the reduced classes) are paired.  Reduction is GF(2)-linear, so a
+cover is the 2-dimensional subspace {r1, r2, r1 + r2} of reduced forms; it
+is counted once, at its lowest pair of enumerated classes.  Covers are
+tabulated by (genus, 2-rank, type).  A cover landing in a cell the decision
+procedure declares impossible would disprove the classification; the run
+asserts that never happens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ascurve import DegenerateCover, reduce_standard
-from .klein4 import InvalidCover, KleinFourCover
+from .ascurve import invariants_of_reduced, reduce_standard
+from .klein4 import KleinFourCover, Partition
 from .poly import Poly
 from .ratfun import RatFun
 from .realize import realizable
@@ -74,46 +77,54 @@ def enumerate_functions(field, max_deg):
     return out
 
 
-def run_census(field, max_deg):
-    """Census cells sorted by (g, sigma, type); raises CensusViolation if a
-    cover contradicts the realizability decision."""
-    if max_deg > MAX_CENSUS_DEGREE:
-        raise ValueError(f"census degree bound is {MAX_CENSUS_DEGREE}")
-    functions = []
-    reduced_ok = {}
+def _reduced_classes(field, max_deg):
+    """Distinct non-constant reduced forms of the enumerated functions, in
+    order of first appearance."""
+    classes = {}
     for f in enumerate_functions(field, max_deg):
         r = reduce_standard(f)
         if not r.is_constant:
-            functions.append(f)
-            reduced_ok[f.key()] = r
+            classes.setdefault(r.key(), r)
+    return list(classes.values())
+
+
+def run_census(field, max_deg):
+    """Census cells sorted by (g, sigma, type); raises CensusViolation if a
+    cover contradicts the realizability decision."""
+    if max_deg < 0:
+        raise ValueError(f"census degree bound must be >= 0, got {max_deg}")
+    if max_deg > MAX_CENSUS_DEGREE:
+        raise ValueError(f"census degree bound is {MAX_CENSUS_DEGREE}")
+    classes = _reduced_classes(field, max_deg)
+    index = {r.key(): i for i, r in enumerate(classes)}
+    invariants = [invariants_of_reduced(r) for r in classes]
     cells = {}
-    seen_covers = set()
-    n = len(functions)
-    for i in range(n):
-        f1 = functions[i]
-        r1 = reduced_ok[f1.key()]
-        for j in range(i + 1, n):
-            f2 = functions[j]
-            try:
-                cover = KleinFourCover(r1, reduced_ok[f2.key()])
-            except (InvalidCover, DegenerateCover):
-                continue
-            ck = cover.key()
-            if ck in seen_covers:
-                continue
-            seen_covers.add(ck)
-            g, sigma = cover.invariants
-            cell_key = (g, sigma, cover.type.entries)
+    for i, r1 in enumerate(classes):
+        inv1 = invariants[i]
+        for j in range(i + 1, len(classes)):
+            r2 = classes[j]
+            r3 = r1 + r2  # already reduced: reduction is GF(2)-linear
+            if r3.is_constant:
+                continue  # r1 and r2 differ by a constant: no cover
+            k = index.get(r3.key())
+            if k is not None and k < j:
+                continue  # {r1, r2, r3} is counted at its lowest pair
+            inv2 = invariants[j]
+            inv3 = invariants_of_reduced(r3) if k is None else invariants[k]
+            p = Partition(inv1.genus, inv2.genus, inv3.genus)
+            g = p.g
+            sigma = inv1.two_rank + inv2.two_rank + inv3.two_rank
+            cell_key = (g, sigma, p.entries)
             cell = cells.get(cell_key)
             if cell is None:
-                verdict = realizable(g, sigma, cover.type)
+                cover = KleinFourCover(r1, r2)
+                verdict = realizable(g, sigma, p)
                 if not verdict.exists:
                     raise CensusViolation(
                         f"cover ({cover.f1}, {cover.f2}) lands in the "
                         f"impossible cell (g={g}, sigma={sigma}, "
-                        f"type={cover.type}): {verdict.citation}")
-                cells[cell_key] = CensusCell(g, sigma, cover.type.entries,
-                                             1, cover)
+                        f"type={p}): {verdict.citation}")
+                cells[cell_key] = CensusCell(g, sigma, p.entries, 1, cover)
             else:
                 cell.witness_count += 1
     return [cells[k] for k in sorted(cells)]

@@ -77,8 +77,15 @@ class Partition:
         return f"Partition{self.entries}"
 
 
+def check_genus(g):
+    """Raise ValueError unless g is a possible genus."""
+    if g < 0:
+        raise ValueError(f"genus must be >= 0, got {g}")
+
+
 def partitions_of(g):
     """All valid genus triples summing to g, in descending lex order."""
+    check_genus(g)
     out = []
     top = (g + 1) // 2
     for g1 in range(top, -1, -1):
@@ -101,7 +108,9 @@ class KleinFourCover:
             raise ValueError("defining functions over different fields")
         r1 = reduce_standard(f1)
         r2 = reduce_standard(f2)
-        r3 = reduce_standard(r1 + r2)
+        # Reduction is a GF(2)-linear projection, so the sum of two
+        # canonical forms is already canonical.
+        r3 = r1 + r2
         for name, r in (("f1", r1), ("f2", r2), ("f1+f2", r3)):
             if r.is_constant:
                 raise InvalidCover(
@@ -116,7 +125,8 @@ class KleinFourCover:
 
     @functools.cached_property
     def quotients(self):
-        return (ASCurve(self.f1), ASCurve(self.f2), ASCurve(self.f3))
+        return tuple(ASCurve.from_reduced(f)
+                     for f in (self.f1, self.f2, self.f3))
 
     @functools.cached_property
     def type(self):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .klein4 import InvalidPartition, Partition
+from .klein4 import InvalidPartition, Partition, check_genus
 
 _CITATIONS = {
     "i": "2-rank 0 forces the two largest quotient genera to coincide",
@@ -44,6 +44,7 @@ class Verdict:
 
 def partition_validate(g, raw):
     """Build the sorted Partition for g, or raise InvalidPartition."""
+    check_genus(g)
     entries = tuple(raw)
     if len(entries) != 3:
         raise InvalidPartition(f"need exactly three entries, got {entries}")
@@ -59,6 +60,12 @@ def is_unbalanced(p):
 
 def is_totally_balanced(p):
     return p.is_totally_balanced
+
+
+def _check_two_rank(g, sigma):
+    check_genus(g)
+    if not 0 <= sigma <= g:
+        raise ValueError(f"2-rank must be in 0..{g}, got {sigma}")
 
 
 def _fired_clauses(g, sigma, p):
@@ -80,8 +87,7 @@ def realizable(g, sigma, p):
     """Verdict for the cell (g, sigma, p); p must be a valid partition of g."""
     if p.g != g:
         raise InvalidPartition(f"{p} is not a partition of {g}")
-    if not 0 <= sigma <= g:
-        raise ValueError(f"2-rank must be in 0..{g}, got {sigma}")
+    _check_two_rank(g, sigma)
     fired = _fired_clauses(g, sigma, p)
     if fired:
         clause = fired[0]
@@ -91,14 +97,12 @@ def realizable(g, sigma, p):
 
 def realizable_any(g, sigma):
     """True when some valid type realizes (g, sigma)."""
-    if not 0 <= sigma <= g:
-        raise ValueError(f"2-rank must be in 0..{g}, got {sigma}")
+    _check_two_rank(g, sigma)
     return sigma != g - 1 and not (g % 2 == 0 and sigma == 1)
 
 
 def hyperelliptic_extra_involution(g, sigma):
     """Whether a genus-g, 2-rank-sigma hyperelliptic curve can carry an
     involution besides the hyperelliptic one."""
-    if not 0 <= sigma <= g:
-        raise ValueError(f"2-rank must be in 0..{g}, got {sigma}")
+    _check_two_rank(g, sigma)
     return (g - sigma) % 2 == 0

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from kleinfour.ascurve import DegenerateCover
+from kleinfour.field import GF2, GF4, BinaryField
 from kleinfour.klein4 import InvalidCover, KleinFourCover
 from kleinfour.poly import Poly
 from kleinfour.ratfun import RatFun
@@ -33,3 +35,16 @@ def rand_cover(rng, field, max_deg=5):
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+@st.composite
+def raw_pairs(draw, max_deg=4):
+    """Two raw rational functions over one of GF(2), GF(4), GF(8)."""
+    F = draw(st.sampled_from((GF2, GF4, BinaryField.default(3))))
+    coeffs = st.lists(st.integers(0, F.order - 1), max_size=max_deg + 1)
+
+    def ratfun():
+        num = Poly.make(F, draw(coeffs))
+        den = Poly.make(F, draw(coeffs))
+        return RatFun(num, den if den.coeffs else Poly.one(F))
+    return ratfun(), ratfun()

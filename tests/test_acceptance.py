@@ -133,16 +133,19 @@ def test_criterion_5_census_soundness():
     t0 = time.time()
     cells2 = run_census(GF2, 3)  # raises CensusViolation on any breach
     cells4 = run_census(GF4, 2)
-    for cells in (cells2, cells4):
+    cells2_4 = run_census(GF2, 4)
+    assert len(cells2_4) == 44
+    assert sum(c.witness_count for c in cells2_4) == 39028
+    for cells in (cells2, cells4, cells2_4):
         for c in cells:
             assert c.sigma != c.g - 1
             assert not (c.g % 2 == 0 and c.sigma == 1)
             assert realizable(c.g, c.sigma, Partition(*c.type)).exists
     dt = time.time() - t0
     assert dt < 600
-    print(f"\nACCEPTANCE 5 PASS: census GF(2) deg<=3 ({len(cells2)} cells) "
-          f"and GF(4) deg<=2 ({len(cells4)} cells), no impossible cell, "
-          f"{dt:.1f}s")
+    print(f"\nACCEPTANCE 5 PASS: census GF(2) deg<=3 ({len(cells2)} cells), "
+          f"GF(4) deg<=2 ({len(cells4)} cells) and GF(2) deg<=4 "
+          f"({len(cells2_4)} cells), no impossible cell, {dt:.1f}s")
 
 
 def test_criterion_6_hyperelliptic_corollary():

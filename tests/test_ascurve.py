@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import assume, given, settings
 
-from conftest import rand_ratfun
-from kleinfour.ascurve import ASCurve, DegenerateCover, reduce_standard
+from conftest import rand_ratfun, raw_pairs
+from kleinfour.ascurve import (ASCurve, DegenerateCover, invariants_of_reduced,
+                               reduce_standard)
 from kleinfour.field import GF2, GF4
 from kleinfour.poly import Poly
 from kleinfour.ratfun import RatFun, parse_ratfun
@@ -53,6 +55,33 @@ def test_reduce_is_class_function(rng):
             f = rand_ratfun(rng, field, 8)
             h = rand_ratfun(rng, field, 4)
             assert reduce_standard(f + h * h + h) == reduce_standard(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs())
+def test_reduction_is_linear(pair):
+    # the census and KleinFourCover take r1 + r2 as the reduced f1 + f2
+    f1, f2 = pair
+    r1, r2 = reduce_standard(f1), reduce_standard(f2)
+    assert reduce_standard(r1 + r2) == r1 + r2
+    assert reduce_standard(f1 + f2) == r1 + r2
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs())
+def test_invariants_of_reduced_sum_match_curve(pair):
+    # invariants read off r1 + r2 directly equal those of the curve built
+    # from the raw sum through the full reduction
+    f1, f2 = pair
+    r3 = reduce_standard(f1) + reduce_standard(f2)
+    assume(not r3.is_constant)
+    assert invariants_of_reduced(r3) == ASCurve(f1 + f2).invariants
+    assert ASCurve.from_reduced(r3) == ASCurve(f1 + f2)
+
+
+def test_from_reduced_rejects_constant():
+    with pytest.raises(DegenerateCover):
+        ASCurve.from_reduced(RatFun.zero(GF2))
 
 
 def test_invariants_examples():

@@ -1,7 +1,49 @@
 import pytest
 
+from kleinfour.ascurve import ASCurve, reduce_standard
 from kleinfour.census import enumerate_functions, run_census
 from kleinfour.field import GF2, GF4
+from kleinfour.klein4 import Partition
+
+
+def raw_pair_census(field, max_deg):
+    """Slow reference: the census as a loop over every pair of raw
+    functions, each sum reduced in full and each cover deduplicated by its
+    unordered reduced triple.  Returns the cells as JSON."""
+    functions = [r for r in map(reduce_standard,
+                                enumerate_functions(field, max_deg))
+                 if not r.is_constant]
+    cells = {}
+    seen_covers = set()
+    for i, r1 in enumerate(functions):
+        for r2 in functions[i + 1:]:
+            r3 = reduce_standard(r1 + r2)
+            if r1 == r2 or r3.is_constant:
+                continue
+            key = frozenset((r1.key(), r2.key(), r3.key()))
+            if key in seen_covers:
+                continue
+            seen_covers.add(key)
+            quotients = [ASCurve(r) for r in (r1, r2, r3)]
+            p = Partition(*(q.genus for q in quotients))
+            sigma = sum(q.two_rank for q in quotients)
+            cell = cells.get((p.g, sigma, p.entries))
+            if cell is None:
+                cells[p.g, sigma, p.entries] = {
+                    "g": p.g, "sigma": sigma, "type": list(p.entries),
+                    "witness_count": 1,
+                    "example": {"f1": str(r1), "f2": str(r2)}}
+            else:
+                cell["witness_count"] += 1
+    return [cells[k] for k in sorted(cells)]
+
+
+@pytest.mark.parametrize("field, max_deg",
+                         [(GF2, 1), (GF2, 2), (GF2, 3), (GF4, 1)],
+                         ids=["gf2-1", "gf2-2", "gf2-3", "gf4-1"])
+def test_census_matches_raw_pair_reference(field, max_deg):
+    cells = [c.to_json() for c in run_census(field, max_deg)]
+    assert cells == raw_pair_census(field, max_deg)
 
 
 def test_enumerate_functions_normalized():
@@ -33,6 +75,11 @@ def test_census_small_gf4():
 def test_census_rejects_big_bound():
     with pytest.raises(ValueError):
         run_census(GF2, 7)
+
+
+def test_census_rejects_negative_bound():
+    with pytest.raises(ValueError):
+        run_census(GF2, -1)
 
 
 def test_census_cell_json():

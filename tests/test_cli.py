@@ -118,6 +118,20 @@ def test_census_command(capsys):
     assert (1, 1, (1, 0, 0)) in cells
     code, _, err = run(capsys, "census", "--max-deg", "9")
     assert code == 2
+    code, out, err = run(capsys, "census", "--max-deg", "-1")
+    assert code == 2 and not out and "error" in err
+
+
+def test_negative_genus_is_bad_input(capsys):
+    for argv in (["check", "-g", "-1", "-s", "0"],
+                 ["check", "-g", "-1", "-s", "0", "-p", "0,0,-1"],
+                 ["construct", "-g", "-1", "-s", "0", "-p", "0,0,-1"],
+                 ["hyperelliptic", "-g", "-1", "-s", "0"],
+                 ["table", "-g", "-2"],
+                 ["table", "-g", "-2", "--json"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert "genus must be >= 0" in err, argv
 
 
 def test_hyperelliptic(capsys):

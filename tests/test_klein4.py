@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings
 
-from conftest import rand_cover
+from conftest import rand_cover, raw_pairs
+from kleinfour.ascurve import ASCurve, DegenerateCover, reduce_standard
 from kleinfour.field import GF2, GF4
 from kleinfour.klein4 import (InvalidCover, InvalidPartition, KleinFourCover,
                               Partition, partitions_of)
@@ -27,6 +29,19 @@ def test_make_examples():
         KleinFourCover(pr2("x"), pr2("x^2"))  # same class after reduction
     with pytest.raises(InvalidCover):
         KleinFourCover(pr2("x"), pr2("x + 1/(x^2) + 1/x"))  # f3 constant
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs())
+def test_f3_is_the_reduced_sum(pair):
+    f1, f2 = pair
+    try:
+        c = KleinFourCover(f1, f2)
+    except (InvalidCover, DegenerateCover):
+        assume(False)
+    assert c.f3 == reduce_standard(reduce_standard(f1) + reduce_standard(f2))
+    assert ([q.invariants for q in c.quotients]
+            == [ASCurve(f).invariants for f in (f1, f2, f1 + f2)])
 
 
 def test_type_examples():
