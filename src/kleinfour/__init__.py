@@ -14,7 +14,7 @@ from .construct import (InternalMismatch, NotRealizable, Recipe, construct,
                         construct_unbalanced_even, construct_unbalanced_odd,
                         induct_step, lift_cover, make_hyperelliptic,
                         normalize_infinity)
-from .field import GF2, GF4, BinaryField, Felt, default_modulus
+from .field import GF2, GF4, BinaryField, default_modulus
 from .klein4 import (InvalidCover, InvalidPartition, KleinFourCover,
                      Partition, partitions_of)
 from .poly import Poly, factor, is_irreducible, monic_irreducibles
@@ -23,7 +23,6 @@ from .realize import (Verdict, hyperelliptic_extra_involution,
                       is_totally_balanced, is_unbalanced, partition_validate,
                       realizable, realizable_any)
 from .zeta import (InconsistentCounts, LPoly, Report, count_points,
-                   count_points_cover, lpoly_from_counts, two_rank_from_lpoly,
-                   verify)
+                   count_points_cover, lpoly_from_counts, verify)
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@ Field elements are plain ints holding coefficient bit-vectors: bit i is the
 coefficient of a^i, where `a` is the residue of the generator modulo the
 field's defining polynomial.  Zero and one are the ints 0 and 1 in every
 field.  A BinaryField carries degree and modulus and does all arithmetic on
-raw ints; Felt wraps an int together with its field for the public API.
+raw ints with bit loops.  Fields of degree at most TABLE_MAX_DEGREE also
+offer log/antilog tables, built on first use, for loops that multiply many
+elements of one field (the point counts in `zeta`).
 
 The canonical GF(4) modulus is a^2+a+1, so the cube root of unity used by
 the witness constructions prints as `a`.
@@ -16,6 +18,9 @@ import functools
 from dataclasses import dataclass
 
 MAX_DEGREE = 24  # desk-scale bound: no field larger than GF(2^24)
+# Largest degree with log/antilog tables: at 16 they are int lists of 2^16
+# and 2^17 entries, about 6 MB.
+TABLE_MAX_DEGREE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -282,28 +287,17 @@ class BinaryField:
     def all_bits(self):
         return range(self.order)
 
-    def elem(self, bits):
-        if not 0 <= bits < self.order:
-            raise ValueError(f"element bits {bits} out of range for GF(2^{self.degree})")
-        return Felt(self, bits)
+    def log_tables(self):
+        """(log, exp) with exp[k] = g^k for the smallest primitive element g.
 
-    def elements(self):
-        for v in range(self.order):
-            yield Felt(self, v)
-
-    @property
-    def zero(self):
-        return Felt(self, 0)
-
-    @property
-    def one(self):
-        return Felt(self, 1)
-
-    @property
-    def gen(self):
-        if self.degree == 1:
-            return Felt(self, 1)
-        return Felt(self, 2)
+        exp has 2(2^m - 1) entries, so a sum of two logs indexes it without
+        reduction; log[v] is the k < 2^m - 1 with g^k = v (log[0] is
+        unused).  None for degrees above TABLE_MAX_DEGREE.  Built with the
+        bit-loop mul on first use and kept per field.
+        """
+        if self.degree > TABLE_MAX_DEGREE:
+            return None
+        return _log_tables(self)
 
     def format_elt(self, bits):
         return _poly2_text(bits, "a")
@@ -343,61 +337,20 @@ class BinaryField:
                 "text": _poly2_text(self.modulus)}
 
 
+@functools.lru_cache(maxsize=TABLE_MAX_DEGREE)
+def _log_tables(fld):
+    n1 = fld.order - 1
+    primes = _prime_divisors(n1)
+    g = next(v for v in range(1, fld.order)
+             if all(fld.pow(v, n1 // p) != 1 for p in primes))
+    exp = [1] * n1
+    for k in range(1, n1):
+        exp[k] = fld.mul(exp[k - 1], g)
+    log = [0] * fld.order
+    for k, v in enumerate(exp):
+        log[v] = k
+    return log, exp + exp
+
+
 GF2 = BinaryField.default(1)
 GF4 = BinaryField.default(2)
-
-
-@dataclass(frozen=True)
-class Felt:
-    """A field element: bit-vector plus its field."""
-
-    field: BinaryField
-    bits: int
-
-    def _check(self, other):
-        if not isinstance(other, Felt):
-            return NotImplemented
-        if other.field != self.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Felt(self.field, self.bits ^ other.bits)
-
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Felt(self.field, self.field.mul(self.bits, other.bits))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Felt(self.field, self.field.mul(self.bits, self.field.inv(other.bits)))
-
-    def __pow__(self, e):
-        return Felt(self.field, self.field.pow(self.bits, e))
-
-    def inv(self):
-        return Felt(self.field, self.field.inv(self.bits))
-
-    def trace(self):
-        return self.field.trace(self.bits)
-
-    def sqrt(self):
-        return Felt(self.field, self.field.sqrt(self.bits))
-
-    def __bool__(self):
-        return bool(self.bits)
-
-    def __str__(self):
-        return _poly2_text(self.bits, "a")
-
-    def __repr__(self):
-        return f"Felt({self.field}, {self})"

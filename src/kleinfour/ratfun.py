@@ -226,6 +226,12 @@ class RatFun:
 # a polynomial, optionally divided by a parenthesized polynomial or a bare
 # monomial: "x^3 + 1/x", "(x^2+x) / (x^2+x+1)", "a*x + (a+1)*x^2".
 
+# Largest exponent of x the parser accepts.  `construct` emits degree at
+# most 21 up to genus 20.  A larger exponent is refused before a coefficient
+# tuple of that length is built; factoring a denominator of degree 256
+# already takes over half a second.
+MAX_EXPONENT = 256
+
 def _parse_poly(field, text):
     text = text.strip()
     if text.startswith("(") and text.endswith(")") and _balanced(text[1:-1]):
@@ -285,6 +291,9 @@ def _parse_term(field, term):
             k = int(term[2:])
             if k < 0:
                 raise ValueError("negative exponent in polynomial")
+            if k > MAX_EXPONENT:
+                raise ValueError(f"exponent {k} exceeds the cap of "
+                                 f"{MAX_EXPONENT}")
         else:
             raise ValueError(f"bad monomial {term!r}")
         return Poly.monomial(field, k, coeff)

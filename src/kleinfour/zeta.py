@@ -1,9 +1,19 @@
-"""Independent verification by brute-force point counting.
+"""Independent verification by exact point counting over closed points.
 
 Counts are taken over extensions of the curve's own coefficient field
 GF(q), q = 2^m: count_points(c, n) is the number of points of the smooth
 model over GF(q^n).  The total evaluation field GF(2^(m*n)) is capped at
 2^24 elements.
+
+An affine closed point of degree d | n is a Frobenius orbit of d conjugate
+elements of GF(q^d): a cyclotomic coset of exponents k of g^k under
+k -> q*k mod (q^d - 1), of size exactly d (the point 0 has degree 1).  It
+is evaluated once, at its smallest exponent, and contributes d times the
+fibre over one of its elements, because the trace over GF(q^n) of an
+element of GF(q^d) is (n/d) times its trace over GF(q^d).  Evaluation uses
+the log/antilog tables of GF(q^d), which exist while m*n <= 16; above
+that, every element of GF(q^n) is evaluated with the bit-loop arithmetic.
+Infinity is a degree-1 place.
 
 For a quotient curve, counts N_1..N_g determine the L-polynomial through
 Newton's identities plus the functional equation, and the 2-rank is read
@@ -15,6 +25,8 @@ product, never through the quotients.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass, field as dfield
 
 from .ascurve import ASCurve
@@ -38,7 +50,9 @@ def _extension(base, n):
     return ext, field_embedding(base, ext)
 
 
+@functools.lru_cache(maxsize=MAX_DEGREE)
 def _trace_mask(fld):
+    """Bits whose sum mod 2 is the absolute trace: Tr(v) = |v & mask| mod 2."""
     mask = 0
     for i in range(fld.degree):
         if fld.trace(1 << i):
@@ -46,15 +60,135 @@ def _trace_mask(fld):
     return mask
 
 
-def _mapped_coeffs(p, embed):
-    return [embed(c) for c in p.coeffs]
-
-
 def _eval(coeffs, x, mul):
     acc = 0
     for c in reversed(coeffs):
         acc = mul(acc, x) ^ c
     return acc
+
+
+def _fibre(states, odd):
+    """Points over one point of P^1, from each function's state there.
+
+    A state is None at a pole, else the trace bit of f_i(x) over the
+    residue field; odd is the parity of n/d, which carries that trace up
+    to GF(q^n).  Where every function is regular the fibre is the product
+    of the f1 and f2 Artin-Schreier fibres.  Where exactly one is regular
+    its trace decides a fibre of size 2 or 0, and where none is the fibre
+    is a single point.  A pole of exactly one of three functions cannot
+    occur since f3 = f1 + f2.
+    """
+    bits = [s & odd for s in states if s is not None]
+    if len(bits) == 3:
+        return (2 - 2 * bits[0]) * (2 - 2 * bits[1])
+    if len(bits) == 1:
+        return 2 - 2 * bits[0]
+    if not bits:
+        return 1
+    raise AssertionError(
+        "a place supporting exactly one pole contradicts f3 = f1+f2")
+
+
+# Keys are (q, d) with q^d <= 2^TABLE_MAX_DEGREE, at most 50 of them; a key
+# holds about q^d/d exponents.
+@functools.lru_cache(maxsize=None)
+def _orbit_reps(q, d):
+    """Smallest exponent of each q-cyclotomic coset mod q^d - 1 of size d."""
+    n1 = q**d - 1
+    seen = bytearray(n1)
+    reps = []
+    for k in range(n1):
+        if seen[k]:
+            continue
+        j, size = k, 0
+        while not seen[j]:
+            seen[j] = 1
+            j = j * q % n1
+            size += 1
+        if size == d:
+            reps.append(k)
+    return tuple(reps)
+
+
+def _states_by_orbit(fns, q, d, fld, embed):
+    """Counter of state tuples over the closed points of degree d, one
+    evaluation each, in GF(q^d) = fld through its log/antilog tables."""
+    log, exp = fld.log_tables()
+    n1 = fld.order - 1
+    tmask = _trace_mask(fld)
+    polys = [([embed(c) for c in reversed(f.num.coeffs)],
+              [embed(c) for c in reversed(f.den.coeffs)]) for f in fns]
+
+    def state(nv, dv):
+        if not dv:
+            return None
+        return (exp[log[nv] - log[dv] + n1] & tmask).bit_count() & 1 \
+            if nv else 0
+
+    tally = Counter()
+    if d == 1:  # the point 0: the constant terms
+        tally[tuple(state(num[-1] if num else 0, den[-1])
+                    for num, den in polys)] += 1
+    for k in _orbit_reps(q, d):
+        states = []
+        for num, den in polys:
+            acc = 0
+            for c in den:
+                acc = exp[log[acc] + k] ^ c if acc else c
+            if not acc:
+                states.append(None)
+                continue
+            ld = log[acc]
+            acc = 0
+            for c in num:
+                acc = exp[log[acc] + k] ^ c if acc else c
+            states.append((exp[log[acc] - ld + n1] & tmask).bit_count() & 1
+                          if acc else 0)
+        tally[tuple(states)] += 1
+    return tally
+
+
+def _states_by_element(fns, ext, embed):
+    """Counter of state tuples over every element of ext, by bit loops."""
+    tmask = _trace_mask(ext)
+    mul = ext.mul
+    inv = ext.inv
+    polys = [([embed(c) for c in f.num.coeffs],
+              [embed(c) for c in f.den.coeffs]) for f in fns]
+    tally = Counter()
+    for x in range(ext.order):
+        states = []
+        for num, den in polys:
+            d = _eval(den, x, mul)
+            if d == 0:
+                states.append(None)
+                continue
+            v = mul(_eval(num, x, mul), inv(d))
+            states.append((v & tmask).bit_count() & 1)
+        tally[tuple(states)] += 1
+    return tally
+
+
+def _count(fns, n):
+    """Points over GF(q^n) of the fibre product of y_i^2 + y_i = f_i over
+    P^1: [f] for a curve, [f1, f2, f3] for a Klein-four cover."""
+    base = fns[0].field
+    ext, embed = _extension(base, n)
+    if ext.log_tables() is None:
+        groups = [(1, 1, _states_by_element(fns, ext, embed))]
+    else:
+        groups = []
+        for d in range(1, n + 1):
+            if n % d == 0:
+                fld, emb = (ext, embed) if d == n else _extension(base, d)
+                groups.append((d, (n // d) & 1,
+                               _states_by_orbit(fns, base.order, d, fld, emb)))
+    at_inf = tuple(None if v is None else base.trace(v)
+                   for v in (f.infinity_value() for f in fns))
+    groups.append((1, n & 1, {at_inf: 1}))
+    return sum(weight * points * _fibre(states, odd)
+               for weight, odd, tally in groups
+               for states, points in tally.items())
 
 
 def count_points(curve, n):
@@ -66,27 +200,7 @@ def count_points(curve, n):
     """
     if not isinstance(curve, ASCurve):
         raise TypeError("count_points takes an ASCurve")
-    ext, embed = _extension(curve.field, n)
-    tmask = _trace_mask(ext)
-    mul = ext.mul
-    inv = ext.inv
-    num = _mapped_coeffs(curve.f.num, embed)
-    den = _mapped_coeffs(curve.f.den, embed)
-    total = 0
-    for x in range(ext.order):
-        d = _eval(den, x, mul)
-        if d == 0:
-            total += 1
-            continue
-        v = mul(_eval(num, x, mul), inv(d))
-        if (v & tmask).bit_count() & 1 == 0:
-            total += 2
-    at_inf = curve.f.infinity_value()
-    if at_inf is None:
-        total += 1
-    elif (embed(at_inf) & tmask).bit_count() & 1 == 0:
-        total += 2
-    return total
+    return _count([curve.f], n)
 
 
 def count_points_cover(cover, n):
@@ -95,50 +209,11 @@ def count_points_cover(cover, n):
     At an unramified x the fibre is the product of the two Artin-Schreier
     fibres.  Over a pole, either exactly one of the three functions is
     regular there and its trace decides a fibre of size 2 or 0, or all
-    three have poles and the fibre is a single point.  A pole of exactly
-    one function cannot occur since f3 = f1 + f2.
+    three have poles and the fibre is a single point.
     """
     if not isinstance(cover, KleinFourCover):
         raise TypeError("count_points_cover takes a KleinFourCover")
-    ext, embed = _extension(cover.field, n)
-    tmask = _trace_mask(ext)
-    mul = ext.mul
-    inv = ext.inv
-    fns = [( _mapped_coeffs(f.num, embed), _mapped_coeffs(f.den, embed))
-           for f in (cover.f1, cover.f2, cover.f3)]
-
-    def local(values):
-        # values: list of f_i(x) or None for a pole, in order f1, f2, f3
-        regular = [i for i, v in enumerate(values) if v is not None]
-        if len(regular) == 3:
-            c = 1
-            for i in (0, 1):
-                c *= 2 if (values[i] & tmask).bit_count() & 1 == 0 else 0
-            return c
-        if len(regular) == 1:
-            v = values[regular[0]]
-            return 2 if (v & tmask).bit_count() & 1 == 0 else 0
-        if len(regular) == 0:
-            return 1
-        raise AssertionError(
-            "a place supporting exactly one pole contradicts f3 = f1+f2")
-
-    total = 0
-    for x in range(ext.order):
-        values = []
-        for (nc, dc) in fns:
-            d = _eval(dc, x, mul)
-            if d == 0:
-                values.append(None)
-            else:
-                values.append(mul(_eval(nc, x, mul), inv(d)))
-        total += local(values)
-    inf_values = []
-    for f in (cover.f1, cover.f2, cover.f3):
-        v = f.infinity_value()
-        inf_values.append(None if v is None else embed(v))
-    total += local(inf_values)
-    return total
+    return _count([cover.f1, cover.f2, cover.f3], n)
 
 
 def weil_ok(counts, genus, q):
@@ -235,10 +310,6 @@ def lpoly_from_counts(counts, genus, q=2):
     return L
 
 
-def two_rank_from_lpoly(L):
-    return L.two_rank()
-
-
 @dataclass
 class Report:
     """Outcome of comparing formula invariants against the count oracle."""
@@ -304,11 +375,12 @@ def _verify_cover(cover, depth, max_bits):
                     formula={"genus": g, "two_rank": sigma},
                     oracle={"quotients": []})
     q = cover.field.order
-    ok = True
-    for sub in cover.quotients:
+    failures = []
+    for i, sub in enumerate(cover.quotients, start=1):
         subreport = _verify_curve(sub, depth, max_bits)
         report.oracle["quotients"].append(subreport.to_json())
-        ok = ok and subreport.confirmed
+        if not subreport.confirmed:
+            failures.append(f"quotient {i}: {subreport.detail}")
         report.truncated = report.truncated or subreport.truncated
     max_n = min(depth, max_bits // cover.field.degree)
     if max_n < depth:
@@ -319,11 +391,12 @@ def _verify_cover(cover, depth, max_bits):
                - 2 * (q**n + 1))
         report.identity_checks.append(
             {"n": n, "direct": lhs, "from_quotients": rhs, "ok": lhs == rhs})
-        ok = ok and lhs == rhs
-    if not ok:
+        if lhs != rhs:
+            failures.append(f"count identity fails at n={n}: direct {lhs}, "
+                            f"from quotients {rhs}")
+    if failures:
         report.status = "mismatch"
-        if not report.detail:
-            report.detail = "a quotient or the count identity failed"
+        report.detail = "; ".join(failures)
     return report
 
 

@@ -18,7 +18,7 @@ from kleinfour.klein4 import Partition, partitions_of
 from kleinfour.ratfun import parse_ratfun
 from kleinfour.realize import realizable, realizable_any
 from kleinfour.zeta import (count_points, count_points_cover,
-                            lpoly_from_counts, two_rank_from_lpoly, weil_ok)
+                            lpoly_from_counts, weil_ok)
 
 GMAX = 12
 
@@ -101,7 +101,7 @@ def test_criterion_3_oracle_confirmation():
                         continue
                     assert weil_ok(counts, sub.genus, q)
                     L = lpoly_from_counts(counts, sub.genus, q)
-                    assert two_rank_from_lpoly(L) == sub.two_rank, (g, s, p)
+                    assert L.two_rank() == sub.two_rank, (g, s, p)
                 confirmed += 1
     dt = time.time() - t0
     assert dt < 300
@@ -209,13 +209,13 @@ def test_criterion_8_named_examples():
     assert n1 == 3
     L = lpoly_from_counts([n1, n2], 1)
     assert L.coeffs == (1, 0, 2)  # 1 + 2T^2
-    assert two_rank_from_lpoly(L) == 0
+    assert L.two_rank() == 0
 
     c = ASCurve(parse_ratfun(GF2, "1/x + 1/(x+1)"))
     n1, n2 = count_points(c, 1), count_points(c, 2)
     assert n1 == 4
     L = lpoly_from_counts([n1, n2], 1)
     assert L.coeffs == (1, 1, 2)  # 1 + T + 2T^2
-    assert two_rank_from_lpoly(L) == 1
+    assert L.two_rank() == 1
     print("\nACCEPTANCE 8 PASS: golden curves y^2+y=x^3 (N1=3, L=1+2T^2, "
           "rank 0) and y^2+y=1/x+1/(x+1) (N1=4, L=1+T+2T^2, rank 1)")

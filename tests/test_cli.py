@@ -1,4 +1,5 @@
 import json
+import time
 
 from kleinfour.cli import main
 
@@ -64,6 +65,16 @@ def test_invariants(capsys):
     code, _, err = run(capsys, "invariants", "-f", "1/(x^2) + 1/x")
     assert code == 2  # degenerate
     code, _, err = run(capsys, "invariants", "-f", "a*x", "--field", "gf4")
+    assert code == 0
+
+
+def test_invariants_refuses_a_huge_exponent(capsys):
+    t0 = time.perf_counter()
+    for f in ("x^99999999", "1/x^257 + x", "x^3 + 1/(x^99999999+1)"):
+        code, _, err = run(capsys, "invariants", "-f", f)
+        assert code == 2 and "exceeds the cap of 256" in err
+    assert time.perf_counter() - t0 < 1
+    code, doc = run_json(capsys, "invariants", "-f", "x^256")
     assert code == 0
 
 

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kleinfour import field as field_module
 from kleinfour.field import GF2, GF4, BinaryField, default_modulus
 
 
@@ -87,18 +90,6 @@ def test_pow_and_order():
             assert F.pow(v, -1) == F.inv(v)
 
 
-def test_felt_operators():
-    a = GF4.gen
-    one = GF4.one
-    assert (a * a).bits == 0b11
-    assert (a + one + a) == one
-    assert (one / a).bits == GF4.inv(0b10)
-    assert (a ** 3).bits == 1
-    assert a.sqrt() * a.sqrt() == a
-    with pytest.raises(ValueError):
-        a + GF2.one
-
-
 def test_element_text_roundtrip():
     for v in range(GF4.order):
         assert GF4.parse_elt(GF4.format_elt(v)) == v
@@ -114,3 +105,62 @@ def test_element_text_roundtrip():
 def test_fields_interchangeable_only_if_identical():
     assert BinaryField(2, 0b111) == GF4
     assert BinaryField.default(3) != BinaryField(3, 0b1101)
+
+
+def table_mul(tables, a, b):
+    log, exp = tables
+    return exp[log[a] + log[b]] if a and b else 0
+
+
+def table_inv(tables, a):
+    log, exp = tables
+    return exp[len(exp) // 2 - log[a]]
+
+
+def multiplicative_order(F, v):
+    e, w = 1, v
+    while w != 1:
+        w, e = F.mul(w, v), e + 1
+    return e
+
+
+TABLE_FIELDS = [BinaryField.default(m) for m in range(1, 7)] + [
+    BinaryField(3, 0b1101)]
+
+
+@pytest.mark.parametrize("F", TABLE_FIELDS, ids=repr)
+def test_tables_match_bit_loop_exhaustive(F):
+    tables = F.log_tables()
+    log, exp = tables
+    n1 = F.order - 1
+    assert len(exp) == 2 * n1
+    assert sorted(exp[:n1]) == list(range(1, F.order))
+    assert all(log[exp[k]] == k for k in range(n1))
+    # the generator exp[1] is the smallest element of multiplicative order n1
+    assert all(multiplicative_order(F, v) < n1 for v in range(1, exp[1]))
+    for a in range(F.order):
+        for b in range(F.order):
+            assert table_mul(tables, a, b) == F.mul(a, b)
+        if a:
+            assert table_inv(tables, a) == F.inv(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tables_match_bit_loop_sampled(data):
+    m = data.draw(st.integers(7, field_module.TABLE_MAX_DEGREE))
+    F = BinaryField.default(m)
+    tables = F.log_tables()
+    a = data.draw(st.integers(0, F.order - 1))
+    b = data.draw(st.integers(0, F.order - 1))
+    assert table_mul(tables, a, b) == F.mul(a, b)
+    if a:
+        assert table_inv(tables, a) == F.inv(a)
+
+
+def test_tables_stop_at_the_cap(monkeypatch):
+    assert BinaryField.default(16).log_tables() is not None
+    assert BinaryField.default(17).log_tables() is None
+    monkeypatch.setattr(field_module, "TABLE_MAX_DEGREE", 4)
+    assert BinaryField.default(5).log_tables() is None
+    assert GF4.log_tables() is not None

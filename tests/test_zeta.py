@@ -1,13 +1,18 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import rand_cover
-from kleinfour.ascurve import ASCurve
-from kleinfour.field import GF2, GF4
-from kleinfour.klein4 import KleinFourCover
+from conftest import rand_cover, raw_pairs
+from kleinfour import field as field_module
+from kleinfour import zeta
+from kleinfour.ascurve import ASCurve, DegenerateCover
+from kleinfour.field import GF2, GF4, MAX_DEGREE, BinaryField
+from kleinfour.klein4 import InvalidCover, KleinFourCover
+from kleinfour.poly import field_embedding
 from kleinfour.ratfun import parse_ratfun
 from kleinfour.zeta import (InconsistentCounts, count_points,
                             count_points_cover, lpoly_from_counts,
-                            two_rank_from_lpoly, verify, weil_ok)
+                            verify, weil_ok)
 
 
 def pr2(t):
@@ -35,7 +40,7 @@ def test_count_points_ramified_and_infinity():
     assert count_points(c, 2) == 8
     L = lpoly_from_counts([2, 8], 1)
     assert L.coeffs == (1, -1, 2)
-    assert two_rank_from_lpoly(L) == 1
+    assert L.two_rank() == 1
 
 
 def test_count_points_base_gf4():
@@ -52,10 +57,10 @@ def test_extension_cap():
 def test_lpoly_goldens():
     L = lpoly_from_counts([3, 9], 1)
     assert L.coeffs == (1, 0, 2)
-    assert two_rank_from_lpoly(L) == 0
+    assert L.two_rank() == 0
     L = lpoly_from_counts([4, 8], 1)
     assert L.coeffs == (1, 1, 2)
-    assert two_rank_from_lpoly(L) == 1
+    assert L.two_rank() == 1
 
 
 def test_lpoly_functional_equation():
@@ -66,7 +71,7 @@ def test_lpoly_functional_equation():
     for i in range(3):
         assert L.coeffs[6 - i] == 2 ** (3 - i) * L.coeffs[i]
     assert L.predicted_counts(6) == counts
-    assert two_rank_from_lpoly(L) == 2
+    assert L.two_rank() == 2
 
 
 def test_inconsistent_counts():
@@ -90,7 +95,7 @@ def test_weil_bounds_on_series(rng):
 
 def test_two_rank_ordinary():
     L = lpoly_from_counts([4, 8], 1)
-    assert two_rank_from_lpoly(L) == 1  # all unit-part coefficients odd
+    assert L.two_rank() == 1  # all unit-part coefficients odd
 
 
 def test_cover_count_example():
@@ -176,5 +181,149 @@ def test_lpoly_over_gf4_base():
     counts = [count_points(c, n) for n in range(1, 3)]
     L = lpoly_from_counts(counts, 1, q=4)
     assert L.coeffs[0] == 1 and L.coeffs[2] == 4  # functional equation, q=4
-    assert two_rank_from_lpoly(L) == 0
+    assert L.two_rank() == 0
     assert L.predicted_counts(2) == counts
+
+
+def test_cover_mismatch_names_the_quotient():
+    cov = KleinFourCover(pr2("x"), pr2("1/x"))
+    sub = cov.quotients[2]  # y^2 + y = x + 1/x: genus 1, 2-rank 1
+    sub.__dict__["invariants"] = type(sub.invariants)(1, 0)  # lie: 2-rank 0
+    r = verify(cov)
+    assert r.status == "mismatch"
+    assert r.detail == "quotient 3: 2-rank from L mod 2 is 1, formula says 0"
+    assert all(chk["ok"] for chk in r.identity_checks)
+
+
+def test_cover_mismatch_names_the_count_identity(monkeypatch):
+    cov = KleinFourCover(pr2("x"), pr2("1/x"))
+    true_count = zeta.count_points_cover
+
+    def off_by_two_at_n2(cover, n):
+        return true_count(cover, n) + (2 if n == 2 else 0)
+
+    monkeypatch.setattr(zeta, "count_points_cover", off_by_two_at_n2)
+    r = verify(cov)
+    assert r.status == "mismatch"
+    direct = true_count(cov, 2) + 2
+    rhs = sum(count_points(s, 2) for s in cov.quotients) - 2 * 5
+    assert r.detail == (f"count identity fails at n=2: direct {direct}, "
+                        f"from quotients {rhs}")
+    assert [chk["ok"] for chk in r.identity_checks] == [True, False]
+
+
+# -- reference: the per-element loops of the first implementation -----------
+# Every element of GF(q^n) is evaluated with the bit-loop arithmetic, with no
+# closed points and no tables.
+
+def seed_extension(base, n):
+    bits = base.degree * n
+    if bits > MAX_DEGREE:
+        raise ValueError("over the cap")
+    if n == 1:
+        return base, (lambda v: v)
+    ext = BinaryField.default(bits)
+    return ext, field_embedding(base, ext)
+
+
+def seed_trace_mask(fld):
+    mask = 0
+    for i in range(fld.degree):
+        if fld.trace(1 << i):
+            mask |= 1 << i
+    return mask
+
+
+def seed_eval(coeffs, x, mul):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = mul(acc, x) ^ c
+    return acc
+
+
+def seed_count_points(curve, n):
+    ext, embed = seed_extension(curve.field, n)
+    tmask = seed_trace_mask(ext)
+    mul = ext.mul
+    inv = ext.inv
+    num = [embed(c) for c in curve.f.num.coeffs]
+    den = [embed(c) for c in curve.f.den.coeffs]
+    total = 0
+    for x in range(ext.order):
+        d = seed_eval(den, x, mul)
+        if d == 0:
+            total += 1
+            continue
+        v = mul(seed_eval(num, x, mul), inv(d))
+        if (v & tmask).bit_count() & 1 == 0:
+            total += 2
+    at_inf = curve.f.infinity_value()
+    if at_inf is None:
+        total += 1
+    elif (embed(at_inf) & tmask).bit_count() & 1 == 0:
+        total += 2
+    return total
+
+
+def seed_count_points_cover(cover, n):
+    ext, embed = seed_extension(cover.field, n)
+    tmask = seed_trace_mask(ext)
+    mul = ext.mul
+    inv = ext.inv
+    fns = [([embed(c) for c in f.num.coeffs], [embed(c) for c in f.den.coeffs])
+           for f in (cover.f1, cover.f2, cover.f3)]
+
+    def local(values):
+        regular = [i for i, v in enumerate(values) if v is not None]
+        if len(regular) == 3:
+            c = 1
+            for i in (0, 1):
+                c *= 2 if (values[i] & tmask).bit_count() & 1 == 0 else 0
+            return c
+        if len(regular) == 1:
+            v = values[regular[0]]
+            return 2 if (v & tmask).bit_count() & 1 == 0 else 0
+        if len(regular) == 0:
+            return 1
+        raise AssertionError("exactly one pole")
+
+    total = 0
+    for x in range(ext.order):
+        values = []
+        for (nc, dc) in fns:
+            d = seed_eval(dc, x, mul)
+            values.append(None if d == 0 else mul(seed_eval(nc, x, mul), inv(d)))
+        total += local(values)
+    inf_values = []
+    for f in (cover.f1, cover.f2, cover.f3):
+        v = f.infinity_value()
+        inf_values.append(None if v is None else embed(v))
+    return total + local(inf_values)
+
+
+@pytest.mark.parametrize("table_max_degree", [16, 4])
+def test_counts_match_the_per_element_loops(table_max_degree, monkeypatch,
+                                            rng):
+    # with the cap at 4, GF(2^5) and up take the per-element path instead
+    monkeypatch.setattr(field_module, "TABLE_MAX_DEGREE", table_max_degree)
+    for F in (GF2, GF4, BinaryField.default(3)):
+        for _ in range(2):
+            cov = rand_cover(rng, F, max_deg=3)
+            for n in range(1, 12 // F.degree + 1):
+                assert count_points_cover(cov, n) == \
+                    seed_count_points_cover(cov, n), (cov, n)
+                for sub in cov.quotients:
+                    assert count_points(sub, n) == \
+                        seed_count_points(sub, n), (sub, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_pairs(max_deg=3), st.integers(1, 4))
+def test_count_identity_law(pair, n):
+    try:
+        cov = KleinFourCover(*pair)
+    except (InvalidCover, DegenerateCover):
+        assume(False)
+    q = cov.field.order
+    assert count_points_cover(cov, n) == (
+        sum(count_points(s, n) for s in cov.quotients) - 2 * (q**n + 1))
