@@ -20,8 +20,7 @@ from .klein4 import (InvalidCover, InvalidPartition, KleinFourCover,
 from .poly import Poly, factor, is_irreducible, monic_irreducibles
 from .ratfun import INFINITY, Place, PoleDivisor, RatFun, parse_ratfun
 from .realize import (Verdict, hyperelliptic_extra_involution,
-                      is_totally_balanced, is_unbalanced, partition_validate,
-                      realizable, realizable_any)
+                      partition_validate, realizable, realizable_any)
 from .zeta import (InconsistentCounts, LPoly, Report, count_points,
                    count_points_cover, lpoly_from_counts, verify)
 

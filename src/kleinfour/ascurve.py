@@ -82,16 +82,111 @@ def reduce_standard(f):
     return assemble(F, new_poly, new_parts)
 
 
+def _pack(coeffs, m):
+    """Field elements as one int, m bits each, lowest index lowest."""
+    v = 0
+    for i, c in enumerate(coeffs):
+        v |= c << (i * m)
+    return v
+
+
+def _unpack(v, m, n):
+    mask = (1 << m) - 1
+    return [(v >> (i * m)) & mask for i in range(n)]
+
+
+class ReducedForm:
+    """A canonical form as its principal-part vector.
+
+    `poly` packs the polynomial part, constant included, m bits per
+    coefficient.  `places` maps each finite pole, a monic irreducible q
+    packed the same way, to its digits r_1..r_e (f has the term r_i / q^i,
+    deg r_i < deg q), digit r_i packed at bit (i - 1) * m * deg q.  Partial
+    fractions are unique, so two canonical forms are equal exactly when
+    their vectors are, and because reduction is GF(2)-linear the sum of two
+    canonical forms is the XOR of their vectors.  A pole order is the index
+    of the top digit, so invariants need no factoring.
+    """
+
+    __slots__ = ("field", "poly", "places")
+
+    def __init__(self, field, poly, places):
+        self.field = field
+        self.poly = poly
+        self.places = places
+
+    @classmethod
+    def of(cls, r):
+        """The vector of an r already in canonical form."""
+        m = r.field.degree
+        poly_part, parts = principal_parts(r)
+        places = {}
+        for q, rs in parts.items():
+            width = m * q.degree
+            places[_pack(q.coeffs, m)] = sum(
+                _pack(d.coeffs, m) << (i * width) for i, d in enumerate(rs))
+        return cls(r.field, _pack(poly_part.coeffs, m), places)
+
+    def to_ratfun(self):
+        """The canonical form as a RatFun, inverse of `of`."""
+        F = self.field
+        m = F.degree
+        parts = {}
+        for qv, v in self.places.items():
+            d = (qv.bit_length() - 1) // m
+            q = Poly.make(F, _unpack(qv, m, d + 1))
+            e = (v.bit_length() - 1) // (m * d) + 1
+            parts[q] = [Poly.make(F, _unpack(v >> (i * m * d), m, d))
+                        for i in range(e)]
+        n = (self.poly.bit_length() + m - 1) // m
+        return assemble(F, Poly.make(F, _unpack(self.poly, m, n)), parts)
+
+    def __add__(self, other):
+        if other.field is not self.field and other.field != self.field:
+            raise ValueError("reduced forms over different fields")
+        places = dict(self.places)
+        for q, v in other.places.items():
+            s = places.pop(q, 0) ^ v
+            if s:
+                places[q] = s
+        return ReducedForm(self.field, self.poly ^ other.poly, places)
+
+    @property
+    def is_constant(self):
+        return not self.places and self.poly >> self.field.degree == 0
+
+    def key(self):
+        return self.poly, frozenset(self.places.items())
+
+    def __eq__(self, other):
+        return (isinstance(other, ReducedForm) and self.field == other.field
+                and self.key() == other.key())
+
+    def invariants(self):
+        """Genus and 2-rank of y^2 + y = f: infinity is a degree-1 place
+        whose pole order is the degree of the polynomial part."""
+        m = self.field.degree
+        genus = -1
+        k = 0
+        n = (self.poly.bit_length() - 1) // m
+        if n > 0:
+            assert n % 2 == 1, "reduced form must have odd pole orders"
+            genus += (n + 1) // 2
+            k += 1
+        for q, v in self.places.items():
+            width = q.bit_length() - 1  # m * deg q: q is monic
+            d = width // m
+            n = (v.bit_length() - 1) // width + 1
+            assert n % 2 == 1, "reduced form must have odd pole orders"
+            genus += d * (n + 1) // 2
+            k += d
+        return Invariants(genus, k - 1)
+
+
 def invariants_of_reduced(r):
     """Genus and 2-rank of y^2 + y = r for a non-constant r that is already
-    in canonical form, read off its pole divisor with no further reduction."""
-    genus = -1
-    k = 0
-    for (pl, n) in r.pole_divisor():
-        assert n % 2 == 1, "reduced form must have odd pole orders"
-        genus += pl.degree * (n + 1) // 2
-        k += pl.degree
-    return Invariants(genus, k - 1)
+    in canonical form, read off its pole orders with no further reduction."""
+    return ReducedForm.of(r).invariants()
 
 
 class ASCurve:

@@ -4,7 +4,11 @@ Every rational function with numerator and denominator degrees up to a
 bound is reduced to its canonical form, and the distinct non-constant
 forms (the reduced classes) are paired.  Reduction is GF(2)-linear, so a
 cover is the 2-dimensional subspace {r1, r2, r1 + r2} of reduced forms; it
-is counted once, at its lowest pair of enumerated classes.  Covers are
+is counted once, at its lowest pair of enumerated classes.  Each class is
+held as its principal-part vector (`ReducedForm`), so a pair sum is an XOR
+of ints and its invariants come from bit lengths, with no polynomial
+arithmetic; a cell's first example is printed from the classes' RatFun
+forms.  Covers are
 tabulated by (genus, 2-rank, type).  A cover landing in a cell the decision
 procedure declares impossible would disprove the classification; the run
 asserts that never happens.
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ascurve import invariants_of_reduced, reduce_standard
+from .ascurve import ReducedForm, reduce_standard
 from .klein4 import KleinFourCover, Partition
 from .poly import Poly
 from .ratfun import RatFun
@@ -96,28 +100,28 @@ def run_census(field, max_deg):
     if max_deg > MAX_CENSUS_DEGREE:
         raise ValueError(f"census degree bound is {MAX_CENSUS_DEGREE}")
     classes = _reduced_classes(field, max_deg)
-    index = {r.key(): i for i, r in enumerate(classes)}
-    invariants = [invariants_of_reduced(r) for r in classes]
+    forms = [ReducedForm.of(r) for r in classes]
+    index = {v.key(): i for i, v in enumerate(forms)}
+    invariants = [v.invariants() for v in forms]
     cells = {}
-    for i, r1 in enumerate(classes):
+    for i, v1 in enumerate(forms):
         inv1 = invariants[i]
-        for j in range(i + 1, len(classes)):
-            r2 = classes[j]
-            r3 = r1 + r2  # already reduced: reduction is GF(2)-linear
-            if r3.is_constant:
+        for j in range(i + 1, len(forms)):
+            v3 = v1 + forms[j]  # already reduced: reduction is GF(2)-linear
+            if v3.is_constant:
                 continue  # r1 and r2 differ by a constant: no cover
-            k = index.get(r3.key())
+            k = index.get(v3.key())
             if k is not None and k < j:
                 continue  # {r1, r2, r3} is counted at its lowest pair
             inv2 = invariants[j]
-            inv3 = invariants_of_reduced(r3) if k is None else invariants[k]
+            inv3 = v3.invariants() if k is None else invariants[k]
             p = Partition(inv1.genus, inv2.genus, inv3.genus)
             g = p.g
             sigma = inv1.two_rank + inv2.two_rank + inv3.two_rank
             cell_key = (g, sigma, p.entries)
             cell = cells.get(cell_key)
             if cell is None:
-                cover = KleinFourCover(r1, r2)
+                cover = KleinFourCover(classes[i], classes[j])
                 verdict = realizable(g, sigma, p)
                 if not verdict.exists:
                     raise CensusViolation(

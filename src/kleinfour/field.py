@@ -206,7 +206,8 @@ class BinaryField:
 
     @classmethod
     def default(cls, m):
-        return cls(m, default_modulus(m))
+        """The field with the default modulus; one shared instance per m."""
+        return _default_field(m)
 
     @property
     def order(self):
@@ -350,6 +351,12 @@ def _log_tables(fld):
     for k, v in enumerate(exp):
         log[v] = k
     return log, exp + exp
+
+
+@functools.lru_cache(maxsize=MAX_DEGREE)
+def _default_field(m):
+    # building a field reruns the irreducibility test on its modulus
+    return BinaryField(m, default_modulus(m))
 
 
 GF2 = BinaryField.default(1)

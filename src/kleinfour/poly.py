@@ -239,17 +239,6 @@ def invmod(a, m):
     return u % m
 
 
-def pow_mod(a, e, m):
-    r = Poly.one(a.field)
-    a = a % m
-    while e:
-        if e & 1:
-            r = (r * a) % m
-        a = (a * a) % m
-        e >>= 1
-    return r
-
-
 def _sqf_decompose(f):
     """Squarefree decomposition of a monic polynomial, char-2 version."""
     if f.degree <= 0:

@@ -224,12 +224,14 @@ class RatFun:
 # ---------------------------------------------------------------------------
 # Text grammar.  A rational function is a sum of fraction terms; each term is
 # a polynomial, optionally divided by a parenthesized polynomial or a bare
-# monomial: "x^3 + 1/x", "(x^2+x) / (x^2+x+1)", "a*x + (a+1)*x^2".
+# monomial: "x^3 + 1/x", "(x^2+x) / (x^2+x+1)", "a*x + (a+1)*x^2".  A
+# parenthesized polynomial may be raised to a power: "1/(x+1)^3".
 
-# Largest exponent of x the parser accepts.  `construct` emits degree at
-# most 21 up to genus 20.  A larger exponent is refused before a coefficient
-# tuple of that length is built; factoring a denominator of degree 256
-# already takes over half a second.
+# Largest exponent the parser accepts, and largest degree of a power or of
+# the running denominator of the sum.  `construct` emits degree at most 21
+# up to genus 20.  A larger value is refused before a polynomial of that
+# degree is built; factoring a denominator of degree 256 already takes over
+# half a second.
 MAX_EXPONENT = 256
 
 def _parse_poly(field, text):
@@ -273,9 +275,37 @@ def _split_top(s, sep):
     return parts
 
 
+def _exponent(text):
+    k = int(text)
+    if k < 0:
+        raise ValueError("negative exponent in polynomial")
+    if k > MAX_EXPONENT:
+        raise ValueError(f"exponent {k} exceeds the cap of {MAX_EXPONENT}")
+    return k
+
+
+def _parse_power(field, term):
+    """(poly)^k, or None if term is not a parenthesized power."""
+    base, sep, exp = term.rpartition(")^")
+    if not sep or not base.startswith("(") or not _balanced(base[1:]):
+        return None
+    k = _exponent(exp)
+    p = _parse_poly(field, base[1:])
+    if p.degree * k > MAX_EXPONENT:
+        raise ValueError(f"({p})^{k} has degree {p.degree * k}, above the "
+                         f"cap of {MAX_EXPONENT}")
+    out = Poly.one(field)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
 def _parse_term(field, term):
     if not term:
         raise ValueError("empty term in polynomial")
+    power = _parse_power(field, term)
+    if power is not None:
+        return power
     coeff = 1
     if "*" in term:
         ctext, _, mtext = term.partition("*")
@@ -284,16 +314,14 @@ def _parse_term(field, term):
             ctext = ctext[1:-1]
         coeff = field.parse_elt(ctext)
         term = mtext.strip()
+        power = _parse_power(field, term)
+        if power is not None:
+            return power.scale(coeff)
     if term.startswith("x"):
         if term == "x":
             k = 1
         elif term.startswith("x^"):
-            k = int(term[2:])
-            if k < 0:
-                raise ValueError("negative exponent in polynomial")
-            if k > MAX_EXPONENT:
-                raise ValueError(f"exponent {k} exceeds the cap of "
-                                 f"{MAX_EXPONENT}")
+            k = _exponent(term[2:])
         else:
             raise ValueError(f"bad monomial {term!r}")
         return Poly.monomial(field, k, coeff)
@@ -323,6 +351,10 @@ def parse_ratfun(field, text):
             total = total + RatFun(num, den)
         else:
             raise ValueError(f"too many '/' in term {part!r}")
+        if total.den.degree > MAX_EXPONENT:
+            raise ValueError(f"the denominator reaches degree "
+                             f"{total.den.degree}, above the cap of "
+                             f"{MAX_EXPONENT}")
     return total
 
 

@@ -54,14 +54,6 @@ def partition_validate(g, raw):
     return p
 
 
-def is_unbalanced(p):
-    return p.is_unbalanced
-
-
-def is_totally_balanced(p):
-    return p.is_totally_balanced
-
-
 def _check_two_rank(g, sigma):
     check_genus(g)
     if not 0 <= sigma <= g:

@@ -38,13 +38,19 @@ def rng():
 
 
 @st.composite
-def raw_pairs(draw, max_deg=4):
-    """Two raw rational functions over one of GF(2), GF(4), GF(8)."""
+def raw_pairs(draw, max_deg=4, nonzero=False):
+    """Two raw rational functions over one of GF(2), GF(4), GF(8); with
+    nonzero=True neither is 0 (a zero function never gives a cover)."""
     F = draw(st.sampled_from((GF2, GF4, BinaryField.default(3))))
-    coeffs = st.lists(st.integers(0, F.order - 1), max_size=max_deg + 1)
+    elt = st.integers(0, F.order - 1)
+    coeffs = st.lists(elt, max_size=max_deg + 1)
 
     def ratfun():
-        num = Poly.make(F, draw(coeffs))
+        if nonzero:  # a nonzero top coefficient
+            top = draw(st.integers(1, F.order - 1))
+            num = Poly.make(F, draw(st.lists(elt, max_size=max_deg)) + [top])
+        else:
+            num = Poly.make(F, draw(coeffs))
         den = Poly.make(F, draw(coeffs))
         return RatFun(num, den if den.coeffs else Poly.one(F))
     return ratfun(), ratfun()

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import assume, given, settings
 
 from conftest import rand_ratfun, raw_pairs
-from kleinfour.ascurve import (ASCurve, DegenerateCover, invariants_of_reduced,
+from kleinfour.ascurve import (ASCurve, DegenerateCover, Invariants,
+                               ReducedForm, invariants_of_reduced,
                                reduce_standard)
 from kleinfour.field import GF2, GF4
 from kleinfour.poly import Poly
@@ -77,6 +78,51 @@ def test_invariants_of_reduced_sum_match_curve(pair):
     assume(not r3.is_constant)
     assert invariants_of_reduced(r3) == ASCurve(f1 + f2).invariants
     assert ASCurve.from_reduced(r3) == ASCurve(f1 + f2)
+
+
+def pole_divisor_invariants(r):
+    """Reference rule: genus and 2-rank from the factored pole divisor."""
+    genus, k = -1, 0
+    for (pl, n) in r.pole_divisor():
+        genus += pl.degree * (n + 1) // 2
+        k += pl.degree
+    return Invariants(genus, k - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs())
+def test_reduced_form_laws(pair):
+    # the census pairs classes as vectors: the vector round-trips, a sum is
+    # the XOR of vectors, and bit lengths give the invariants
+    f1, f2 = pair
+    r1, r2 = reduce_standard(f1), reduce_standard(f2)
+    v1, v2 = ReducedForm.of(r1), ReducedForm.of(r2)
+    assert v1.to_ratfun() == r1 and v2.to_ratfun() == r2
+    v3 = v1 + v2
+    assert v3 == ReducedForm.of(r1 + r2)
+    assert v3.key() == ReducedForm.of(reduce_standard(f1 + f2)).key()
+    assert v3.is_constant == (r1 + r2).is_constant
+    assert (v1 + v1).key() == (0, frozenset())
+    for f, v, r in ((f1, v1, r1), (f1 + f2, v3, r1 + r2)):
+        if not r.is_constant:
+            assert v.invariants() == pole_divisor_invariants(r)
+            assert v.invariants() == ASCurve(f).invariants
+
+
+def test_reduced_form_layout():
+    # x^3 + 1/x over GF(4): x^3 at 2 bits per coefficient, the place x
+    # packed as 0b0100, its digit r_1 = 1
+    v = ReducedForm.of(reduce_standard(parse_ratfun(GF4, "x^3 + 1/x")))
+    assert v.poly == 1 << 6 and v.places == {0b0100: 1}
+    assert v.invariants() == (2, 1)
+    # 1/(x^2+x+1)^3 over GF(2): digits r_1, r_2, r_3 at 2 bits each
+    v = ReducedForm.of(reduce_standard(pr("1/(x^2+x+1)^3")))
+    assert v.poly == 0 and list(v.places) == [0b111]
+    assert v.places[0b111].bit_length() in (5, 6)
+    assert v.invariants() == (3, 1)
+    assert ReducedForm.of(reduce_standard(pr("1"))).is_constant
+    with pytest.raises(ValueError):
+        v + ReducedForm.of(reduce_standard(parse_ratfun(GF4, "x")))
 
 
 def test_from_reduced_rejects_constant():

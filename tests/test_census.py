@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 
 from kleinfour.ascurve import ASCurve, reduce_standard
 from kleinfour.census import enumerate_functions, run_census
+from kleinfour.cli import main
 from kleinfour.field import GF2, GF4
 from kleinfour.klein4 import Partition
 
@@ -86,3 +89,31 @@ def test_census_cell_json():
     cells = run_census(GF4, 1)
     doc = cells[0].to_json()
     assert set(doc) == {"g", "sigma", "type", "witness_count", "example"}
+
+
+# sha256 of `k4 census --field F --max-deg D --json`, examples included, as
+# printed by the census that reduced every pair sum as a RatFun.
+CENSUS_JSON_SHA256 = {
+    ("gf2", 1): "ebab9d06ccc0b5e0df6e523d4f08b00c"
+                "86f8140dc4222887967c3da3e0ac1a0b",
+    ("gf2", 2): "8f68a016eeb1ee912ccde45af938a867"
+                "90db8bbef5ba12876f36d712a990ca43",
+    ("gf2", 3): "c34adac67acc394d9adadbf10afdaa44"
+                "5c3193b2949c8d52b38e8f784d57784e",
+    ("gf2", 4): "4177c91d571b99e5d9ea66ce2b5cc188"
+                "1f0f3fceab0955023b72aeea861bb1d5",
+    ("gf4", 1): "7a9cd80092f4f06262394fd7f00e3869"
+                "8366f47186ae73f76f0c3e0ea4889d02",
+    ("gf4", 2): "b58f5e72fba76f16a2df4f38d3c99d91"
+                "1722ab7a64df471f5e162e741f8a4679",
+}
+
+
+@pytest.mark.parametrize("field, max_deg", sorted(CENSUS_JSON_SHA256))
+def test_census_json_is_unchanged(capsys, field, max_deg):
+    code = main(["census", "--field", field, "--max-deg", str(max_deg),
+                 "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CENSUS_JSON_SHA256[field, max_deg]

@@ -78,6 +78,27 @@ def test_invariants_refuses_a_huge_exponent(capsys):
     assert code == 0
 
 
+def test_invariants_refuses_a_high_degree_denominator(capsys):
+    t0 = time.perf_counter()
+    for f in ("1/(x^250+x^2+1) + 1/(x^251+x+1)", "1/(x^2+x+1)^129",
+              "1/(x+1)^257"):
+        code, out, err = run(capsys, "invariants", "-f", f)
+        assert code == 2 and not out and "cap of 256" in err, f
+    assert time.perf_counter() - t0 < 1
+
+
+def test_invariants_parses_a_power_of_a_polynomial(capsys):
+    t0 = time.perf_counter()
+    code, doc = run_json(capsys, "invariants", "-f", "1/(x+1)^2")
+    assert code == 0 and (doc["genus"], doc["two_rank"]) == (0, 0)
+    code, doc = run_json(capsys, "invariants", "-f", "x^3 + 1/(x^2+x+1)^3")
+    assert code == 0 and (doc["genus"], doc["two_rank"]) == (5, 2)
+    code, doc = run_json(capsys, "invariants", "--field", "gf4",
+                         "-f", "a*(x+a)^2 + 1/(a*x+1)^3")
+    assert code == 0 and (doc["genus"], doc["two_rank"]) == (2, 1)
+    assert time.perf_counter() - t0 < 1
+
+
 def test_invariants_env_field(capsys, monkeypatch):
     monkeypatch.setenv("K4_DEFAULT_FIELD", "gf4")
     code, doc = run_json(capsys, "invariants", "-f", "a*x^3")

@@ -24,6 +24,15 @@ def test_make_rejects_reducible_with_factor():
         BinaryField(25, (1 << 25) | 0b101101)
 
 
+def test_default_field_is_built_once():
+    assert BinaryField.default(12) is BinaryField.default(12)
+    assert BinaryField.default(2) is GF4
+    with pytest.raises(ValueError):
+        BinaryField.default(0)
+    with pytest.raises(ValueError):
+        BinaryField.default(25)
+
+
 def test_make_accepts_valid():
     assert BinaryField(2, 0b111).order == 4
     assert BinaryField(3, 0b1011).order == 8

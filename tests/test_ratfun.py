@@ -94,6 +94,18 @@ def test_parse_sums_and_coefficients():
         parse_ratfun(GF2, "y + 1")
 
 
+def test_parse_powers_of_polynomials():
+    assert pr("1/(x+1)^2") == pr("1/(x^2+1)")
+    assert pr("x + (x^2+x+1)^3") == pr("x^6+x^5+x^3+1")
+    assert pr("((x+1)^2)^3 / x^0") == pr("(x+1)^6")
+    assert parse_ratfun(GF4, "a*(a*x+1)^2") == parse_ratfun(GF4, "x^2 + a")
+    assert pr("(x+1)^0") == pr("1")
+    for bad in ("1/(x+1)^-1", "(x+1)^257", "1/(x^2+1)^129",
+                "x + (x^2+1)^129"):
+        with pytest.raises(ValueError):
+            pr(bad)
+
+
 def test_places_ordering_and_equality():
     inf = Place(None)
     p0 = Place(Poly.make(GF2, [0, 1]))
