@@ -39,17 +39,14 @@ def _sqrt_mod(u, q):
     return u
 
 
-@functools.lru_cache(maxsize=1 << 18)
-def reduce_standard(f):
-    """Canonical representative of f modulo h^2 + h shifts.
+def reduce_form(f):
+    """Canonical representative of f modulo h^2 + h shifts, as a vector.
 
     Every pole of the result has odd order, local expansions and the
     polynomial part carry no even-order terms, and the constant is trace
-    normalized.  May return a constant; callers decide what that means.
+    normalized.  May be constant; callers decide what that means.
     """
     F = f.field
-    if f.is_zero:
-        return f
     poly_part, parts = principal_parts(f)
 
     new_parts = {}
@@ -64,10 +61,7 @@ def reduce_standard(f):
                 r[i] = Poly.zero(F)
                 r[i - 1] = r[i - 1] + hi
                 r[i // 2] = r[i // 2] + s
-        while len(r) > 1 and not r[-1].coeffs:
-            r.pop()
-        if len(r) > 1:
-            new_parts[q] = r[1:]
+        new_parts[q] = r[1:]
 
     cs = list(poly_part.coeffs)
     for i in range(len(cs) - 1, 1, -1):
@@ -77,9 +71,14 @@ def reduce_standard(f):
             cs[i // 2] ^= s
     if cs:
         cs[0] = 0 if F.trace(cs[0]) == 0 else F.trace_one_element()
-    new_poly = Poly.make(F, cs)
 
-    return assemble(F, new_poly, new_parts)
+    return ReducedForm.from_parts(F, cs, new_parts)
+
+
+@functools.lru_cache(maxsize=1 << 18)
+def reduce_standard(f):
+    """The canonical representative of f (see `reduce_form`) as a RatFun."""
+    return reduce_form(f).to_ratfun()
 
 
 def _pack(coeffs, m):
@@ -116,16 +115,25 @@ class ReducedForm:
         self.places = places
 
     @classmethod
-    def of(cls, r):
-        """The vector of an r already in canonical form."""
-        m = r.field.degree
-        poly_part, parts = principal_parts(r)
+    def from_parts(cls, field, poly_coeffs, parts):
+        """The vector of poly + sum over places q of sum_i r_i / q^i, from
+        the polynomial part's coefficients and {q: [r_1, ..., r_e]}.  A
+        place whose digits are all 0 is left out."""
+        m = field.degree
         places = {}
         for q, rs in parts.items():
             width = m * q.degree
-            places[_pack(q.coeffs, m)] = sum(
-                _pack(d.coeffs, m) << (i * width) for i, d in enumerate(rs))
-        return cls(r.field, _pack(poly_part.coeffs, m), places)
+            v = sum(_pack(d.coeffs, m) << (i * width)
+                    for i, d in enumerate(rs))
+            if v:
+                places[_pack(q.coeffs, m)] = v
+        return cls(field, _pack(poly_coeffs, m), places)
+
+    @classmethod
+    def of(cls, r):
+        """The vector of an r already in canonical form."""
+        poly_part, parts = principal_parts(r)
+        return cls.from_parts(r.field, poly_part.coeffs, parts)
 
     def to_ratfun(self):
         """The canonical form as a RatFun, inverse of `of`."""
@@ -192,32 +200,34 @@ def invariants_of_reduced(r):
 class ASCurve:
     """y^2 + y = f(x), stored with f in canonical standard form."""
 
-    __slots__ = ("field", "f", "__dict__")
+    __slots__ = ("field", "f", "form", "__dict__")
 
     def __init__(self, f):
         if not isinstance(f, RatFun):
             raise TypeError("ASCurve takes a RatFun")
-        self._set(f, reduce_standard(f))
+        form = reduce_form(f)
+        self._set(f, form, form.to_ratfun())
 
     @classmethod
-    def from_reduced(cls, r):
-        """The curve of an r already in canonical form; r is not reduced
-        again.  Passing an unreduced r gives wrong invariants."""
+    def from_form(cls, form, r):
+        """The curve y^2 + y = r of a reduced form, given r =
+        form.to_ratfun(); nothing is reduced again."""
         curve = cls.__new__(cls)
-        curve._set(r, r)
+        curve._set(r, form, r)
         return curve
 
-    def _set(self, f, reduced):
-        if reduced.is_constant:
+    def _set(self, f, form, reduced):
+        if form.is_constant:
             raise DegenerateCover(
                 f"y^2+y = {f} reduces to the constant {reduced}; "
                 "the double cover is split or a constant twist")
-        self.field = f.field
+        self.field = form.field
+        self.form = form
         self.f = reduced
 
     @functools.cached_property
     def invariants(self):
-        return invariants_of_reduced(self.f)
+        return self.form.invariants()
 
     @property
     def genus(self):

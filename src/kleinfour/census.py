@@ -5,20 +5,19 @@ bound is reduced to its canonical form, and the distinct non-constant
 forms (the reduced classes) are paired.  Reduction is GF(2)-linear, so a
 cover is the 2-dimensional subspace {r1, r2, r1 + r2} of reduced forms; it
 is counted once, at its lowest pair of enumerated classes.  Each class is
-held as its principal-part vector (`ReducedForm`), so a pair sum is an XOR
-of ints and its invariants come from bit lengths, with no polynomial
-arithmetic; a cell's first example is printed from the classes' RatFun
-forms.  Covers are
-tabulated by (genus, 2-rank, type).  A cover landing in a cell the decision
-procedure declares impossible would disprove the classification; the run
-asserts that never happens.
+held as its principal-part vector (`ReducedForm`, from `reduce_form`), so a
+pair sum is an XOR of ints and its invariants come from bit lengths, with
+no polynomial arithmetic; RatFuns are built only for each cell's first
+example.  Covers are tabulated by (genus, 2-rank, type).  A cover landing
+in a cell the decision procedure declares impossible would disprove the
+classification; the run asserts that never happens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ascurve import ReducedForm, reduce_standard
+from .ascurve import reduce_form
 from .klein4 import KleinFourCover, Partition
 from .poly import Poly
 from .ratfun import RatFun
@@ -82,14 +81,14 @@ def enumerate_functions(field, max_deg):
 
 
 def _reduced_classes(field, max_deg):
-    """Distinct non-constant reduced forms of the enumerated functions, in
-    order of first appearance."""
+    """Distinct non-constant reduced forms of the enumerated functions by
+    key, in order of first appearance."""
     classes = {}
     for f in enumerate_functions(field, max_deg):
-        r = reduce_standard(f)
-        if not r.is_constant:
-            classes.setdefault(r.key(), r)
-    return list(classes.values())
+        v = reduce_form(f)
+        if not v.is_constant:
+            classes.setdefault(v.key(), v)
+    return classes
 
 
 def run_census(field, max_deg):
@@ -100,8 +99,8 @@ def run_census(field, max_deg):
     if max_deg > MAX_CENSUS_DEGREE:
         raise ValueError(f"census degree bound is {MAX_CENSUS_DEGREE}")
     classes = _reduced_classes(field, max_deg)
-    forms = [ReducedForm.of(r) for r in classes]
-    index = {v.key(): i for i, v in enumerate(forms)}
+    forms = list(classes.values())
+    index = {key: i for i, key in enumerate(classes)}
     invariants = [v.invariants() for v in forms]
     cells = {}
     for i, v1 in enumerate(forms):
@@ -121,7 +120,7 @@ def run_census(field, max_deg):
             cell_key = (g, sigma, p.entries)
             cell = cells.get(cell_key)
             if cell is None:
-                cover = KleinFourCover(classes[i], classes[j])
+                cover = KleinFourCover(v1, forms[j])
                 verdict = realizable(g, sigma, p)
                 if not verdict.exists:
                     raise CensusViolation(

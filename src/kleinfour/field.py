@@ -163,7 +163,7 @@ def _poly2_text(p, var="a"):
     return "+".join(terms)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=MAX_DEGREE)  # one entry per degree
 def default_modulus(m):
     """Smallest irreducible degree-m modulus, by integer encoding."""
     if not 1 <= m <= MAX_DEGREE:
@@ -277,7 +277,9 @@ class BinaryField:
             a = self.sqr(a)
         return a
 
-    @functools.lru_cache(maxsize=None)
+    # One entry per field: room for the MAX_DEGREE default fields and as
+    # many with other moduli.
+    @functools.lru_cache(maxsize=2 * MAX_DEGREE)
     def trace_one_element(self):
         """Smallest element (by bit encoding) with trace 1."""
         for v in range(1, self.order):

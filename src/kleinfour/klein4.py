@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 
-from .ascurve import ASCurve, reduce_standard
+from .ascurve import ASCurve, ReducedForm, reduce_form
 from .ratfun import RatFun
 
 
@@ -96,37 +96,46 @@ def partitions_of(g):
     return out
 
 
-class KleinFourCover:
-    """The cover determined by (f1, f2), with derived f3 = f1 + f2."""
+def _form(f):
+    if isinstance(f, ReducedForm):
+        return f
+    if isinstance(f, RatFun):
+        return reduce_form(f)
+    raise TypeError("KleinFourCover takes two RatFun or ReducedForm "
+                    "arguments")
 
-    __slots__ = ("field", "f1", "f2", "f3", "__dict__")
+
+class KleinFourCover:
+    """The cover determined by (f1, f2), with derived f3 = f1 + f2.
+
+    f1 and f2 may be RatFuns or reduced forms (`ReducedForm`); they are
+    kept as canonical RatFuns, and `forms` holds the three reduced forms.
+    """
+
+    __slots__ = ("field", "f1", "f2", "f3", "forms", "__dict__")
 
     def __init__(self, f1, f2):
-        if not isinstance(f1, RatFun) or not isinstance(f2, RatFun):
-            raise TypeError("KleinFourCover takes two RatFun arguments")
-        if f1.field != f2.field:
+        v1, v2 = _form(f1), _form(f2)
+        if v1.field != v2.field:
             raise ValueError("defining functions over different fields")
-        r1 = reduce_standard(f1)
-        r2 = reduce_standard(f2)
         # Reduction is a GF(2)-linear projection, so the sum of two
         # canonical forms is already canonical.
-        r3 = r1 + r2
-        for name, r in (("f1", r1), ("f2", r2), ("f1+f2", r3)):
-            if r.is_constant:
+        v3 = v1 + v2
+        for name, v in (("f1", v1), ("f2", v2), ("f1+f2", v3)):
+            if v.is_constant:
                 raise InvalidCover(
-                    f"{name} reduces to the constant {r}: the pair does not "
-                    "generate a Klein-four extension")
-        if r1 == r2:
-            raise InvalidCover("f1 and f2 reduce to the same function")
-        self.field = f1.field
-        self.f1 = r1
-        self.f2 = r2
-        self.f3 = r3
+                    f"{name} reduces to the constant {v.to_ratfun()}: the "
+                    "pair does not generate a Klein-four extension")
+        self.field = v1.field
+        self.f1 = v1.to_ratfun()
+        self.f2 = v2.to_ratfun()
+        self.f3 = self.f1 + self.f2
+        self.forms = (v1, v2, v3)
 
     @functools.cached_property
     def quotients(self):
-        return tuple(ASCurve.from_reduced(f)
-                     for f in (self.f1, self.f2, self.f3))
+        return tuple(ASCurve.from_form(v, f) for v, f in
+                     zip(self.forms, (self.f1, self.f2, self.f3)))
 
     @functools.cached_property
     def type(self):

@@ -309,7 +309,10 @@ def _edf(f, d, rng):
             return _edf(g, d, rng) + _edf(f // g, d, rng)
 
 
-@functools.lru_cache(maxsize=None)
+# `k4 table -g 12 --verify` and the GF(2) degree-4 and GF(4) degree-2
+# censuses together factor 111 distinct polynomials; an entry holds a
+# polynomial and its factors, a few hundred bytes at these degrees.
+@functools.lru_cache(maxsize=1 << 14)
 def _factor_cached(p, seed):
     F = p.field
     # tuples of ints hash reproducibly, so the stream depends only on the
@@ -366,7 +369,9 @@ def roots(p):
     return sorted(out)
 
 
-@functools.lru_cache(maxsize=None)
+# Keys are field pairs with deg sub | deg sup: 84 pairs of default fields
+# up to GF(2^24), so 256 entries leave room for fields with other moduli.
+@functools.lru_cache(maxsize=256)
 def field_embedding(sub, sup):
     """Embedding GF(2^d) -> GF(2^n) for d | n, as a bits -> bits callable.
 

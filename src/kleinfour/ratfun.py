@@ -275,10 +275,13 @@ def _split_top(s, sep):
     return parts
 
 
-def _exponent(text):
-    k = int(text)
+def _exponent(text, term):
+    try:
+        k = int(text)
+    except ValueError:
+        raise ValueError(f"bad exponent {text!r} in term {term!r}") from None
     if k < 0:
-        raise ValueError("negative exponent in polynomial")
+        raise ValueError(f"negative exponent {text!r} in term {term!r}")
     if k > MAX_EXPONENT:
         raise ValueError(f"exponent {k} exceeds the cap of {MAX_EXPONENT}")
     return k
@@ -289,7 +292,7 @@ def _parse_power(field, term):
     base, sep, exp = term.rpartition(")^")
     if not sep or not base.startswith("(") or not _balanced(base[1:]):
         return None
-    k = _exponent(exp)
+    k = _exponent(exp, term)
     p = _parse_poly(field, base[1:])
     if p.degree * k > MAX_EXPONENT:
         raise ValueError(f"({p})^{k} has degree {p.degree * k}, above the "
@@ -321,7 +324,7 @@ def _parse_term(field, term):
         if term == "x":
             k = 1
         elif term.startswith("x^"):
-            k = _exponent(term[2:])
+            k = _exponent(term[2:], term)
         else:
             raise ValueError(f"bad monomial {term!r}")
         return Poly.monomial(field, k, coeff)

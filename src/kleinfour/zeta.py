@@ -91,7 +91,7 @@ def _fibre(states, odd):
 
 # Keys are (q, d) with q^d <= 2^TABLE_MAX_DEGREE, at most 50 of them; a key
 # holds about q^d/d exponents.
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _orbit_reps(q, d):
     """Smallest exponent of each q-cyclotomic coset mod q^d - 1 of size d."""
     n1 = q**d - 1
@@ -112,7 +112,10 @@ def _orbit_reps(q, d):
 
 def _states_by_orbit(fns, q, d, fld, embed):
     """Counter of state tuples over the closed points of degree d, one
-    evaluation each, in GF(q^d) = fld through its log/antilog tables."""
+    evaluation each, in GF(q^d) = fld through its log/antilog tables.
+
+    For a cover, f3 is evaluated only where f1 or f2 has a pole: elsewhere
+    f3 = f1 + f2 is regular and its trace bit is t1 XOR t2."""
     log, exp = fld.log_tables()
     n1 = fld.order - 1
     tmask = _trace_mask(fld)
@@ -132,6 +135,9 @@ def _states_by_orbit(fns, q, d, fld, embed):
     for k in _orbit_reps(q, d):
         states = []
         for num, den in polys:
+            if len(states) == 2 and None not in states:
+                states.append(states[0] ^ states[1])  # f3 = f1 + f2
+                break
             acc = 0
             for c in den:
                 acc = exp[log[acc] + k] ^ c if acc else c
@@ -149,7 +155,8 @@ def _states_by_orbit(fns, q, d, fld, embed):
 
 
 def _states_by_element(fns, ext, embed):
-    """Counter of state tuples over every element of ext, by bit loops."""
+    """Counter of state tuples over every element of ext, by bit loops;
+    f3 is evaluated only where f1 or f2 has a pole, as in _states_by_orbit."""
     tmask = _trace_mask(ext)
     mul = ext.mul
     inv = ext.inv
@@ -159,6 +166,9 @@ def _states_by_element(fns, ext, embed):
     for x in range(ext.order):
         states = []
         for num, den in polys:
+            if len(states) == 2 and None not in states:
+                states.append(states[0] ^ states[1])  # f3 = f1 + f2
+                break
             d = _eval(den, x, mul)
             if d == 0:
                 states.append(None)
@@ -376,19 +386,25 @@ def _verify_cover(cover, depth, max_bits):
                     oracle={"quotients": []})
     q = cover.field.order
     failures = []
+    max_n = min(depth, max_bits // cover.field.degree)
+    if max_n < depth:
+        report.truncated = True
+    quotient_counts = []
     for i, sub in enumerate(cover.quotients, start=1):
         subreport = _verify_curve(sub, depth, max_bits)
         report.oracle["quotients"].append(subreport.to_json())
         if not subreport.confirmed:
             failures.append(f"quotient {i}: {subreport.detail}")
         report.truncated = report.truncated or subreport.truncated
-    max_n = min(depth, max_bits // cover.field.degree)
-    if max_n < depth:
-        report.truncated = True
+        # A subreport that counted at all holds N_1..N_max_n; one that
+        # stopped short of its genus did not count, so count here.
+        counts = subreport.oracle.get("counts")
+        if counts is None:
+            counts = [count_points(sub, n) for n in range(1, max_n + 1)]
+        quotient_counts.append(counts)
     for n in range(1, max_n + 1):
         lhs = count_points_cover(cover, n)
-        rhs = (sum(count_points(sub, n) for sub in cover.quotients)
-               - 2 * (q**n + 1))
+        rhs = sum(c[n - 1] for c in quotient_counts) - 2 * (q**n + 1)
         report.identity_checks.append(
             {"n": n, "direct": lhs, "from_quotients": rhs, "ok": lhs == rhs})
         if lhs != rhs:

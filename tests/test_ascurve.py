@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from conftest import rand_ratfun, raw_pairs
 from kleinfour.ascurve import (ASCurve, DegenerateCover, Invariants,
                                ReducedForm, invariants_of_reduced,
-                               reduce_standard)
+                               reduce_form, reduce_standard)
 from kleinfour.field import GF2, GF4
 from kleinfour.poly import Poly
 from kleinfour.ratfun import RatFun, parse_ratfun
@@ -77,7 +77,20 @@ def test_invariants_of_reduced_sum_match_curve(pair):
     r3 = reduce_standard(f1) + reduce_standard(f2)
     assume(not r3.is_constant)
     assert invariants_of_reduced(r3) == ASCurve(f1 + f2).invariants
-    assert ASCurve.from_reduced(r3) == ASCurve(f1 + f2)
+    curve = ASCurve.from_form(reduce_form(f1) + reduce_form(f2), r3)
+    assert curve == ASCurve(f1 + f2)
+    assert curve.invariants == ASCurve(f1 + f2).invariants
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs())
+def test_reduce_form_is_the_vector_of_reduce_standard(pair):
+    # one reduction, packed straight from its digits, agrees with reducing
+    # to a RatFun and reading its vector back
+    for f in pair:
+        v = reduce_form(f)
+        assert v == ReducedForm.of(reduce_standard(f))
+        assert v.to_ratfun() == reduce_standard(f)
 
 
 def pole_divisor_invariants(r):
@@ -125,9 +138,13 @@ def test_reduced_form_layout():
         v + ReducedForm.of(reduce_standard(parse_ratfun(GF4, "x")))
 
 
-def test_from_reduced_rejects_constant():
+def test_from_form_rejects_constant():
+    zero = RatFun.zero(GF2)
     with pytest.raises(DegenerateCover):
-        ASCurve.from_reduced(RatFun.zero(GF2))
+        ASCurve.from_form(reduce_form(zero), zero)
+    one = RatFun.from_poly(Poly.one(GF2))  # trace 1: a constant twist
+    with pytest.raises(DegenerateCover):
+        ASCurve.from_form(reduce_form(one), reduce_standard(one))
 
 
 def test_invariants_examples():

@@ -87,6 +87,15 @@ def test_invariants_refuses_a_high_degree_denominator(capsys):
     assert time.perf_counter() - t0 < 1
 
 
+def test_invariants_names_a_bad_exponent_and_its_term(capsys):
+    for f, exp, term in (("x^3 + (x+1)^2*x", "2*x", "(x+1)^2*x"),
+                         ("x^a + 1", "a", "x^a"),
+                         ("1/(x+1)^-1", "-1", "(x+1)^-1")):
+        code, out, err = run(capsys, "invariants", "-f", f)
+        assert code == 2 and not out, f
+        assert f"exponent {exp!r} in term {term!r}" in err, err
+
+
 def test_invariants_parses_a_power_of_a_polynomial(capsys):
     t0 = time.perf_counter()
     code, doc = run_json(capsys, "invariants", "-f", "1/(x+1)^2")

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import assume, given, settings
 
 from conftest import rand_cover, raw_pairs
-from kleinfour.ascurve import ASCurve, DegenerateCover, reduce_standard
+from kleinfour.ascurve import (ASCurve, DegenerateCover, ReducedForm,
+                               reduce_form, reduce_standard)
 from kleinfour.field import GF2, GF4
 from kleinfour.klein4 import (InvalidCover, InvalidPartition, KleinFourCover,
                               Partition, partitions_of)
@@ -42,6 +43,20 @@ def test_f3_is_the_reduced_sum(pair):
     assert c.f3 == reduce_standard(reduce_standard(f1) + reduce_standard(f2))
     assert ([q.invariants for q in c.quotients]
             == [ASCurve(f).invariants for f in (f1, f2, f1 + f2)])
+    # the quotients carry the reduced forms the cover was checked on
+    assert c.forms == tuple(reduce_form(f) for f in (f1, f2, f1 + f2))
+    assert [q.form for q in c.quotients] == [ReducedForm.of(f) for f in
+                                             (c.f1, c.f2, c.f3)]
+    assert KleinFourCover(*c.forms[:2]) == c
+
+
+def test_cover_arguments():
+    assert KleinFourCover(reduce_form(pr2("x")), pr2("1/x")) == \
+        KleinFourCover(pr2("x"), pr2("1/x"))
+    with pytest.raises(TypeError):
+        KleinFourCover("x", pr2("1/x"))
+    with pytest.raises(ValueError, match="different fields"):
+        KleinFourCover(pr2("x"), pr4("1/x"))
 
 
 def test_type_examples():

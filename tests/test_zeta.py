@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -301,15 +303,30 @@ def seed_count_points_cover(cover, n):
     return total + local(inf_values)
 
 
+# Covers whose poles exercise the rule that f3 = f1 + f2 is evaluated only
+# over a pole of f1 or f2: a shared pole where f3 is regular (at 0, at a
+# degree-2 place, and at infinity), and poles of only one of f1, f2.
+POLE_PATTERNS = (
+    ("1/x + x^3", "1/x + x^5"),
+    ("1/(x^2+x+1) + x", "1/(x^2+x+1) + 1/x"),
+    ("x^3 + 1/x", "x^3 + 1/(x+1)"),
+    ("1/x + x", "x^3"),
+    ("x^3", "1/(x^2+x+1)^3 + 1/(x+1)"),
+)
+
+
 @pytest.mark.parametrize("table_max_degree", [16, 4])
 def test_counts_match_the_per_element_loops(table_max_degree, monkeypatch,
                                             rng):
     # with the cap at 4, GF(2^5) and up take the per-element path instead
     monkeypatch.setattr(field_module, "TABLE_MAX_DEGREE", table_max_degree)
     for F in (GF2, GF4, BinaryField.default(3)):
-        for _ in range(2):
-            cov = rand_cover(rng, F, max_deg=3)
-            for n in range(1, 12 // F.degree + 1):
+        # the patterns up to GF(2^8) only, to keep the reference loops short
+        covers = [(rand_cover(rng, F, max_deg=3), 12) for _ in range(2)]
+        covers += [(KleinFourCover(parse_ratfun(F, a), parse_ratfun(F, b)), 8)
+                   for a, b in POLE_PATTERNS]
+        for cov, bits in covers:
+            for n in range(1, bits // F.degree + 1):
                 assert count_points_cover(cov, n) == \
                     seed_count_points_cover(cov, n), (cov, n)
                 for sub in cov.quotients:
@@ -327,3 +344,86 @@ def test_count_identity_law(pair, n):
     q = cov.field.order
     assert count_points_cover(cov, n) == (
         sum(count_points(s, n) for s in cov.quotients) - 2 * (q**n + 1))
+
+
+def test_pole_patterns_have_the_poles_they_name():
+    # the shared pole of f1 and f2 in the first three patterns is not a pole
+    # of f3, and in the last two a pole of f1 or f2 alone is one of f3
+    for (a, b), shared in zip(POLE_PATTERNS[:3],
+                              ("x", "x^2 + x + 1", "infinity")):
+        cov = KleinFourCover(pr2(a), pr2(b))
+        poles = [{str(pl) for pl, _ in f.pole_divisor()}
+                 for f in (cov.f1, cov.f2, cov.f3)]
+        assert shared in poles[0] & poles[1] and shared not in poles[2]
+    for (a, b), alone in zip(POLE_PATTERNS[3:], ("x", "x + 1")):
+        cov = KleinFourCover(pr2(a), pr2(b))
+        poles = [{str(pl) for pl, _ in f.pole_divisor()}
+                 for f in (cov.f1, cov.f2, cov.f3)]
+        assert alone in poles[0] ^ poles[1] and alone in poles[2]
+
+
+def counted_verify(monkeypatch, cover, **kwargs):
+    """verify(cover) with every quotient count recorded per (curve, n)."""
+    calls = Counter()
+    true_count = zeta.count_points
+
+    def counting(curve, n):
+        calls[curve, n] += 1
+        return true_count(curve, n)
+
+    monkeypatch.setattr(zeta, "count_points", counting)
+    report = verify(cover, **kwargs)
+    monkeypatch.setattr(zeta, "count_points", true_count)
+    return report, calls
+
+
+def recounted_identity(cover, max_n):
+    q = cover.field.order
+    return [{"n": n, "direct": count_points_cover(cover, n),
+             "from_quotients": sum(count_points(s, n)
+                                   for s in cover.quotients)
+             - 2 * (q**n + 1), "ok": True}
+            for n in range(1, max_n + 1)]
+
+
+def test_verify_counts_each_quotient_once(monkeypatch, rng):
+    covers = [KleinFourCover(pr2("x"), pr2("1/x")),
+              KleinFourCover(pr2("1/x + x^3"), pr2("1/x + x^5")),
+              rand_cover(rng, GF4, max_deg=3)]
+    for cov in covers:
+        report, calls = counted_verify(monkeypatch, cov)
+        assert report.confirmed
+        assert max(calls.values()) == 1
+        depth = max(sub.genus for sub in cov.quotients) + 1
+        max_n = min(depth, MAX_DEGREE // cov.field.degree)
+        assert {curve for curve, _ in calls} == set(cov.quotients)
+        assert report.identity_checks == recounted_identity(cov, max_n)
+
+
+def test_quotient_capped_below_its_genus_still_gets_identity_rows(
+        monkeypatch):
+    # quotients 1 and 3 have genus 3, so with 2 bits their subreports stop
+    # before counting; the identity counts them itself, once per n
+    cov = KleinFourCover(pr2("x^3 + 1/x + 1/(x+1)"), pr2("x"))
+    assert [s.genus for s in cov.quotients] == [3, 0, 3]
+    report, calls = counted_verify(monkeypatch, cov, depth=2, max_bits=2)
+    subs = report.oracle["quotients"]
+    assert ["counts" in sub["oracle"] for sub in subs] == [False, True, False]
+    assert report.status == "mismatch" and "cap" in report.detail
+    assert max(calls.values()) == 1
+    assert set(calls) == {(s, n) for s in cov.quotients for n in (1, 2)}
+    assert report.identity_checks == recounted_identity(cov, 2)
+
+
+@pytest.mark.parametrize("table_max_degree", [16, 0])
+@pytest.mark.parametrize("pole", ["x", "x+1", "x^2+x+1"])
+def test_a_pole_of_f1_alone_is_still_caught(pole, table_max_degree,
+                                            monkeypatch):
+    # f3 is evaluated wherever f1 or f2 has a pole, so an f3 that is not
+    # f1 + f2 and is regular at a pole of f1 alone trips the fibre rule, on
+    # the table path and (with the cap at 0) the per-element path
+    monkeypatch.setattr(field_module, "TABLE_MAX_DEGREE", table_max_degree)
+    cov = KleinFourCover(pr2(f"1/({pole}) + x"), pr2("x^3"))
+    cov.f3 = pr2("x^3 + x")  # drops the pole
+    with pytest.raises(AssertionError, match="exactly one pole"):
+        count_points_cover(cov, 2)
