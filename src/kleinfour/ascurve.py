@@ -172,23 +172,88 @@ class ReducedForm:
 
     def invariants(self):
         """Genus and 2-rank of y^2 + y = f: infinity is a degree-1 place
-        whose pole order is the degree of the polynomial part."""
+        whose digits are the coefficients of x, x^2, ..., m bits each."""
         m = self.field.degree
-        genus = -1
-        k = 0
-        n = (self.poly.bit_length() - 1) // m
-        if n > 0:
-            assert n % 2 == 1, "reduced form must have odd pole orders"
-            genus += (n + 1) // 2
-            k += 1
+        genus, k = place_terms(self.poly >> m, m, 1)
         for q, v in self.places.items():
             width = q.bit_length() - 1  # m * deg q: q is monic
-            d = width // m
-            n = (v.bit_length() - 1) // width + 1
-            assert n % 2 == 1, "reduced form must have odd pole orders"
-            genus += d * (n + 1) // 2
-            k += d
-        return Invariants(genus, k - 1)
+            dg, dk = place_terms(v, width, width // m)
+            genus += dg
+            k += dk
+        return Invariants(genus - 1, k - 1)
+
+
+def place_terms(digits, width, degree):
+    """One place's terms of (genus + 1, 2-rank + 1) for a reduced form with
+    digits r_1, r_2, ... there, `width` bits each, r_1 lowest, at a place
+    of degree `degree`: a pole of order n adds degree * (n + 1) / 2 and
+    degree; no pole adds nothing.  This is the one invariants rule."""
+    n = -(-digits.bit_length() // width)
+    if not n:
+        return 0, 0
+    assert n % 2 == 1, "reduced form must have odd pole orders"
+    return degree * (n + 1) // 2, degree
+
+
+class PackedLayout:
+    """Reduced forms over one field packed into single ints.
+
+    The polynomial part, constant included, sits at bit 0, and each finite
+    place met in `forms` gets a fixed slot wide enough for the largest
+    digit vector they have there, so every GF(2)-combination of `forms`
+    fits.  Packing is GF(2)-linear and injective: the sum of two forms is
+    the XOR of their ints, equal forms have equal ints, and a form is
+    constant exactly when its int is below 1 << m.  `slots[t]` is
+    (offset, mask, digit width, degree) of the place whose presence is bit
+    t of `places_mask(x)`; slot 0 is infinity, whose digits are the
+    coefficients of x, x^2, ... at bit m.
+    """
+
+    __slots__ = ("field", "slots", "_poly_bits", "_offsets")
+
+    def __init__(self, field, forms):
+        m = field.degree
+        poly_bits = m
+        widths = {}
+        for v in forms:
+            poly_bits = max(poly_bits, v.poly.bit_length())
+            for q, d in v.places.items():
+                widths[q] = max(widths.get(q, 0), d.bit_length())
+        self.field = field
+        self._poly_bits = poly_bits
+        self.slots = [(m, (1 << (poly_bits - m)) - 1, m, 1)]
+        self._offsets = {}
+        offset = poly_bits
+        for q, bits in widths.items():
+            width = q.bit_length() - 1
+            self._offsets[q] = offset, bits
+            self.slots.append((offset, (1 << bits) - 1, width, width // m))
+            offset += bits
+
+    def pack(self, v):
+        if v.field != self.field or v.poly.bit_length() > self._poly_bits:
+            raise ValueError("reduced form does not fit the layout")
+        x = v.poly
+        for q, d in v.places.items():
+            offset, bits = self._offsets.get(q, (0, 0))
+            if d.bit_length() > bits:
+                raise ValueError("reduced form does not fit the layout")
+            x |= d << offset
+        return x
+
+    def unpack(self, x):
+        places = {}
+        for q, (offset, bits) in self._offsets.items():
+            d = (x >> offset) & ((1 << bits) - 1)
+            if d:
+                places[q] = d
+        return ReducedForm(self.field, x & ((1 << self._poly_bits) - 1),
+                           places)
+
+    def places_mask(self, x):
+        """Bit t set when the form packed as x has a pole at slot t."""
+        return sum(1 << t for t, (offset, mask, _, _) in enumerate(self.slots)
+                   if (x >> offset) & mask)
 
 
 def invariants_of_reduced(r):

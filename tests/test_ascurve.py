@@ -3,8 +3,9 @@ from hypothesis import assume, given, settings
 
 from conftest import rand_ratfun, raw_pairs
 from kleinfour.ascurve import (ASCurve, DegenerateCover, Invariants,
-                               ReducedForm, invariants_of_reduced,
-                               reduce_form, reduce_standard)
+                               PackedLayout, ReducedForm,
+                               invariants_of_reduced, reduce_form,
+                               reduce_standard)
 from kleinfour.field import GF2, GF4
 from kleinfour.poly import Poly
 from kleinfour.ratfun import RatFun, parse_ratfun
@@ -56,6 +57,15 @@ def test_reduce_is_class_function(rng):
             f = rand_ratfun(rng, field, 8)
             h = rand_ratfun(rng, field, 4)
             assert reduce_standard(f + h * h + h) == reduce_standard(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_pairs())
+def test_reduction_is_shift_invariant(pair):
+    # y^2 + y = f and y^2 + y = f + h^2 + h are the same curve, so the
+    # census may count canonical classes
+    f, h = pair
+    assert reduce_form(f + h * h + h) == reduce_form(f)
 
 
 @settings(max_examples=300, deadline=None)
@@ -120,6 +130,36 @@ def test_reduced_form_laws(pair):
         if not r.is_constant:
             assert v.invariants() == pole_divisor_invariants(r)
             assert v.invariants() == ASCurve(f).invariants
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs())
+def test_packed_layout_laws(pair):
+    # the census packs forms into ints: packing round-trips, a sum packs to
+    # the XOR, constancy is a comparison and the place mask names the poles
+    v1, v2 = map(reduce_form, pair)
+    layout = PackedLayout(v1.field, [v1, v2])
+    m = v1.field.degree
+    for v in (v1, v2, v1 + v2):
+        x = layout.pack(v)
+        assert layout.unpack(x) == v
+        assert (x < 1 << m) == v.is_constant
+        poles = {t for t, (offset, mask, _, _) in enumerate(layout.slots)
+                 if (x >> offset) & mask}
+        assert layout.places_mask(x) == sum(1 << t for t in poles)
+        assert len(poles) == len(v.places) + (v.poly >> m > 0)
+    assert layout.pack(v1) ^ layout.pack(v2) == layout.pack(v1 + v2)
+
+
+def test_packed_layout_refuses_what_does_not_fit():
+    layout = PackedLayout(GF2, [reduce_form(pr("x^3 + 1/x"))])
+    assert layout.unpack(layout.pack(reduce_form(pr("x")))) == \
+        reduce_form(pr("x"))
+    for text in ("x^5", "1/x^3", "1/(x+1)"):
+        with pytest.raises(ValueError):
+            layout.pack(reduce_form(pr(text)))
+    with pytest.raises(ValueError):
+        layout.pack(reduce_form(parse_ratfun(GF4, "x")))
 
 
 def test_reduced_form_layout():

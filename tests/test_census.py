@@ -1,12 +1,21 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
 
-from kleinfour.ascurve import ASCurve, reduce_standard
-from kleinfour.census import enumerate_functions, run_census
-from kleinfour.cli import main
+from conftest import raw_pairs
+from kleinfour import census
+from kleinfour.ascurve import (ASCurve, PackedLayout, reduce_form,
+                               reduce_standard)
+from kleinfour.census import (CensusViolation, at_set_bits, basis_forms,
+                              enumerate_functions, run_census,
+                              sum_invariants)
+from kleinfour.cli import EXIT_MISMATCH, main
 from kleinfour.field import GF2, GF4
 from kleinfour.klein4 import Partition
+from kleinfour.poly import Poly
+from kleinfour.ratfun import RatFun, parse_ratfun
+from kleinfour.realize import Verdict
 
 
 def raw_pair_census(field, max_deg):
@@ -56,6 +65,108 @@ def test_enumerate_functions_normalized():
         assert not f.is_zero
         assert f.den.is_monic
         assert f.num.degree <= 2 and f.den.degree <= 2
+
+
+def old_enumerate_functions(field, max_deg):
+    """The enumeration as it was written first: numerators from every
+    length block (so each one again in every longer block), duplicates
+    dropped by key."""
+    def all_polys(max_deg):
+        for deg in range(max_deg + 1):
+            for enc in range(field.order ** deg):
+                cs = []
+                for _ in range(deg):
+                    cs.append(enc % field.order)
+                    enc //= field.order
+                yield cs
+
+    out, seen = [], set()
+    for den in [Poly.make(field, cs + [1]) for cs in all_polys(max_deg)]:
+        for cs in all_polys(max_deg + 1):
+            num = Poly.make(field, cs)
+            if not num.coeffs:
+                continue
+            f = RatFun(num, den)
+            if f.num != num or f.den != den or f.key() in seen:
+                continue
+            seen.add(f.key())
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("field, max_deg",
+                         [(GF2, 1), (GF2, 2), (GF2, 3), (GF2, 4), (GF4, 1),
+                          (GF4, 2)])
+def test_enumerate_functions_matches_the_old_loop(field, max_deg):
+    assert enumerate_functions(field, max_deg) == \
+        old_enumerate_functions(field, max_deg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_pairs())
+def test_basis_forms_xor_to_the_reduced_form(pair):
+    # the census reduces each denominator's basis once and takes a
+    # function's form as the XOR of the basis forms at its numerator's bits
+    for f in pair:
+        basis = basis_forms(f.den, f.num.degree + 1)
+        layout = PackedLayout(f.field, basis)
+        x = at_set_bits([layout.pack(v) for v in basis], f.num)
+        assert layout.unpack(x) == reduce_form(f)
+
+
+def packed_sum_invariants(v1, v2):
+    layout = PackedLayout(v1.field, [v1, v2])
+    a, b = layout.pack(v1), layout.pack(v2)
+    shared = layout.places_mask(a) & layout.places_mask(b)
+    return sum_invariants(layout.slots, a, b, shared, v1.invariants(),
+                          v2.invariants())
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs())
+def test_shared_place_invariants_of_a_packed_sum(pair):
+    # (v1, v1 + v2) share every pole of v1 that v2 does not cancel, so
+    # their sum v2 exercises cancellation at shared places
+    v1, v2 = map(reduce_form, pair)
+    for a, b in ((v1, v2), (v1, v1 + v2), (v2, v1 + v2)):
+        if a.is_constant or b.is_constant or (a + b).is_constant:
+            continue
+        assert packed_sum_invariants(a, b) == tuple((a + b).invariants())
+
+
+def test_shared_place_invariants_examples():
+    def v(text):
+        return reduce_form(parse_ratfun(GF2, text))
+    # the pole at x cancels; infinity keeps the larger order
+    a, b = v("1/x + x^3"), v("1/x + x^5")
+    assert packed_sum_invariants(a, b) == (2, 0) == (a + b).invariants()
+    # equal orders at x: the top digits cancel and the order drops to 1
+    a, b = v("1/x^3 + x"), v("1/x^3 + 1/x")
+    assert packed_sum_invariants(a, b) == (1, 1)
+    assert packed_sum_invariants(a, b) == (a + b).invariants()
+
+
+def test_census_violation_names_the_first_cover(monkeypatch, capsys):
+    cells = run_census(GF2, 2)
+    target = next(c for c in cells if c.witness_count > 1)
+    refused = (target.g, target.sigma, target.type)
+    real = census.realizable
+
+    def refuse_one(g, sigma, p):
+        if (g, sigma, p.entries) == refused:
+            return Verdict(False, "i", "refused for the test")
+        return real(g, sigma, p)
+
+    monkeypatch.setattr(census, "realizable", refuse_one)
+    with pytest.raises(CensusViolation) as err:
+        run_census(GF2, 2)
+    message = str(err.value)
+    assert (f"(g={target.g}, sigma={target.sigma}, "
+            f"type={Partition(*target.type)})") in message
+    assert f"cover ({target.example.f1}, {target.example.f2})" in message
+    code = main(["census", "--field", "gf2", "--max-deg", "2"])
+    assert code == EXIT_MISMATCH
+    assert "census violation" in capsys.readouterr().err
 
 
 def test_census_small_gf2():
