@@ -6,8 +6,7 @@ Artin-Schreier equations witnessing every realizable combination, and
 verify the witnesses independently by point counting.
 """
 
-from .ascurve import (ASCurve, DegenerateCover, Invariants,
-                      invariants_of_reduced, reduce_standard)
+from .ascurve import ASCurve, DegenerateCover, Invariants, reduce_standard
 from .census import CensusViolation, run_census
 from .construct import (InternalMismatch, NotRealizable, Recipe, construct,
                         construct_half_minus, construct_sigma0,

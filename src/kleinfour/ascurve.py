@@ -256,12 +256,6 @@ class PackedLayout:
                    if (x >> offset) & mask)
 
 
-def invariants_of_reduced(r):
-    """Genus and 2-rank of y^2 + y = r for a non-constant r that is already
-    in canonical form, read off its pole orders with no further reduction."""
-    return ReducedForm.of(r).invariants()
-
-
 class ASCurve:
     """y^2 + y = f(x), stored with f in canonical standard form."""
 

@@ -6,33 +6,37 @@ forms (the reduced classes) are paired.  Reduction is GF(2)-linear, so a
 cover is the 2-dimensional subspace {r1, r2, r1 + r2} of reduced forms; it
 is counted once, at its lowest pair of enumerated classes.
 
-The census runs on plain ints.  Linearity also means each denominator's
-basis numerators 2^b x^i are reduced once, and a function's form is the
-XOR of the basis forms at its numerator's set bits.  Every form is packed
-into one int under a layout local to the call (`PackedLayout`: polynomial
-part at bit 0, each place met at a fixed offset), so a pair sum is an XOR,
-a constant sum is an int below 1 << m, and the lowest-pair test is a dict
-hit.  Genus and 2-rank add up over places, so a sum that is not itself a
-class takes its invariants from the pair's, corrected only at the places
-both classes have poles at (`sum_invariants`, through the same per-place
-rule as `ReducedForm.invariants`).  RatFuns are built only for each cell's
-first example.  Covers are tabulated by (genus, 2-rank, type).  A cover
-landing in a cell the decision procedure declares impossible would
-disprove the classification; the run asserts that never happens, checking
-each cell when it is first reached.
+The census runs on plain ints.  A numerator is its code sum c_i q^i, whose
+bit i*m + b is bit b of c_i (q = 2^m).  Each denominator's basis
+numerators 2^b x^i are reduced once, and the forms of all its numerators
+follow with one XOR each (`span`).  The numerators sharing a factor with
+the denominator are the multiples of its irreducible factors, and their
+codes are dropped with no gcd (`coprime_codes`).  Every form is packed into
+one int under a layout local to the call (`PackedLayout`), so a pair sum
+is an XOR, a constant sum is an int below 1 << m, and the lowest-pair test
+is a dict hit.  Genus and 2-rank add up over places, so a sum that is not
+itself a class takes its invariants from the pair's, corrected only at the
+places both classes have poles at (`sum_invariants`, through the same
+per-place rule as `ReducedForm.invariants`).  Covers are counted under an
+int key and folded into (genus, 2-rank, type) cells after the pair loop
+(`fold_keys`); RatFuns are built only for each cell's example, its
+earliest pair.  A cover in a cell the decision procedure declares
+impossible would disprove the classification; the run asserts that never
+happens, checking each cell in the order the pair loop first reached it.
+The degree bound is capped per field (`max_census_degree`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .ascurve import PackedLayout, place_terms, reduce_form
+from . import poly
+from .ascurve import PackedLayout, _pack, place_terms, reduce_form
 from .klein4 import KleinFourCover, Partition
 from .poly import Poly
 from .ratfun import RatFun
 from .realize import realizable
-
-MAX_CENSUS_DEGREE = 6
 
 
 class CensusViolation(AssertionError):
@@ -63,6 +67,43 @@ def _digits(enc, order, n):
     return cs
 
 
+def _denominators(field, max_deg):
+    """Monic polynomials of degree <= max_deg, by degree, then by the
+    encoding sum c_i q^i of their lower coefficients."""
+    order = field.order
+    for deg in range(max_deg + 1):
+        for enc in range(order ** deg):
+            yield Poly.make(field, _digits(enc, order, deg) + [1])
+
+
+def span(vectors):
+    """Every XOR of a subset of `vectors`, at the index whose set bits pick
+    the subset: one XOR per entry."""
+    out = [0]
+    for v in vectors:
+        out += [x ^ v for x in out]
+    return out
+
+
+def coprime_codes(den, n):
+    """A flag per numerator code below q^n, set when that numerator is
+    nonzero and prime to den.
+
+    The code of c_0 + c_1 x + ... is sum c_i q^i; since q = 2^m its bit
+    i*m + b is bit b of c_i.  A numerator of degree < n shares a factor with
+    den exactly when it is a multiple p*h of a monic irreducible factor p,
+    and those multiples are the span of the codes of 2^b x^k p."""
+    m = den.field.degree
+    keep = bytearray(b"\1") * (1 << (n * m))
+    keep[0] = 0
+    for p, _ in poly.factor(den):
+        multiples = [p.shift(k).scale(1 << b) for k in range(n - p.degree)
+                     for b in range(m)]
+        for code in span([_pack(h.coeffs, m) for h in multiples]):
+            keep[code] = 0
+    return keep
+
+
 def enumerate_functions(field, max_deg):
     """Normalized nonzero rational functions, num and den degrees <= bound.
 
@@ -70,52 +111,34 @@ def enumerate_functions(field, max_deg):
     their lower coefficients; for each, every nonzero numerator comes once,
     in order of its encoding, and only pairs already in lowest terms are
     kept (the reduced pair shows up under its own denominator)."""
-    order = field.order
-    out = []
-    for deg in range(max_deg + 1):
-        for enc in range(order ** deg):
-            den = Poly.make(field, _digits(enc, order, deg) + [1])
-            for num_enc in range(1, order ** (max_deg + 1)):
-                num = Poly.make(field, _digits(num_enc, order, max_deg + 1))
-                f = RatFun(num, den)
-                if f.num == num and f.den == den:
-                    out.append(f)
-    return out
+    order, n = field.order, max_deg + 1
+    return [RatFun(Poly.make(field, _digits(code, order, n)), den)
+            for den in _denominators(field, max_deg)
+            for code in compress(range(order ** n), coprime_codes(den, n))]
 
 
 def basis_forms(den, n):
     """reduce_form(2^b x^i / den) for i < n and every bit b of a field
-    element, at index i*m + b."""
+    element, at index i*m + b: the numerator code with only that bit set."""
     F = den.field
     return [reduce_form(RatFun(Poly.monomial(F, i, 1 << b), den))
             for i in range(n) for b in range(F.degree)]
 
 
-def at_set_bits(basis, num):
-    """The XOR of basis[i*m + b] over the set bits b of each coefficient i
-    of num: num/den reduces to this when basis is `basis_forms(den, n)`
-    packed, since reduction is GF(2)-linear."""
-    m = num.field.degree
-    x = 0
-    for i, c in enumerate(num.coeffs):
-        while c:
-            low = c & -c
-            x ^= basis[i * m + low.bit_length() - 1]
-            c ^= low
-    return x
-
-
 def _packed_functions(field, max_deg):
-    """The enumerated functions' reduced forms, packed, in enumeration
-    order, and their layout.  Each denominator's basis is reduced once."""
-    functions = enumerate_functions(field, max_deg)
-    basis = {}
-    for f in functions:
-        if f.den not in basis:
-            basis[f.den] = basis_forms(f.den, max_deg + 1)
-    layout = PackedLayout(field, [v for vs in basis.values() for v in vs])
-    packed = {den: [layout.pack(v) for v in vs] for den, vs in basis.items()}
-    return [at_set_bits(packed[f.den], f.num) for f in functions], layout
+    """The packed reduced forms of `enumerate_functions`, in its order, and
+    their layout.  Each denominator's basis is reduced once, and reduction
+    is GF(2)-linear, so the span of the packed basis holds the form of
+    every numerator at its code."""
+    n = max_deg + 1
+    dens = list(_denominators(field, max_deg))
+    bases = [basis_forms(den, n) for den in dens]
+    layout = PackedLayout(field, [v for vs in bases for v in vs])
+    packed = []
+    for den, vs in zip(dens, bases):
+        forms = span([layout.pack(v) for v in vs])
+        packed += compress(forms, coprime_codes(den, n))
+    return packed, layout
 
 
 def sum_invariants(slots, a, b, shared, inv_a, inv_b):
@@ -140,13 +163,36 @@ def sum_invariants(slots, a, b, shared, inv_a, inv_b):
     return genus, k
 
 
+def max_census_degree(field):
+    """The largest degree bound the census accepts over `field`.
+
+    The census pairs about q^(2D + 1) functions, so D is capped where that
+    reaches 2^14: 6 over GF(2) and 3 over GF(4), each about 10 s."""
+    return (14 // field.degree - 1) // 2
+
+
+def fold_keys(counts, first):
+    """Fold cover counts kept under raw keys g1 << 24 | g2 << 16 | g3 << 8
+    | sigma (`counts`) into {(g, sigma, type): [count, pair]}, where pair is
+    the earliest of the raw keys' first class pairs (`first`)."""
+    cells = {}
+    for key, count in counts.items():
+        gs = key >> 24, key >> 16 & 255, key >> 8 & 255
+        cell_key = (sum(gs), key & 255, tuple(sorted(gs, reverse=True)))
+        total, pair = cells.get(cell_key, (0, first[key]))
+        cells[cell_key] = [total + count, min(pair, first[key])]
+    return cells
+
+
 def run_census(field, max_deg):
     """Census cells sorted by (g, sigma, type); raises CensusViolation if a
     cover contradicts the realizability decision."""
     if max_deg < 0:
         raise ValueError(f"census degree bound must be >= 0, got {max_deg}")
-    if max_deg > MAX_CENSUS_DEGREE:
-        raise ValueError(f"census degree bound is {MAX_CENSUS_DEGREE}")
+    cap = max_census_degree(field)
+    if max_deg > cap:
+        raise ValueError(f"census degree bound over {field} is {cap}, "
+                         f"got {max_deg}")
     packed, layout = _packed_functions(field, max_deg)
     one = 1 << field.degree  # a form is constant exactly when below this
     index = {}  # the distinct non-constant forms, in order of first sight
@@ -157,39 +203,58 @@ def run_census(field, max_deg):
     invariants = [layout.unpack(x).invariants() for x in classes]
     masks = [layout.places_mask(x) for x in classes]
     slots = layout.slots
-    cells = {}
+    # A cover is counted under the raw key g1 << 24 | g2 << 16 | g3 << 8 |
+    # sigma (every genus and sigma is below 64 at the degree caps).  A fresh
+    # r3 with no pole shared by r1 and r2 has invariants (g1 + g2 + 1,
+    # s1 + s2 + 1), so its key is r1's `own_apart` plus r2's `apart`.
+    apart = [(g << 16) + (g << 8) + 2 * s for g, s in invariants]
+    counts = {}
+    first = {}
+    n = len(classes)
     for i, a in enumerate(classes):
         inv1 = invariants[i]
         g1, s1 = inv1
         mask1 = masks[i]
-        for j in range(i + 1, len(classes)):
-            b = classes[j]
+        own_apart = (g1 << 24) + (g1 << 8) + 2 * s1 + 257
+        for j, b, mask2, key in zip(range(i + 1, n), classes[i + 1:],
+                                    masks[i + 1:], apart[i + 1:]):
             s = a ^ b  # already reduced: reduction is GF(2)-linear
-            if s < one:
-                continue  # r1 and r2 differ by a constant: no cover
             k = index.get(s)
-            g2, s2 = inv2 = invariants[j]
-            if k is None:
-                g3, s3 = sum_invariants(slots, a, b, mask1 & masks[j],
-                                        inv1, inv2)
-            elif k < j:
-                continue  # {r1, r2, r3} is counted at its lowest pair
+            if k is None and not mask1 & mask2:
+                key += own_apart
             else:
-                g3, s3 = invariants[k]
-            cell_key = (g1 + g2 + g3, s1 + s2 + s3,
-                        tuple(sorted((g1, g2, g3), reverse=True)))
-            cell = cells.get(cell_key)
-            if cell is not None:
-                cell.witness_count += 1
-                continue
-            g, sigma, entries = cell_key
-            p = Partition(*entries)
-            cover = KleinFourCover(layout.unpack(a), layout.unpack(b))
-            verdict = realizable(g, sigma, p)
-            if not verdict.exists:
-                raise CensusViolation(
-                    f"cover ({cover.f1}, {cover.f2}) lands in the "
-                    f"impossible cell (g={g}, sigma={sigma}, "
-                    f"type={p}): {verdict.citation}")
-            cells[cell_key] = CensusCell(g, sigma, entries, 1, cover)
+                # a constant sum is never a class, and its terms share
+                # every pole, so it is caught here
+                if s < one:
+                    continue  # r1 and r2 differ by a constant: no cover
+                if k is None:
+                    g3, s3 = sum_invariants(slots, a, b, mask1 & mask2,
+                                            inv1, invariants[j])
+                elif k < j:
+                    continue  # {r1, r2, r3} is counted at its lowest pair
+                else:
+                    g3, s3 = invariants[k]
+                g2, s2 = invariants[j]
+                key = (g1 << 24) + (g2 << 16) + (g3 << 8) + s1 + s2 + s3
+            count = counts.get(key)
+            if count is None:
+                counts[key] = 1
+                first[key] = i, j
+            else:
+                counts[key] = count + 1
+    cells = fold_keys(counts, first)
+    # check each cell in the order the pair loop first reached it
+    for cell_key, (count, (i, j)) in sorted(cells.items(),
+                                            key=lambda c: c[1][1]):
+        g, sigma, entries = cell_key
+        p = Partition(*entries)
+        cover = KleinFourCover(layout.unpack(classes[i]),
+                               layout.unpack(classes[j]))
+        verdict = realizable(g, sigma, p)
+        if not verdict.exists:
+            raise CensusViolation(
+                f"cover ({cover.f1}, {cover.f2}) lands in the "
+                f"impossible cell (g={g}, sigma={sigma}, "
+                f"type={p}): {verdict.citation}")
+        cells[cell_key] = CensusCell(g, sigma, entries, count, cover)
     return [cells[k] for k in sorted(cells)]

@@ -422,8 +422,10 @@ def verify(target, depth=None, max_bits=MAX_DEGREE):
     depth defaults to (claimed genus + 1) extensions per quotient, enough
     to pin the L-polynomial and exercise the functional-equation check.
     max_bits bounds the total evaluation field; reports that hit it come
-    back flagged as truncated.
+    back flagged as truncated.  A negative depth raises ValueError.
     """
+    if depth is not None and depth < 0:
+        raise ValueError(f"verify depth must be >= 0, got {depth}")
     max_bits = min(max_bits, MAX_DEGREE)
     if isinstance(target, ASCurve):
         if depth is None:

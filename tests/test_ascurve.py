@@ -3,8 +3,7 @@ from hypothesis import assume, given, settings
 
 from conftest import rand_ratfun, raw_pairs
 from kleinfour.ascurve import (ASCurve, DegenerateCover, Invariants,
-                               PackedLayout, ReducedForm,
-                               invariants_of_reduced, reduce_form,
+                               PackedLayout, ReducedForm, reduce_form,
                                reduce_standard)
 from kleinfour.field import GF2, GF4
 from kleinfour.poly import Poly
@@ -86,7 +85,7 @@ def test_invariants_of_reduced_sum_match_curve(pair):
     f1, f2 = pair
     r3 = reduce_standard(f1) + reduce_standard(f2)
     assume(not r3.is_constant)
-    assert invariants_of_reduced(r3) == ASCurve(f1 + f2).invariants
+    assert ReducedForm.of(r3).invariants() == ASCurve(f1 + f2).invariants
     curve = ASCurve.from_form(reduce_form(f1) + reduce_form(f2), r3)
     assert curve == ASCurve(f1 + f2)
     assert curve.invariants == ASCurve(f1 + f2).invariants

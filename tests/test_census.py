@@ -1,19 +1,23 @@
 import hashlib
+import time
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import raw_pairs
 from kleinfour import census
 from kleinfour.ascurve import (ASCurve, PackedLayout, reduce_form,
                                reduce_standard)
-from kleinfour.census import (CensusViolation, at_set_bits, basis_forms,
-                              enumerate_functions, run_census,
+from kleinfour.census import (CensusViolation, basis_forms, coprime_codes,
+                              enumerate_functions, fold_keys,
+                              max_census_degree, run_census, span,
                               sum_invariants)
-from kleinfour.cli import EXIT_MISMATCH, main
-from kleinfour.field import GF2, GF4
+from kleinfour.cli import EXIT_BAD_INPUT, EXIT_MISMATCH, main
+from kleinfour.field import GF2, GF4, BinaryField
 from kleinfour.klein4 import Partition
-from kleinfour.poly import Poly
+from kleinfour.poly import Poly, gcd
 from kleinfour.ratfun import RatFun, parse_ratfun
 from kleinfour.realize import Verdict
 
@@ -102,6 +106,11 @@ def test_enumerate_functions_matches_the_old_loop(field, max_deg):
         old_enumerate_functions(field, max_deg)
 
 
+def code_of(num):
+    """The numerator code sum c_i q^i of num."""
+    return sum(c * num.field.order ** i for i, c in enumerate(num.coeffs))
+
+
 @settings(max_examples=200, deadline=None)
 @given(raw_pairs())
 def test_basis_forms_xor_to_the_reduced_form(pair):
@@ -110,8 +119,37 @@ def test_basis_forms_xor_to_the_reduced_form(pair):
     for f in pair:
         basis = basis_forms(f.den, f.num.degree + 1)
         layout = PackedLayout(f.field, basis)
-        x = at_set_bits([layout.pack(v) for v in basis], f.num)
+        x = span([layout.pack(v) for v in basis])[code_of(f.num)]
         assert layout.unpack(x) == reduce_form(f)
+
+
+@st.composite
+def monic_denominators(draw):
+    """A monic denominator of degree <= 3 over GF(2), GF(4) or GF(8), and a
+    numerator length n with at most 6 bits per numerator code."""
+    F = draw(st.sampled_from((GF2, GF4, BinaryField.default(3))))
+    lower = draw(st.lists(st.integers(0, F.order - 1), max_size=3))
+    n = draw(st.integers(1, 6 // F.degree))
+    return Poly.make(F, lower + [1]), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(monic_denominators())
+def test_coprime_codes_and_the_form_table(case):
+    # the kept codes are exactly the numerators prime to den, and the span
+    # of the packed basis holds each one's reduced form at its code
+    den, n = case
+    F = den.field
+    keep = coprime_codes(den, n)
+    nums = [Poly.make(F, census._digits(code, F.order, n))
+            for code in range(F.order ** n)]
+    assert list(compress(nums, keep)) == [
+        num for num in nums if num.coeffs and gcd(num, den).degree == 0]
+    basis = basis_forms(den, n)
+    layout = PackedLayout(F, basis)
+    forms = span([layout.pack(v) for v in basis])
+    for num, form in compress(zip(nums, forms), keep):
+        assert form == layout.pack(reduce_form(RatFun(num, den)))
 
 
 def packed_sum_invariants(v1, v2):
@@ -169,6 +207,26 @@ def test_census_violation_names_the_first_cover(monkeypatch, capsys):
     assert "census violation" in capsys.readouterr().err
 
 
+def test_cells_are_checked_in_the_order_first_reached(monkeypatch):
+    checked = []
+    real = census.realizable
+
+    def record(g, sigma, p):
+        checked.append((g, sigma, p.entries))
+        return real(g, sigma, p)
+
+    monkeypatch.setattr(census, "realizable", record)
+    cells = run_census(GF2, 3)
+    # a cell is first reached at its example, a pair of classes numbered in
+    # order of first sight
+    classes = {}
+    for r in map(reduce_standard, enumerate_functions(GF2, 3)):
+        if not r.is_constant:
+            classes.setdefault(r, len(classes))
+    cells.sort(key=lambda c: (classes[c.example.f1], classes[c.example.f2]))
+    assert checked == [(c.g, c.sigma, c.type) for c in cells]
+
+
 def test_census_small_gf2():
     cells = run_census(GF2, 2)
     found = {(c.g, c.sigma, c.type) for c in cells}
@@ -189,6 +247,29 @@ def test_census_small_gf4():
 def test_census_rejects_big_bound():
     with pytest.raises(ValueError):
         run_census(GF2, 7)
+
+
+def test_census_caps_each_field():
+    assert (max_census_degree(GF2), max_census_degree(GF4)) == (6, 3)
+    with pytest.raises(ValueError):
+        run_census(GF4, 4)
+    start = time.perf_counter()
+    code = main(["census", "--field", "gf4", "--max-deg", "4"])
+    assert code == EXIT_BAD_INPUT
+    assert time.perf_counter() - start < 1
+
+
+def test_a_folded_cell_keeps_its_earliest_example():
+    # (1, 1, {1,0,0}) is reached under three raw keys, one per position of
+    # the genus-1 quotient; the earliest first pair is (1, 9)
+    def key(g1, g2, g3, sigma):
+        return g1 << 24 | g2 << 16 | g3 << 8 | sigma
+    counts = {key(1, 0, 0, 1): 2, key(0, 1, 0, 1): 3, key(0, 0, 1, 1): 1,
+              key(1, 1, 0, 0): 4}
+    first = {key(1, 0, 0, 1): (3, 5), key(0, 1, 0, 1): (1, 9),
+             key(0, 0, 1, 1): (2, 0), key(1, 1, 0, 0): (0, 7)}
+    assert fold_keys(counts, first) == {(1, 1, (1, 0, 0)): [6, (1, 9)],
+                                        (2, 0, (1, 1, 0)): [4, (0, 7)]}
 
 
 def test_census_rejects_negative_bound():

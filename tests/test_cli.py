@@ -57,6 +57,12 @@ def test_construct_witness(capsys):
     assert code == 1 and doc["clause"] == "iii"
 
 
+def test_construct_refuses_a_negative_verify_depth(capsys):
+    code, out, err = run(capsys, "construct", "-g", "5", "-s", "2",
+                         "-p", "2,2,1", "--verify-depth", "-3")
+    assert code == 2 and out == "" and "verify depth" in err
+
+
 def test_invariants(capsys):
     code, doc = run_json(capsys, "invariants", "-f", "x^3")
     assert code == 0 and (doc["genus"], doc["two_rank"]) == (1, 0)

@@ -153,6 +153,18 @@ def test_verify_truncates_on_cap():
     assert r.confirmed  # still enough counts for genus 1
 
 
+def test_verify_refuses_a_negative_depth():
+    curve = ASCurve(pr2("x^3"))
+    cover = KleinFourCover(pr2("x^3"), pr2("1/x"))
+    for target in (curve, cover):
+        with pytest.raises(ValueError):
+            verify(target, depth=-1)
+        # depth 0 checks no identity and still answers
+        report = verify(target, depth=0)
+        assert report.status == "confirmed" and not report.identity_checks
+    assert verify(cover).status == "confirmed"
+
+
 def test_verify_mismatch_when_cap_below_genus():
     c = ASCurve(pr2("x^3 + 1/x + 1/(x+1)"))  # genus 3
     r = verify(c, max_bits=2)
