@@ -10,10 +10,20 @@ elements of GF(q^d): a cyclotomic coset of exponents k of g^k under
 k -> q*k mod (q^d - 1), of size exactly d (the point 0 has degree 1).  It
 is evaluated once, at its smallest exponent, and contributes d times the
 fibre over one of its elements, because the trace over GF(q^n) of an
-element of GF(q^d) is (n/d) times its trace over GF(q^d).  Evaluation uses
-the log/antilog tables of GF(q^d), which exist while m*n <= 16; above
-that, every element of GF(q^n) is evaluated with the bit-loop arithmetic.
-Infinity is a degree-1 place.
+element of GF(q^d) is (n/d) times its trace over GF(q^d).  Infinity is a
+degree-1 place.
+
+While m*n <= 16, GF(q^d) has log/antilog tables and the closed points of
+degree d are evaluated all at once.  Each is a lane of a packed int, the
+narrowest native unsigned int that holds an element of GF(q^d).  A
+polynomial's values at every lane are the XOR of cached term vectors, the
+lanes of b*x^i for each power i and basis element b of GF(q) set in its
+coefficients' bits.  The values are unpacked into native ints and mapped
+through small per-field tables to a state byte per lane: the trace bit of
+num/den, or a pole.  The tally of states over one (functions, d) is
+memoized, so N_1..N_n share the tallies of the divisors of n; a cover's
+triple (f1, f2, f3) has its own tallies, never its quotients'.  Above 16
+bits, every element of GF(q^n) is evaluated with the bit-loop arithmetic.
 
 For a quotient curve, counts N_1..N_g determine the L-polynomial through
 Newton's identities plus the functional equation, and the 2-rank is read
@@ -26,11 +36,15 @@ product, never through the quotients.
 from __future__ import annotations
 
 import functools
+import struct
+import sys
 from collections import Counter
 from dataclasses import dataclass, field as dfield
+from itertools import product
+from operator import add
 
 from .ascurve import ASCurve
-from .field import MAX_DEGREE, BinaryField
+from .field import MAX_DEGREE, TABLE_MAX_DEGREE, BinaryField
 from .klein4 import KleinFourCover
 from .poly import field_embedding
 
@@ -110,48 +124,140 @@ def _orbit_reps(q, d):
     return tuple(reps)
 
 
-def _states_by_orbit(fns, q, d, fld, embed):
-    """Counter of state tuples over the closed points of degree d, one
-    evaluation each, in GF(q^d) = fld through its log/antilog tables.
+def _lane_code(bits):
+    """Format of the narrowest native unsigned int that holds bits bits."""
+    for code in "BHIL":
+        if struct.calcsize(code) * 8 >= bits:
+            return code
+    raise ValueError(f"no lane holds {bits} bits")
 
-    For a cover, f3 is evaluated only where f1 or f2 has a pole: elsewhere
-    f3 = f1 + f2 is regular and its trace bit is t1 XOR t2."""
+
+def _packed(code, values):
+    """values as native items of format code, in one bytes object."""
+    return struct.pack(f"{len(values)}{code}", *values)
+
+
+# A state is 0 or 1, the trace bit of a regular value, or POLE.  Tallies
+# share one tuple per key of state bytes, with None at a pole as _fibre reads.
+POLE = 2
+_STATES = {key: tuple(None if k == POLE else k for k in key)
+           for r in (1, 3) for key in product(range(3), repeat=r)}
+
+
+# One entry per table field.
+@functools.lru_cache(maxsize=2 * TABLE_MAX_DEGREE)
+def _state_tables(fld):
+    """(LN, LD, T): the state of num/den at a point is T[LN[num] + LD[den]].
+
+    log num - log den + n1 lies in [1, 2 n1 - 1], where T holds the trace
+    bit of g^k.  A zero numerator lands in [2 n1, 3 n1 - 1], where T is 0,
+    and a zero denominator at 3 n1 and above, where T is POLE.
+    """
     log, exp = fld.log_tables()
     n1 = fld.order - 1
     tmask = _trace_mask(fld)
-    polys = [([embed(c) for c in reversed(f.num.coeffs)],
-              [embed(c) for c in reversed(f.den.coeffs)]) for f in fns]
+    code = _lane_code((3 * n1).bit_length())
+    LN = _packed(code, [2 * n1 - 1] + log[1:])
+    LD = _packed(code, [3 * n1] + [n1 - k for k in log[1:]])
+    trace = bytes((v & tmask).bit_count() & 1 for v in exp[:n1])
+    return (memoryview(LN).cast(code), memoryview(LD).cast(code),
+            trace * 2 + bytes(n1) + bytes([POLE]) * (2 * n1))
 
-    def state(nv, dv):
-        if not dv:
-            return None
-        return (exp[log[nv] - log[dv] + n1] & tmask).bit_count() & 1 \
-            if nv else 0
+
+# Keys are (base field, d) with m*d <= TABLE_MAX_DEGREE, about 50 of them
+# for the default fields.
+@functools.lru_cache(maxsize=64)
+def _lanes(base, d):
+    """The closed points of degree d as lanes of a packed int: one lane per
+    orbit rep k, holding an element of GF(q^d) at x = g^k in the narrowest
+    native unsigned int that fits it, in native byte order both ways.
+
+    Returns (code, count, tables, term): the lane format and count, the
+    state tables of GF(q^d), and term(t), the packed lanes of embed(b_j) x^i
+    for t = i*m + j, b_j = 2^j the j-th basis element of GF(q).  The value
+    of a polynomial at every lane is the XOR of term(t) over the set bits t
+    of its coefficients' concatenated bits, since embedding is GF(2)-linear.
+    """
+    fld, embed = _extension(base, d)
+    log, exp = fld.log_tables()
+    n1 = fld.order - 1
+    reps = _orbit_reps(base.order, d)
+    code = _lane_code(fld.degree)
+
+    @functools.lru_cache(maxsize=256)  # t < m * (degree + 1)
+    def term(t):
+        i, j = divmod(t, base.degree)
+        lj = log[embed(1 << j)]
+        lanes = _packed(code, [exp[(lj + i * k) % n1] for k in reps])
+        return int.from_bytes(lanes, sys.byteorder)
+
+    return code, len(reps), _state_tables(fld), term
+
+
+def _find_all(s, byte):
+    """Indices of byte in s, in order."""
+    i = s.find(byte)
+    while i >= 0:
+        yield i
+        i = s.find(byte, i + 1)
+
+
+def _states_by_orbit(fns, d):
+    """Tally of state tuples over the closed points of degree d, as an
+    immutable tuple of (states, points) pairs.
+
+    Each function's numerator and denominator are evaluated at every lane
+    at once by XORs of packed term vectors, then unpacked into native ints
+    and mapped through the state tables.  For a cover, f3 is read only on the
+    lanes where f1 or f2 has a pole: elsewhere f3 = f1 + f2 is regular and
+    its trace bit is t1 XOR t2."""
+    base = fns[0].field
+    m = base.degree
+    code, count, (LN, LD, T), term = _lanes(base, d)
+    nbytes = count * struct.calcsize(code)
+
+    def values(poly):
+        v = 0
+        for i, c in enumerate(poly.coeffs):
+            while c:
+                low = c & -c
+                v ^= term(i * m + low.bit_length() - 1)
+                c ^= low
+        return memoryview(v.to_bytes(nbytes, sys.byteorder)).cast(code)
+
+    def lane_states(f):
+        return bytes(map(T.__getitem__, map(
+            add, map(LN.__getitem__, values(f.num)),
+            map(LD.__getitem__, values(f.den)))))
 
     tally = Counter()
     if d == 1:  # the point 0: the constant terms
-        tally[tuple(state(num[-1] if num else 0, den[-1])
-                    for num, den in polys)] += 1
-    for k in _orbit_reps(q, d):
-        states = []
-        for num, den in polys:
-            if len(states) == 2 and None not in states:
-                states.append(states[0] ^ states[1])  # f3 = f1 + f2
-                break
-            acc = 0
-            for c in den:
-                acc = exp[log[acc] + k] ^ c if acc else c
-            if not acc:
-                states.append(None)
-                continue
-            ld = log[acc]
-            acc = 0
-            for c in num:
-                acc = exp[log[acc] + k] ^ c if acc else c
-            states.append((exp[log[acc] - ld + n1] & tmask).bit_count() & 1
-                          if acc else 0)
-        tally[tuple(states)] += 1
-    return tally
+        tally[tuple(T[LN[f.num.coeffs[0] if f.num.coeffs else 0]
+                      + LD[f.den.coeffs[0]]] for f in fns)] += 1
+    if len(fns) == 1:
+        s = lane_states(fns[0])
+        for k in (0, 1, POLE):
+            tally[k,] += s.count(k)
+    else:
+        s1, s2 = lane_states(fns[0]), lane_states(fns[1])
+        for (t1, t2), points in Counter(zip(s1, s2)).items():
+            if POLE not in (t1, t2):
+                tally[t1, t2, t1 ^ t2] += points
+        poles = set(_find_all(s1, POLE)) | set(_find_all(s2, POLE))
+        if poles:
+            num, den = values(fns[2].num), values(fns[2].den)
+            for i in poles:
+                tally[s1[i], s2[i], T[LN[num[i]] + LD[den[i]]]] += 1
+    return tuple((_STATES[key], points)
+                 for key, points in tally.items() if points)
+
+
+# Keys are (functions, d): N_1..N_n share the tallies of the divisors of n.
+# One verify call uses at most 4 * 16 keys: a cover and its three quotients,
+# each with d <= 16 on the table path.
+@functools.lru_cache(maxsize=128)
+def _tally(fns, d):
+    return _states_by_orbit(fns, d)
 
 
 def _states_by_element(fns, ext, embed):
@@ -181,24 +287,20 @@ def _states_by_element(fns, ext, embed):
 
 def _count(fns, n):
     """Points over GF(q^n) of the fibre product of y_i^2 + y_i = f_i over
-    P^1: [f] for a curve, [f1, f2, f3] for a Klein-four cover."""
+    P^1: (f,) for a curve, (f1, f2, f3) for a Klein-four cover."""
     base = fns[0].field
     ext, embed = _extension(base, n)
     if ext.log_tables() is None:
-        groups = [(1, 1, _states_by_element(fns, ext, embed))]
+        groups = [(1, 1, _states_by_element(fns, ext, embed).items())]
     else:
-        groups = []
-        for d in range(1, n + 1):
-            if n % d == 0:
-                fld, emb = (ext, embed) if d == n else _extension(base, d)
-                groups.append((d, (n // d) & 1,
-                               _states_by_orbit(fns, base.order, d, fld, emb)))
+        groups = [(d, (n // d) & 1, _tally(fns, d))
+                  for d in range(1, n + 1) if n % d == 0]
     at_inf = tuple(None if v is None else base.trace(v)
                    for v in (f.infinity_value() for f in fns))
-    groups.append((1, n & 1, {at_inf: 1}))
+    groups.append((1, n & 1, ((at_inf, 1),)))
     return sum(weight * points * _fibre(states, odd)
                for weight, odd, tally in groups
-               for states, points in tally.items())
+               for states, points in tally)
 
 
 def count_points(curve, n):
@@ -210,7 +312,7 @@ def count_points(curve, n):
     """
     if not isinstance(curve, ASCurve):
         raise TypeError("count_points takes an ASCurve")
-    return _count([curve.f], n)
+    return _count((curve.f,), n)
 
 
 def count_points_cover(cover, n):
@@ -223,7 +325,7 @@ def count_points_cover(cover, n):
     """
     if not isinstance(cover, KleinFourCover):
         raise TypeError("count_points_cover takes a KleinFourCover")
-    return _count([cover.f1, cover.f2, cover.f3], n)
+    return _count((cover.f1, cover.f2, cover.f3), n)
 
 
 def weil_ok(counts, genus, q):

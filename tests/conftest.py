@@ -38,10 +38,11 @@ def rng():
 
 
 @st.composite
-def raw_pairs(draw, max_deg=4, nonzero=False):
-    """Two raw rational functions over one of GF(2), GF(4), GF(8); with
-    nonzero=True neither is 0 (a zero function never gives a cover)."""
-    F = draw(st.sampled_from((GF2, GF4, BinaryField.default(3))))
+def raw_pairs(draw, max_deg=4, nonzero=False, fields=None):
+    """Two raw rational functions over one of fields, by default GF(2),
+    GF(4), GF(8); with nonzero=True neither is 0 (a zero function never
+    gives a cover)."""
+    F = draw(st.sampled_from(fields or (GF2, GF4, BinaryField.default(3))))
     elt = st.integers(0, F.order - 1)
     coeffs = st.lists(elt, max_size=max_deg + 1)
 

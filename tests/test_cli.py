@@ -1,5 +1,8 @@
+import hashlib
 import json
 import time
+
+import pytest
 
 from kleinfour.cli import main
 
@@ -193,3 +196,23 @@ def test_hyperelliptic(capsys):
 def test_seed_flag_accepted(capsys):
     code, _ = run_json(capsys, "--seed", "7", "invariants", "-f", "x^3")
     assert code == 0
+
+
+# sha256 of two verify outputs, as printed by the oracle that evaluated each
+# closed point with a scalar log-domain Horner loop.
+VERIFY_OUTPUT_SHA256 = {
+    "table -g 12 --verify --json":
+        "253cfee194f0e966556488552a517b01"
+        "2e911ce98c2b5ce9e9dc7770fa7b5c5c",
+    "construct -g 9 -s 5 -p 3,3,3 --verify-depth 4":
+        "1786fdbdb32bd2bad39ad4c9283cf06f"
+        "944ca89e752e919566922efde0d48f71",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_OUTPUT_SHA256))
+def test_verify_output_is_unchanged(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        VERIFY_OUTPUT_SHA256[argv]

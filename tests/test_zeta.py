@@ -1,3 +1,4 @@
+import struct
 from collections import Counter
 
 import pytest
@@ -327,9 +328,22 @@ POLE_PATTERNS = (
 )
 
 
+@pytest.fixture
+def fresh_zeta_caches():
+    """Empty the tally memo and the lane caches before and after the test,
+    so a run with the table cap patched recomputes every tally instead of
+    reading one memoized by an earlier run."""
+    def clear():
+        for cache in (zeta._tally, zeta._lanes, zeta._state_tables):
+            cache.cache_clear()
+    clear()
+    yield
+    clear()
+
+
 @pytest.mark.parametrize("table_max_degree", [16, 4])
 def test_counts_match_the_per_element_loops(table_max_degree, monkeypatch,
-                                            rng):
+                                            rng, fresh_zeta_caches):
     # with the cap at 4, GF(2^5) and up take the per-element path instead
     monkeypatch.setattr(field_module, "TABLE_MAX_DEGREE", table_max_degree)
     for F in (GF2, GF4, BinaryField.default(3)):
@@ -430,7 +444,7 @@ def test_quotient_capped_below_its_genus_still_gets_identity_rows(
 @pytest.mark.parametrize("table_max_degree", [16, 0])
 @pytest.mark.parametrize("pole", ["x", "x+1", "x^2+x+1"])
 def test_a_pole_of_f1_alone_is_still_caught(pole, table_max_degree,
-                                            monkeypatch):
+                                            monkeypatch, fresh_zeta_caches):
     # f3 is evaluated wherever f1 or f2 has a pole, so an f3 that is not
     # f1 + f2 and is regular at a pole of f1 alone trips the fibre rule, on
     # the table path and (with the cap at 0) the per-element path
@@ -439,3 +453,141 @@ def test_a_pole_of_f1_alone_is_still_caught(pole, table_max_degree,
     cov.f3 = pr2("x^3 + x")  # drops the pole
     with pytest.raises(AssertionError, match="exactly one pole"):
         count_points_cover(cov, 2)
+
+
+# -- reference: the scalar per-orbit loop the lane-packed kernel replaced ----
+# One log-domain Horner evaluation per closed point, in bytecode.
+
+def scalar_states_by_orbit(fns, q, d, fld, embed):
+    log, exp = fld.log_tables()
+    n1 = fld.order - 1
+    tmask = seed_trace_mask(fld)
+    polys = [([embed(c) for c in reversed(f.num.coeffs)],
+              [embed(c) for c in reversed(f.den.coeffs)]) for f in fns]
+
+    def state(nv, dv):
+        if not dv:
+            return None
+        return (exp[log[nv] - log[dv] + n1] & tmask).bit_count() & 1 \
+            if nv else 0
+
+    tally = Counter()
+    if d == 1:  # the point 0: the constant terms
+        tally[tuple(state(num[-1] if num else 0, den[-1])
+                    for num, den in polys)] += 1
+    for k in zeta._orbit_reps(q, d):
+        states = []
+        for num, den in polys:
+            if len(states) == 2 and None not in states:
+                states.append(states[0] ^ states[1])  # f3 = f1 + f2
+                break
+            acc = 0
+            for c in den:
+                acc = exp[log[acc] + k] ^ c if acc else c
+            if not acc:
+                states.append(None)
+                continue
+            ld = log[acc]
+            acc = 0
+            for c in num:
+                acc = exp[log[acc] + k] ^ c if acc else c
+            states.append((exp[log[acc] - ld + n1] & tmask).bit_count() & 1
+                          if acc else 0)
+        tally[tuple(states)] += 1
+    return tally
+
+
+GF8 = BinaryField.default(3)
+GF8_ALT = BinaryField(3, 0b1101)  # the other GF(8) modulus
+
+
+def assert_tallies_match_the_scalar_loop(f1, f2):
+    """Every d with m*d <= 12, for each function alone, the cover triple, and
+    a triple whose third function is not f1 + f2 (so a kernel that reads f3
+    off the pole lanes, or never reads it, disagrees)."""
+    F = f1.field
+    for fns in ((f1,), (f2,), (f1, f2, f1 + f2), (f1, f2, f2)):
+        for d in range(1, 12 // F.degree + 1):
+            fld, embed = zeta._extension(F, d)
+            expected = scalar_states_by_orbit(fns, F.order, d, fld, embed)
+            tally = zeta._states_by_orbit(fns, d)
+            assert Counter(dict(tally)) == expected, (fns, d)
+            assert len(tally) == len(expected)  # no key twice
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_pairs(max_deg=3, fields=(GF2, GF4, GF8, GF8_ALT)))
+def test_lane_tallies_match_the_scalar_loop(pair):
+    assert_tallies_match_the_scalar_loop(*pair)
+
+
+@pytest.mark.parametrize("F", [GF2, GF4, GF8, GF8_ALT], ids=repr)
+def test_lane_tallies_match_the_scalar_loop_on_pole_patterns(F):
+    # the first pattern has a pole at the point 0 shared by f1 and f2
+    for a, b in POLE_PATTERNS + (("1/x^3 + x", "1/x"),):
+        assert_tallies_match_the_scalar_loop(parse_ratfun(F, a),
+                                             parse_ratfun(F, b))
+
+
+def test_the_widest_lane_counts_exactly():
+    # y^2 + y = x^3 over GF(2) has L = 1 + 2T^2, so N_n = 2^n + 1 for odd n
+    # and 4^k + 1 - 2(-2)^k for n = 2k; N_16 fills 16-bit lanes
+    c = ASCurve(pr2("x^3"))
+    expected = [2**n + 1 if n % 2 else 4**(n // 2) + 1 - 2 * (-2)**(n // 2)
+                for n in range(1, 17)]
+    assert expected[-1] == 65025
+    assert [count_points(c, n) for n in range(1, 17)] == expected
+    # every table field up to the cap, and every field at all, gets lanes at
+    # least as wide as its elements, so raising the cap cannot truncate one
+    for bits in range(1, MAX_DEGREE + 1):
+        assert struct.calcsize(zeta._lane_code(bits)) * 8 >= bits
+    assert struct.calcsize(zeta._lane_code(16)) * 8 == 16
+
+
+def counted_kernel(monkeypatch):
+    """Record every (functions, d) the tally kernel computes."""
+    zeta._tally.cache_clear()
+    calls = Counter()
+    kernel = zeta._states_by_orbit
+
+    def counting(fns, d):
+        calls[fns, d] += 1
+        return kernel(fns, d)
+
+    monkeypatch.setattr(zeta, "_states_by_orbit", counting)
+    return calls
+
+
+def test_verify_computes_each_tally_once(monkeypatch, rng):
+    for cov in (KleinFourCover(pr2("1/x + x^3"), pr2("1/x + x^5")),
+                rand_cover(rng, GF4, max_deg=3)):
+        calls = counted_kernel(monkeypatch)
+        assert verify(cov).confirmed
+        depth = max(sub.genus for sub in cov.quotients) + 1
+        assert max(calls.values()) == 1
+        # the cover's own triple is tallied, never read off its quotients
+        assert set(calls) == {(fns, d)
+                              for fns in [(s.f,) for s in cov.quotients]
+                              + [(cov.f1, cov.f2, cov.f3)]
+                              for d in range(1, depth + 1)}
+
+
+def test_the_tally_memo_keys_on_the_field(monkeypatch):
+    # the same coefficients over the two GF(8) moduli count differently
+    c1, c2 = (ASCurve(parse_ratfun(F, "x^3 + a*x")) for F in (GF8, GF8_ALT))
+    calls = counted_kernel(monkeypatch)
+    assert count_points(c1, 1) == seed_count_points(c1, 1) == 9
+    assert count_points(c2, 1) == seed_count_points(c2, 1) == 13
+    assert set(calls) == {((c1.f,), 1), ((c2.f,), 1)}
+
+
+def test_a_memoized_tally_is_immutable():
+    c = ASCurve(pr2("x^3 + 1/x"))
+    tally = zeta._tally((c.f,), 2)
+    assert isinstance(tally, tuple)
+    with pytest.raises(TypeError):
+        tally[0] = ((0,), 1)
+    states, points = tally[0]
+    with pytest.raises(TypeError):
+        states[0] = 1
+    assert zeta._tally((c.f,), 2) is tally
