@@ -6,7 +6,8 @@ generator of GF(4)); 2-ranks of 6 and above reduce by 3 through the
 induction f1 -> f1 + x, f2 -> f2 + a*x, which raises every quotient genus
 by 1 and the 2-rank by 3.  Every witness is checked against its target
 invariants before it is returned; a failure raises InternalMismatch and
-means a bug, not bad input.
+means a bug, not bad input.  Hyperelliptic pole packs come from one
+builder, make_hyperelliptic, over the field it is given.
 
 The recipes returned alongside the covers record which scheme fired and
 with what parameters, nested through induction steps, so a derivation can
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field as dfield
 
 from .field import GF2, GF4, BinaryField
 from .klein4 import KleinFourCover, Partition
-from .poly import Poly, factor, field_embedding, monic_irreducibles
-from .ratfun import RatFun, Place
+from .poly import Poly, field_embedding, monic_irreducibles
+from .ratfun import INFINITY, Place, RatFun
 from .realize import realizable
 
 
@@ -97,7 +98,7 @@ def lift_cover(cover, target):
 # -- pole packs (hyperelliptic building blocks) -----------------------------
 
 def _fill_degrees(places, budget):
-    # first-fit with backtracking over the ascending place list
+    # first-fit with backtracking, in list order
     if budget == 0:
         return []
     for i, pl in enumerate(places):
@@ -111,63 +112,48 @@ def _fill_degrees(places, budget):
 
 
 def make_hyperelliptic(h, s, avoid=frozenset(), at_infinity=True, field=GF2):
-    """A reduced f with genus h, 2-rank s, and controlled pole locations.
+    """A reduced f over field with genus h, 2-rank s, and no pole in avoid.
 
-    One rational point carries a pole of order 2(h-s)+1 (at infinity when
-    requested) and a squarefree pack of total degree s supplies the s
-    remaining geometric simple poles.  No pole lands on a place in avoid;
-    the field grows (doubling its degree) when it runs out of room.
+    A pole of order 2(h-s)+1 goes at infinity when requested, else at the
+    first free rational point (no such anchor when h = s), and simple poles
+    of total degree s (s+1 without the infinity pole) supply the remaining
+    geometric poles.  The simple poles go on places of degree 2 and more
+    before rational ones, because each +3 induction step spends a rational
+    point of the line on its new pole at infinity and GF(4) has only five.
+    Raises ValueError when field has no room for the poles.
     """
     if not 0 <= s <= h:
         raise ValueError(f"need 0 <= 2-rank <= genus, got ({h}, {s})")
-    avoid = frozenset(avoid)
-    while True:
-        f = _try_hyperelliptic(h, s, avoid, at_infinity, field)
-        if f is not None:
-            return f
-        bigger = BinaryField.default(field.degree * 2)
-        emb = field_embedding(field, bigger)
-        lifted = set()
-        for pl in avoid:
-            if pl.poly is None:
-                lifted.add(pl)
-                continue
-            mapped = pl.poly.map_field(bigger, emb)
-            for (q, _) in factor(mapped):
-                lifted.add(Place(q))
-        avoid = frozenset(lifted)
-        field = bigger
-
-
-def _try_hyperelliptic(h, s, avoid, at_infinity, field):
-    big_order = 2 * (h - s) + 1
+    if at_infinity and INFINITY in avoid:
+        raise ValueError("asked for a pole at infinity while avoiding it")
     avoid_polys = {pl.poly for pl in avoid if pl.poly is not None}
+    rational = [q for c in range(field.order)
+                if (q := _x_plus(field, c)) not in avoid_polys]
+    pool = []
+    for q in monic_irreducibles(field, max(s + 1, 2)):
+        if q.degree == 1 or q in avoid_polys:
+            continue
+        pool.append(Place(q))
+        if sum(pl.degree for pl in pool) >= 3 * (s + 2):
+            break
+    deep = 2 * (h - s) + 1
+    budget = s
     if at_infinity:
-        f = _xk(field, big_order)
-        used = set()
+        f = _xk(field, deep)
+    elif h > s:
+        if not rational:
+            raise ValueError(f"no free rational point of {field} for the "
+                             f"pole of order {deep}")
+        f = _inv_pk(rational.pop(0), deep)
     else:
-        big_pt = None
-        for c in range(field.order):
-            if _x_plus(field, c) not in avoid_polys:
-                big_pt = _x_plus(field, c)
-                break
-        if big_pt is None:
-            return None
-        f = _inv_pk(big_pt, big_order)
-        used = {big_pt}
-    if s:
-        pool = []
-        for q in monic_irreducibles(field, s):
-            if q in avoid_polys or q in used:
-                continue
-            pool.append(Place(q))
-            if sum(pl.degree for pl in pool) >= s + 2 * s:
-                break
-        chosen = _fill_degrees(pool, s)
-        if chosen is None:
-            return None
-        for pl in chosen:
-            f = f + _inv_pk(pl.poly, 1)
+        f = RatFun.zero(field)
+        budget = s + 1
+    chosen = _fill_degrees(pool + [Place(q) for q in rational], budget)
+    if chosen is None:
+        raise ValueError(f"no room in {field} for simple poles of total "
+                         f"degree {budget}")
+    for pl in chosen:
+        f = f + _inv_pk(pl.poly, 1)
     return f
 
 
@@ -216,17 +202,9 @@ def _construct_sigma2(p):
 
 
 def _construct_sigma3(p):
-    g = p.g
+    """2-rank 3: two shared places (0 and infinity) with partial
+    cancellation at both."""
     g1, g2, g3 = p.entries
-    if 2 * g1 == g + 1:
-        # unbalanced, g odd: single shared point at infinity cancels
-        a = 2 * g2 - 1
-        b = 2 * g3 + 1
-        F = GF2
-        f1 = _xk(F, a) + _inv_pk(_x_plus(F, 1), 1)
-        f2 = _inv_xk(F, b)
-        return KleinFourCover(f1, f2), Recipe("S3a", {"a": a, "b": b})
-    # two shared places (0 and infinity) with partial cancellation at both
     s = 2 * g2 - 1
     t = 2 * (g2 + g3 - g1) - 1
     m = 2 * (g1 - g2) + 1
@@ -281,12 +259,8 @@ def _construct_sigma4(p):
             Recipe("S4d", {"a": g - 4, "c": 3, "corrected": 1}))
 
 
-def _construct_sigma5(g, p, for_induction=False):
+def _construct_sigma5(p):
     g1, g2, g3 = p.entries
-    if 2 * g1 == g + 1:
-        if for_induction:
-            return _lean_unb_odd(g, 5, p)
-        return construct_unbalanced_odd(g, 5, p)
     if p.is_totally_balanced:
         a = g1
         if a % 2 == 1:
@@ -312,32 +286,29 @@ def _construct_sigma5(g, p, for_induction=False):
 # -- the unbalanced families and the (g-1)/2 family --------------------------
 
 def construct_unbalanced_even(g, sigma):
-    """Type {g/2, g/2, 0}: a hyperelliptic quotient plus a linear twist."""
+    """Type {g/2, g/2, 0}: a hyperelliptic quotient plus a linear twist.
+
+    The twist is x over GF(2) while the hyperelliptic pole at infinity has
+    order 3 or more; at sigma = g that pole is simple and x would cancel
+    it, so the twist is a*x over GF(4).
+    """
     if g % 2 or sigma % 2 or not 0 <= sigma <= g:
         raise ValueError(f"need even g and even 0 <= sigma <= g, "
                          f"got ({g}, {sigma})")
     k = sigma // 2
-    f1 = make_hyperelliptic(g // 2, k, at_infinity=True)
-    F = f1.field
-    if 2 * (g // 2 - k) + 1 >= 3:
-        f2 = _xk(F, 1)
-    else:
-        if F.degree % 2:
-            bigger = BinaryField.default(F.degree * 2)
-            emb = field_embedding(F, bigger)
-            f1 = RatFun(f1.num.map_field(bigger, emb),
-                        f1.den.map_field(bigger, emb))
-            F = bigger
-        f2 = _xk(F, 1, _alpha(F))
-    return KleinFourCover(f1, f2), Recipe("UNB_EVEN", {"k1": k})
+    F, c = (GF2, 1) if 2 * k < g else (GF4, _alpha(GF4))
+    f1 = make_hyperelliptic(g // 2, k, field=F)
+    return (KleinFourCover(f1, _xk(F, 1, c)),
+            Recipe("UNB_EVEN", {"k1": k}))
 
 
 def construct_unbalanced_odd(g, sigma, p):
     """Unbalanced odd type: two hyperelliptic quotients with disjoint poles.
 
-    The function without the infinity pole is built first so its rational
-    anchor point is always available; the other one then backtracks onto
-    higher-degree places when the rational points are spent.
+    Both functions are pole packs over GF(4) with no pole at infinity, so
+    the third quotient, their sum, has genus (g+1)/2.  At sigma = 3 the
+    paper's pair is x^a + 1/(x+1) and 1/x^b over GF(2), with a = 2*g2 - 1
+    and b = 2*g3 + 1; the packs put the same pole orders at finite points.
     """
     if g % 2 == 0 or sigma % 2 == 0:
         raise ValueError(f"need odd g and odd sigma, got ({g}, {sigma})")
@@ -349,13 +320,9 @@ def construct_unbalanced_odd(g, sigma, p):
     kb = k - ka
     if kb > gb:
         raise ValueError(f"2-rank {sigma} does not split over type {p}")
-    f2 = make_hyperelliptic(gb, kb, at_infinity=False)
-    f1 = make_hyperelliptic(ga, ka, avoid=f2.pole_divisor().places(),
-                            at_infinity=True, field=f2.field)
-    if f1.field != f2.field:
-        emb = field_embedding(f2.field, f1.field)
-        f2 = RatFun(f2.num.map_field(f1.field, emb),
-                    f2.den.map_field(f1.field, emb))
+    f1 = make_hyperelliptic(ga, ka, at_infinity=False, field=GF4)
+    f2 = make_hyperelliptic(gb, kb, avoid=f1.pole_divisor().places(),
+                            at_infinity=False, field=GF4)
     return (KleinFourCover(f1, f2),
             Recipe("UNB_ODD", {"k1": ka, "k2": kb}))
 
@@ -392,86 +359,15 @@ def construct_half_minus(g, sigma, p):
     else:
         h1 = make_hyperelliptic(ga - 2, ka - 1, at_infinity=False, field=F)
     if kb == 0:
-        h2 = RatFun.zero(h1.field)
+        h2 = RatFun.zero(F)
     else:
         h2 = make_hyperelliptic(gb - 2, kb - 1,
                                 avoid=h1.pole_divisor().places(),
-                                at_infinity=False, field=h1.field)
-    F = h2.field
-    if h1.field != F:
-        emb = field_embedding(h1.field, F)
-        h1 = RatFun(h1.num.map_field(F, emb), h1.den.map_field(F, emb))
+                                at_infinity=False, field=F)
     f1 = _xk(F, 3) + h1
     f2 = _xk(F, 3, _alpha(F)) + h2
     return (KleinFourCover(f1, f2),
             Recipe("HALF_MINUS", {"k1": ka, "k2": kb}))
-
-
-# -- lean builders for induction bases ---------------------------------------
-#
-# Each induction step spends one rational point of the projective line (the
-# new pole at infinity), and GF(4) has only five.  Covers destined for
-# induction are therefore built over GF(4) with their poles packed into
-# places of degree 2 and 3, which do not split under the lift and leave
-# rational points free for the coordinate changes.
-
-def _lean_pack(h, s, avoid=frozenset(), field=GF4):
-    """Genus-h, 2-rank-s pole pack with no infinity pole, frugal with
-    rational points."""
-    avoid_polys = {pl.poly for pl in avoid if pl.poly is not None}
-    nonrational = []
-    rational = [q for c in range(field.order)
-                if (q := _x_plus(field, c)) not in avoid_polys]
-    for q in monic_irreducibles(field, max(s + 1, 2)):
-        if q.degree == 1 or q in avoid_polys:
-            continue
-        nonrational.append(Place(q))
-        if sum(pl.degree for pl in nonrational) >= 3 * (s + 2):
-            break
-    pool = nonrational + [Place(q) for q in rational]
-    if h > s:
-        assert rational, "no rational anchor available for the deep pole"
-        f = _inv_pk(rational[0], 2 * (h - s) + 1)
-        pool = [pl for pl in pool if pl.poly != rational[0]]
-        budget = s
-    else:
-        f = None
-        budget = s + 1
-    chosen = _fill_degrees(pool, budget)
-    assert chosen is not None, "pole pack does not fit in the field"
-    for pl in chosen:
-        term = _inv_pk(pl.poly, 1)
-        f = term if f is None else f + term
-    return f
-
-
-def _lean_unb_odd(g, sigma, p):
-    """Unbalanced odd cells rebuilt over GF(4) for induction."""
-    _, ga, gb = p.entries
-    k = (sigma - 1) // 2
-    ka = min(ga, k)
-    kb = k - ka
-    f2 = _lean_pack(ga, ka)
-    f3 = _lean_pack(gb, kb, avoid=f2.pole_divisor().places())
-    return (KleinFourCover(f2, f3),
-            Recipe("UNB_ODD", {"k1": ka, "k2": kb, "variant": 1}))
-
-
-def _lean_unb_even(g, sigma):
-    """{g/2, g/2, 0} cells rebuilt over GF(4) for induction.
-
-    The genus-0 quotient reuses one simple rational part of the big pack
-    with a twisted coefficient, so the third quotient keeps the same pole
-    shape as the first.
-    """
-    k = sigma // 2
-    h = g // 2
-    F = GF4
-    pack = _lean_pack(h - 1, k - 1, avoid={Place(_x_plus(F, 0))})
-    f1 = pack + _inv_pk(_x_plus(F, 0), 1)
-    f2 = _inv_pk(_x_plus(F, 0), 1, _alpha(F))
-    return (KleinFourCover(f1, f2),
-            Recipe("UNB_EVEN", {"k1": k, "variant": 1}))
 
 
 # -- normalization and induction ---------------------------------------------
@@ -556,7 +452,10 @@ def construct(g, sigma, p):
     return cover, recipe
 
 
-def _dispatch(g, sigma, p, for_induction=False):
+def _dispatch(g, sigma, p):
+    g1, g2, g3 = p.entries
+    if sigma >= 3 and sigma % 2 and 2 * g1 == g + 1:
+        return construct_unbalanced_odd(g, sigma, p)
     if sigma == 0:
         return construct_sigma0(p)
     if sigma == 1:
@@ -564,26 +463,16 @@ def _dispatch(g, sigma, p, for_induction=False):
     if sigma == 2:
         return _construct_sigma2(p)
     if sigma == 3:
-        if for_induction and any(2 * e == g + 1 for e in p):
-            return _lean_unb_odd(g, 3, p)
         return _construct_sigma3(p)
     if sigma == 4:
         return _construct_sigma4(p)
     if sigma == 5:
-        return _construct_sigma5(g, p, for_induction)
-    g1, g2, g3 = p.entries
-    if 2 * g1 == g + 1:
-        if for_induction:
-            return _lean_unb_odd(g, sigma, p)
-        return construct_unbalanced_odd(g, sigma, p)
+        return _construct_sigma5(p)
     if g3 == 0:
-        if for_induction:
-            return _lean_unb_even(g, sigma)
         return construct_unbalanced_even(g, sigma)
     if 2 * g1 == g - 1 and sigma % 2 == 0:
         return construct_half_minus(g, sigma, p)
     phat = Partition(g1 - 1, g2 - 1, g3 - 1)
-    base_cover, base_recipe = _dispatch(g - 3, sigma - 3, phat,
-                                        for_induction=True)
+    base_cover, base_recipe = _dispatch(g - 3, sigma - 3, phat)
     cover, params = _inducted(base_cover)
     return cover, Recipe("INDUCT", params, base=base_recipe)

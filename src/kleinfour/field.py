@@ -30,16 +30,6 @@ def _deg2(p):
     return p.bit_length() - 1
 
 
-def _mul2(a, b):
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
 def _mod2(a, b):
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
@@ -286,9 +276,6 @@ class BinaryField:
             if self.trace(v) == 1:
                 return v
         raise AssertionError("unreachable: trace is onto GF(2)")
-
-    def all_bits(self):
-        return range(self.order)
 
     def log_tables(self):
         """(log, exp) with exp[k] = g^k for the smallest primitive element g.

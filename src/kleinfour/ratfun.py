@@ -58,10 +58,6 @@ class PoleDivisor:
     def places(self):
         return {pl for (pl, _) in self.entries}
 
-    def geometric_count(self):
-        """Number of geometric poles: sum of place degrees."""
-        return sum(pl.degree for (pl, _) in self.entries)
-
     def __str__(self):
         if not self.entries:
             return "(none)"
@@ -103,13 +99,6 @@ class RatFun:
     @classmethod
     def zero(cls, field):
         return cls(Poly.zero(field), Poly.one(field))
-
-    @classmethod
-    def x_power(cls, field, k):
-        """x^k as a rational function (k may be negative)."""
-        if k >= 0:
-            return cls(Poly.monomial(field, k), Poly.one(field))
-        return cls(Poly.one(field), Poly.monomial(field, -k))
 
     @classmethod
     def pole_at(cls, place_poly, order, c=1):

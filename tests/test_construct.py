@@ -60,6 +60,93 @@ def test_make_hyperelliptic_contract(rng):
         assert all(n % 2 == 1 for (_, n) in f.pole_divisor())
 
 
+def _places_of_degree(q, d):
+    # necklace count of monic irreducibles of degree d over GF(q)
+    def mobius(n):
+        sign, k = 1, 2
+        while k * k <= n:
+            if n % k == 0:
+                n //= k
+                if n % k == 0:
+                    return 0
+                sign = -sign
+            k += 1
+        return -sign if n > 1 else sign
+    return sum(mobius(e) * q ** (d // e)
+               for e in range(1, d + 1) if d % e == 0) // d
+
+
+def _has_room(q, h, s, avoided_by_degree, at_infinity, infinity_avoided):
+    """Whether places of P^1 over GF(q) outside the avoided ones can carry
+    the poles of a genus-h, 2-rank-s pack, judged from place counts."""
+    free = {d: _places_of_degree(q, d) - avoided_by_degree.get(d, 0)
+            for d in range(1, s + 2)}
+    budget = s
+    if at_infinity:
+        if infinity_avoided:
+            return False
+    elif h > s:
+        if free[1] == 0:
+            return False
+        free[1] -= 1
+    else:
+        budget = s + 1
+    reach = {0}
+    for d, n in free.items():
+        for _ in range(min(n, budget // d)):
+            reach |= {t + d for t in reach if t + d <= budget}
+    return budget in reach
+
+
+@pytest.mark.parametrize("field", [GF2, GF4], ids=str)
+def test_make_hyperelliptic_contract_with_avoid(rng, field):
+    from kleinfour.ascurve import ASCurve
+    from kleinfour.poly import monic_irreducibles
+    from kleinfour.ratfun import INFINITY, Place
+    small = [Place(q) for q in monic_irreducibles(field, 2)]
+    rational = [pl for pl in small if pl.degree == 1]
+    quadratic = [pl for pl in small if pl.degree == 2]
+    refused = 0
+    for _ in range(60):
+        h = rng.randrange(7)
+        s = rng.randrange(h + 1)
+        at_inf = rng.random() < 0.5
+        # any rational points, and at most half the places of degree 2, so
+        # places of degree 2 and 3 can fill every budget above 1
+        avoid = {pl for pl in rational if rng.random() < 0.5}
+        avoid |= set(rng.sample(quadratic,
+                                rng.randrange(len(quadratic) // 2 + 1)))
+        if rng.random() < 0.2:
+            avoid.add(INFINITY)
+        room = _has_room(field.order, h, s,
+                         {1: len(avoid & set(rational)),
+                          2: len(avoid & set(quadratic))},
+                         at_inf, INFINITY in avoid)
+        try:
+            f = make_hyperelliptic(h, s, avoid=frozenset(avoid),
+                                   at_infinity=at_inf, field=field)
+        except ValueError:
+            assert not room, (h, s, at_inf, sorted(map(str, avoid)))
+            refused += 1
+            continue
+        assert room
+        assert f.field == field
+        assert ASCurve(f).invariants == (h, s)
+        places = f.pole_divisor().places()
+        assert not places & avoid
+        assert (INFINITY in places) == at_inf
+        assert all(n % 2 == 1 for (_, n) in f.pole_divisor())
+    assert 0 < refused < 60
+
+
+def test_make_hyperelliptic_refuses_a_full_field():
+    from kleinfour.ratfun import Place
+    avoid = {Place(parse_ratfun(GF2, "x").num),
+             Place(parse_ratfun(GF2, "x+1").num)}
+    with pytest.raises(ValueError, match="rational"):
+        make_hyperelliptic(2, 1, avoid=avoid, at_infinity=False, field=GF2)
+
+
 def test_make_hyperelliptic_avoid(rng):
     f1 = make_hyperelliptic(3, 2)
     avoid = f1.pole_divisor().places()
@@ -204,3 +291,22 @@ def test_recipe_json_roundtrip():
     assert doc["lemma"] == recipe.lemma
     tags = recipe.tags()
     assert tags[0] == "INDUCT" or tags[0] in {"UNB_ODD", "HALF_MINUS"}
+
+
+# GF(16) witnesses per genus before make_hyperelliptic stopped doubling
+# the field: a bound, not a target
+GF16_WITNESSES_BEFORE = {13: 4, 14: 5, 15: 11, 16: 13}
+
+
+def test_witness_fields_from_genus_13():
+    for g, before in GF16_WITNESSES_BEFORE.items():
+        over_gf16 = 0
+        for p in partitions_of(g):
+            for s in range(g + 1):
+                if not realizable(g, s, p).exists:
+                    continue
+                cover, recipe = construct(g, s, p)
+                if "INDUCT" not in recipe.tags():
+                    assert cover.field.degree <= 2, (g, s, p, recipe.tags())
+                over_gf16 += cover.field.degree > 2
+        assert over_gf16 <= before, (g, over_gf16)

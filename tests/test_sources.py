@@ -1,10 +1,12 @@
 """Static checks on the sources: the oldest supported Python parses them,
-and every lru_cache in the package is bounded."""
+every lru_cache in the package is bounded, and every function in it is
+used somewhere."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,31 @@ def test_every_lru_cache_is_bounded():
     unbounded = [name for name, cache in caches.items()
                  if cache.cache_parameters()["maxsize"] is None]
     assert not unbounded, f"unbounded caches: {unbounded}"
+
+
+def defined_functions():
+    """{name: {(path, line)}} for every function and method defined in the
+    kleinfour package, dunders excluded."""
+    defs = {}
+    for path in sorted((ROOT / "src" / "kleinfour").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))):
+                defs.setdefault(node.name, set()).add((path, node.lineno))
+    return defs
+
+
+def test_every_function_is_used():
+    # a name that appears only on its own def lines is dead code
+    lines = [(path, number, line)
+             for top in ("src", "tests", "bench")
+             for path in sorted((ROOT / top).rglob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)]
+    dead = []
+    for name, def_lines in sorted(defined_functions().items()):
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(word.search(line) for path, number, line in lines
+                   if (path, number) not in def_lines):
+            dead.append(name)
+    assert not dead, f"functions never referenced: {dead}"
