@@ -13,7 +13,6 @@ import json
 import os
 import sys
 
-from . import poly
 from .ascurve import ASCurve, DegenerateCover
 from .census import CensusViolation, run_census
 from .construct import NotRealizable, construct
@@ -177,7 +176,8 @@ def build_parser():
                     "characteristic 2: realizability, witnesses, and "
                     "point-count verification.")
     ap.add_argument("--seed", type=int, default=0,
-                    help="seed for factorization-internal randomness")
+                    help="accepted for compatibility and ignored: output "
+                         "does not depend on it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="is (g, sigma[, type]) realizable?")
@@ -228,7 +228,6 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    poly.set_default_seed(args.seed)
     try:
         return args.func(args)
     except (InvalidPartition, InvalidCover, DegenerateCover, ValueError,

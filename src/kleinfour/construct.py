@@ -4,7 +4,9 @@ Each small 2-rank has its own scheme of defining pairs built from monomial
 poles at 0, 1, infinity (and, when a fourth rational point is needed, the
 generator of GF(4)); 2-ranks of 6 and above reduce by 3 through the
 induction f1 -> f1 + x, f2 -> f2 + a*x, which raises every quotient genus
-by 1 and the 2-rank by 3.  Every witness is checked against its target
+by 1 and the 2-rank by 3.  The induction chain (lift, move the poles off
+infinity, add x and a*x) runs on the defining pair itself, so each level
+builds one KleinFourCover.  Every witness is checked against its target
 invariants before it is returned; a failure raises InternalMismatch and
 means a bug, not bad input.  Hyperelliptic pole packs come from one
 builder, make_hyperelliptic, over the field it is given.
@@ -72,11 +74,6 @@ def _inv_xk(F, k, c=1):
     return RatFun(Poly.const(F, c), Poly.monomial(F, k))
 
 
-def _inv_pk(place_poly, k, c=1):
-    """c / place^k for a monic linear-or-higher place polynomial."""
-    return RatFun.pole_at(place_poly, k, c)
-
-
 def _x_plus(F, cbits):
     return Poly.make(F, (cbits, 1))
 
@@ -86,13 +83,11 @@ def _alpha(F):
     return field_embedding(GF4, F)(2)
 
 
-def lift_cover(cover, target):
-    """Re-express a cover over a larger field."""
-    emb = field_embedding(cover.field, target)
-    def lift(f):
-        return RatFun(f.num.map_field(target, emb),
-                      f.den.map_field(target, emb))
-    return KleinFourCover(lift(cover.f1), lift(cover.f2))
+def lift_pair(pair, target):
+    """Re-express a defining pair (f1, f2) over a larger field."""
+    emb = field_embedding(pair[0].field, target)
+    return tuple(RatFun(f.num.map_field(target, emb),
+                        f.den.map_field(target, emb)) for f in pair)
 
 
 # -- pole packs (hyperelliptic building blocks) -----------------------------
@@ -127,15 +122,8 @@ def make_hyperelliptic(h, s, avoid=frozenset(), at_infinity=True, field=GF2):
     if at_infinity and INFINITY in avoid:
         raise ValueError("asked for a pole at infinity while avoiding it")
     avoid_polys = {pl.poly for pl in avoid if pl.poly is not None}
-    rational = [q for c in range(field.order)
+    rational = [Place(q) for c in range(field.order)
                 if (q := _x_plus(field, c)) not in avoid_polys]
-    pool = []
-    for q in monic_irreducibles(field, max(s + 1, 2)):
-        if q.degree == 1 or q in avoid_polys:
-            continue
-        pool.append(Place(q))
-        if sum(pl.degree for pl in pool) >= 3 * (s + 2):
-            break
     deep = 2 * (h - s) + 1
     budget = s
     if at_infinity:
@@ -144,16 +132,27 @@ def make_hyperelliptic(h, s, avoid=frozenset(), at_infinity=True, field=GF2):
         if not rational:
             raise ValueError(f"no free rational point of {field} for the "
                              f"pole of order {deep}")
-        f = _inv_pk(rational.pop(0), deep)
+        f = RatFun.pole_at(rational.pop(0).poly, deep)
     else:
         f = RatFun.zero(field)
         budget = s + 1
-    chosen = _fill_degrees(pool + [Place(q) for q in rational], budget)
-    if chosen is None:
-        raise ValueError(f"no room in {field} for simple poles of total "
-                         f"degree {budget}")
+    # the pool is a short ascending run of places of degree 2 and more; it
+    # widens, in the same order, only when it cannot fill the budget
+    wider = (Place(q) for q in monic_irreducibles(field, max(budget, 2))
+             if q.degree > 1 and q not in avoid_polys)
+    pool = []
+    for pl in wider:
+        pool.append(pl)
+        if sum(q.degree for q in pool) >= 3 * (s + 2):
+            break
+    while (chosen := _fill_degrees(pool + rational, budget)) is None:
+        pl = next(wider, None)
+        if pl is None:
+            raise ValueError(f"no room in {field} for simple poles of total "
+                             f"degree {budget}")
+        pool.append(pl)
     for pl in chosen:
-        f = f + _inv_pk(pl.poly, 1)
+        f = f + RatFun.pole_at(pl.poly, 1)
     return f
 
 
@@ -223,7 +222,7 @@ def _construct_sigma4(p):
         c = 2 * (g2 + g3 - g1) + 1
         if a > c:
             F = GF2
-            f1 = _xk(F, a) + _inv_xk(F, b) + _inv_pk(_x_plus(F, 1), 1)
+            f1 = _xk(F, a) + _inv_xk(F, b) + RatFun.pole_at(_x_plus(F, 1), 1)
             f3 = _xk(F, c) + _inv_xk(F, b)
             return (KleinFourCover(f1, f1 + f3),
                     Recipe("S4a", {"a": a, "b": b, "c": c}))
@@ -233,7 +232,7 @@ def _construct_sigma4(p):
         top = 2 * (g2 + g3 - g1) + 1
         u = 2 * (g1 - g3) - 1
         v = 2 * (g1 - g2) - 1
-        f1 = _xk(F, top) + _inv_xk(F, u) + _inv_pk(_x_plus(F, 1), v)
+        f1 = _xk(F, top) + _inv_xk(F, u) + RatFun.pole_at(_x_plus(F, 1), v)
         f2 = _xk(F, top, 2) + _inv_xk(F, u)
         return (KleinFourCover(f1, f2),
                 Recipe("S4a", {"a": top, "b": u, "c": v, "variant": 1}))
@@ -242,18 +241,18 @@ def _construct_sigma4(p):
         b = 2 * g3 - 3
         F = GF2
         f1 = _xk(F, a) + _inv_xk(F, 1)
-        f3 = _xk(F, b) + _inv_xk(F, 1) + _inv_pk(_x_plus(F, 1), 1)
+        f3 = _xk(F, b) + _inv_xk(F, 1) + RatFun.pole_at(_x_plus(F, 1), 1)
         return KleinFourCover(f1, f1 + f3), Recipe("S4b", {"a": a, "b": b})
     if g3 == 0:
         # {g/2, g/2, 0}, g even
         F = GF4
-        f1 = _xk(F, g - 3) + _inv_xk(F, 1) + _inv_pk(_x_plus(F, 1), 1)
+        f1 = _xk(F, g - 3) + _inv_xk(F, 1) + RatFun.pole_at(_x_plus(F, 1), 1)
         f2 = _xk(F, 1, 2)
         return KleinFourCover(f1, f2), Recipe("S4c", {"a": g - 3})
     # {(g-1)/2, (g-1)/2, 1}, g odd >= 7; the second function must be a
     # cubic, not linear, to keep its quotient at genus 1
     F = GF4
-    f1 = _xk(F, g - 4) + _inv_xk(F, 1) + _inv_pk(_x_plus(F, 1), 1)
+    f1 = _xk(F, g - 4) + _inv_xk(F, 1) + RatFun.pole_at(_x_plus(F, 1), 1)
     f2 = _xk(F, 3, 2)
     return (KleinFourCover(f1, f2),
             Recipe("S4d", {"a": g - 4, "c": 3, "corrected": 1}))
@@ -266,15 +265,15 @@ def _construct_sigma5(p):
         if a % 2 == 1:
             F = GF4
             f1 = _xk(F, a) + _inv_xk(F, a)
-            f2 = (_xk(F, a) + _inv_pk(_x_plus(F, 1), a - 2)
-                  + _inv_pk(_x_plus(F, 2), 1))
+            f2 = (_xk(F, a) + RatFun.pole_at(_x_plus(F, 1), a - 2)
+                  + RatFun.pole_at(_x_plus(F, 2), 1))
             return KleinFourCover(f1, f2), Recipe("S5bal", {"a": a})
         # even a: partial cancellation at two points, all over GF(2)
         F = GF2
         f1 = (_xk(F, 1) + _inv_xk(F, a - 1)
-              + _inv_pk(_x_plus(F, 1), a - 1))
+              + RatFun.pole_at(_x_plus(F, 1), a - 1))
         f2 = (_xk(F, 1) + _inv_xk(F, a - 3)
-              + _inv_pk(_x_plus(F, 1), a + 1))
+              + RatFun.pole_at(_x_plus(F, 1), a + 1))
         return (KleinFourCover(f1, f2),
                 Recipe("S5bal", {"a": a, "variant": 1}))
     phat = Partition(g1 - 1, g2 - 1, g3 - 1)
@@ -372,64 +371,55 @@ def construct_half_minus(g, sigma, p):
 
 # -- normalization and induction ---------------------------------------------
 
-def normalize_infinity(cover):
-    """Mobius-move so that no defining function has a pole at infinity.
+def normalize_infinity(pair):
+    """Mobius-move so that neither defining function has a pole at infinity.
 
     Substitutes x -> beta + 1/x for the smallest field point beta that is
-    a pole of none of the three functions, extending the base field when
-    every point is taken.  Returns (cover, beta_bits); invariants and type
-    are untouched.
+    a pole of neither f1 nor f2 (a pole of f1 + f2 is a pole of one of
+    them), extending the base field when every point is taken.  Returns
+    (pair, beta_bits); invariants and type are untouched.
     """
-    has_inf = any(f.num.degree > f.den.degree
-                  for f in (cover.f1, cover.f2, cover.f3))
-    if not has_inf:
-        return cover, None
-    work = cover
+    if all(f.num.degree <= f.den.degree for f in pair):
+        return pair, None
     while True:
-        F = work.field
-        dens = (work.f1.den, work.f2.den, work.f3.den)
-        beta = None
-        for b in range(F.order):
-            if all(d.eval_at(b) != 0 for d in dens):
-                beta = b
-                break
-        if beta is not None:
-            f1 = work.f1.mobius(beta, 1, 1, 0)
-            f2 = work.f2.mobius(beta, 1, 1, 0)
-            return KleinFourCover(f1, f2), beta
-        work = lift_cover(work, BinaryField.default(F.degree * 2))
+        F = pair[0].field
+        for beta in range(F.order):
+            if all(f.den.eval_at(beta) != 0 for f in pair):
+                return tuple(f.mobius(beta, 1, 1, 0) for f in pair), beta
+        pair = lift_pair(pair, BinaryField.default(F.degree * 2))
 
 
-def induct_step(cover):
+def induct_step(pair):
     """From (g, sigma, {g1,g2,g3}) to (g+3, sigma+3, {g1+1,g2+1,g3+1}).
 
     Adds x, a*x and (a+1)*x to the three defining functions; each quotient
-    picks up one more simple pole at infinity.  The cover must have no
-    pole at infinity already and must live over a field containing GF(4).
+    picks up one more simple pole at infinity.  Neither function of the
+    pair may have a pole at infinity already, and they must live over a
+    field containing GF(4).
     """
-    if cover.field.degree % 2:
+    f1, f2 = pair
+    F = f1.field
+    if F.degree % 2:
         raise ValueError("induction needs the GF(4) generator; lift first")
-    for f in (cover.f1, cover.f2, cover.f3):
-        if f.num.degree > f.den.degree:
-            raise ValueError(
-                "a defining function has a pole at infinity; apply "
-                "normalize_infinity first")
-    F = cover.field
-    alpha = _alpha(F)
-    return KleinFourCover(cover.f1 + _xk(F, 1),
-                          cover.f2 + _xk(F, 1, alpha))
+    if any(f.num.degree > f.den.degree for f in pair):
+        raise ValueError(
+            "a defining function has a pole at infinity; apply "
+            "normalize_infinity first")
+    return f1 + _xk(F, 1), f2 + _xk(F, 1, _alpha(F))
 
 
 def _inducted(base_cover):
-    """Lift, normalize, and induct; returns (cover, recipe params)."""
-    work = base_cover
-    if work.field.degree % 2:
-        work = lift_cover(work, BinaryField.default(work.field.degree * 2))
+    """Lift, normalize, and induct the base's defining pair; returns
+    (cover, recipe params), building the one cover of this level."""
+    pair = (base_cover.f1, base_cover.f2)
+    F = base_cover.field
+    if F.degree % 2:
+        pair = lift_pair(pair, BinaryField.default(F.degree * 2))
     params = {}
-    work, beta = normalize_infinity(work)
+    pair, beta = normalize_infinity(pair)
     if beta is not None:
         params["n0"] = beta
-    return induct_step(work), params
+    return KleinFourCover(*induct_step(pair)), params
 
 
 # -- the dispatcher -----------------------------------------------------------

@@ -5,9 +5,9 @@ no trailing zeros; the empty tuple is the zero polynomial, whose degree is -1.
 
 Factorization runs squarefree / distinct-degree / equal-degree stages.  The
 equal-degree splitting in characteristic 2 uses the absolute trace map; its
-internal randomness is drawn from a Random seeded by DEFAULT_SEED (settable
-from the CLI) combined with the polynomial itself, so results never depend
-on call order.  The sorted factor list is unique regardless of seed.
+internal randomness is drawn from a Random seeded by the polynomial itself,
+so results never depend on call order.  The sorted factor list is unique
+whatever the random stream.
 """
 
 from __future__ import annotations
@@ -17,13 +17,6 @@ import random
 from dataclasses import dataclass
 
 from .field import BinaryField
-
-DEFAULT_SEED = 0
-
-
-def set_default_seed(seed):
-    global DEFAULT_SEED
-    DEFAULT_SEED = seed
 
 
 @dataclass(frozen=True)
@@ -313,11 +306,11 @@ def _edf(f, d, rng):
 # censuses together factor 111 distinct polynomials; an entry holds a
 # polynomial and its factors, a few hundred bytes at these degrees.
 @functools.lru_cache(maxsize=1 << 14)
-def _factor_cached(p, seed):
+def _factor_cached(p):
     F = p.field
     # tuples of ints hash reproducibly, so the stream depends only on the
-    # seed and the polynomial, never on call order
-    rng = random.Random(hash((seed, F.degree, F.modulus, p.coeffs)))
+    # polynomial, never on call order
+    rng = random.Random(hash((F.degree, F.modulus, p.coeffs)))
     out = []
     for (sq, mult) in _sqf_decompose(p.monic()):
         for (block, d) in _ddf(sq):
@@ -327,7 +320,7 @@ def _factor_cached(p, seed):
     return tuple(out)
 
 
-def factor(p, seed=None):
+def factor(p):
     """Monic irreducible factors with multiplicities, sorted.
 
     The product of the factors equals p up to the leading coefficient.
@@ -336,7 +329,7 @@ def factor(p, seed=None):
         raise ValueError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    return list(_factor_cached(p, DEFAULT_SEED if seed is None else seed))
+    return list(_factor_cached(p))
 
 
 def is_irreducible(p):

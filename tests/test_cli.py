@@ -196,6 +196,11 @@ def test_hyperelliptic(capsys):
 def test_seed_flag_accepted(capsys):
     code, _ = run_json(capsys, "--seed", "7", "invariants", "-f", "x^3")
     assert code == 0
+    # --seed is a no-op: the output is the same bytes without it
+    code, seeded, _ = run(capsys, "--seed", "7", "table", "-g", "6", "--json")
+    assert code == 0
+    code, plain, _ = run(capsys, "table", "-g", "6", "--json")
+    assert code == 0 and seeded == plain
 
 
 # sha256 of two verify outputs, as printed by the oracle that evaluated each

@@ -1,10 +1,14 @@
+import hashlib
+import importlib
+import json
+
 import pytest
 
 from kleinfour.construct import (NotRealizable, construct,
                                  construct_half_minus, construct_sigma0,
                                  construct_unbalanced_even,
                                  construct_unbalanced_odd, induct_step,
-                                 lift_cover, make_hyperelliptic,
+                                 lift_pair, make_hyperelliptic,
                                  normalize_infinity)
 from kleinfour.field import GF2, GF4, BinaryField
 from kleinfour.klein4 import KleinFourCover, Partition, partitions_of
@@ -111,11 +115,11 @@ def test_make_hyperelliptic_contract_with_avoid(rng, field):
         h = rng.randrange(7)
         s = rng.randrange(h + 1)
         at_inf = rng.random() < 0.5
-        # any rational points, and at most half the places of degree 2, so
-        # places of degree 2 and 3 can fill every budget above 1
+        # any rational points and any number of the places of degree 2, up
+        # to all of them, so some budgets need places of degree 3 and more
         avoid = {pl for pl in rational if rng.random() < 0.5}
         avoid |= set(rng.sample(quadratic,
-                                rng.randrange(len(quadratic) // 2 + 1)))
+                                rng.randrange(len(quadratic) + 1)))
         if rng.random() < 0.2:
             avoid.add(INFINITY)
         room = _has_room(field.order, h, s,
@@ -145,6 +149,19 @@ def test_make_hyperelliptic_refuses_a_full_field():
              Place(parse_ratfun(GF2, "x+1").num)}
     with pytest.raises(ValueError, match="rational"):
         make_hyperelliptic(2, 1, avoid=avoid, at_infinity=False, field=GF2)
+
+
+def test_make_hyperelliptic_past_its_first_pool():
+    # every place of degree 1 and 2 avoided: the first pool holds only
+    # places of degree 3, and the budget of 4 needs one of degree 4
+    from kleinfour.ascurve import ASCurve
+    from kleinfour.poly import monic_irreducibles
+    from kleinfour.ratfun import Place
+    avoid = frozenset(Place(q) for q in monic_irreducibles(GF4, 2))
+    assert len(avoid) == 10
+    f = make_hyperelliptic(3, 3, avoid, at_infinity=False, field=GF4)
+    assert ASCurve(f).invariants == (3, 3)
+    assert not f.pole_divisor().places() & avoid
 
 
 def test_make_hyperelliptic_avoid(rng):
@@ -200,19 +217,20 @@ def test_sigma0_schemes():
 
 
 def test_induct_step_examples():
-    c0 = KleinFourCover(parse_ratfun(GF4, "1/x"), parse_ratfun(GF4, "a/(x)"))
-    c1 = induct_step(c0)
+    p0 = (parse_ratfun(GF4, "1/x"), parse_ratfun(GF4, "a/(x)"))
+    p1 = induct_step(p0)
+    c1 = KleinFourCover(*p1)
     assert c1.type == Partition(1, 1, 1) and c1.invariants == (3, 3)
-    c1n, _ = normalize_infinity(c1)
-    c2 = induct_step(c1n)
+    p1n, _ = normalize_infinity(p1)
+    c2 = KleinFourCover(*induct_step(p1n))
     assert c2.type == Partition(2, 2, 2) and c2.invariants == (6, 6)
 
 
 def test_induct_step_preconditions():
-    over_f2 = KleinFourCover(parse_ratfun(GF2, "1/x"), parse_ratfun(GF2, "1/(x+1)"))
+    over_f2 = (parse_ratfun(GF2, "1/x"), parse_ratfun(GF2, "1/(x+1)"))
     with pytest.raises(ValueError, match="GF"):
         induct_step(over_f2)
-    with_inf = KleinFourCover(parse_ratfun(GF4, "x"), parse_ratfun(GF4, "a*x"))
+    with_inf = (parse_ratfun(GF4, "x"), parse_ratfun(GF4, "a*x"))
     with pytest.raises(ValueError, match="infinity"):
         induct_step(with_inf)
 
@@ -224,31 +242,39 @@ def test_induct_coherence_random(rng):
         c = rand_cover(rng, GF4, max_deg=4)
         base_g, base_s = c.invariants
         base_type = c.type
-        work, _ = normalize_infinity(c)
-        if work.field.degree % 2:
-            work = lift_cover(work, BinaryField.default(work.field.degree * 2))
-        if work.field.degree > 4:
+        work, _ = normalize_infinity((c.f1, c.f2))
+        F = work[0].field
+        if F.degree % 2:
+            work = lift_pair(work, BinaryField.default(F.degree * 2))
+        if work[0].field.degree > 4:
             continue
         done += 1
-        stepped = induct_step(work)
+        stepped = KleinFourCover(*induct_step(work))
         assert stepped.invariants == (base_g + 3, base_s + 3)
         assert stepped.type == Partition(*(e + 1 for e in base_type.entries))
 
 
 def test_normalize_infinity():
-    c = KleinFourCover(parse_ratfun(GF4, "x"), parse_ratfun(GF4, "a*x"))
-    cn, beta = normalize_infinity(c)
+    pair = (parse_ratfun(GF4, "x"), parse_ratfun(GF4, "a*x"))
+    moved, beta = normalize_infinity(pair)
     assert beta == 0
+    cn = KleinFourCover(*moved)
     assert cn.type == Partition(0, 0, 0)
     assert all(f.num.degree <= f.den.degree for f in (cn.f1, cn.f2, cn.f3))
 
-    c = KleinFourCover(parse_ratfun(GF4, "x^3 + 1/x"),
-                       parse_ratfun(GF4, "a*x^3 + 1/x"))
-    cn, beta = normalize_infinity(c)
+    pair = (parse_ratfun(GF4, "x^3 + 1/x"), parse_ratfun(GF4, "a*x^3 + 1/x"))
+    moved, beta = normalize_infinity(pair)
     assert beta == 1  # 0 is a pole, 1 is the smallest free point
-    assert cn.invariants == (5, 2)
+    assert KleinFourCover(*moved).invariants == (5, 2)
 
-    no_inf = KleinFourCover(parse_ratfun(GF2, "1/x"), parse_ratfun(GF2, "1/(x+1)"))
+    # every point of GF(2) is a pole, so the pair moves over GF(4)
+    pair = (parse_ratfun(GF2, "x^3 + 1/x"), parse_ratfun(GF2, "1/(x+1)"))
+    moved, beta = normalize_infinity(pair)
+    assert beta == 2 and moved[0].field == moved[1].field == GF4
+    c, cn = KleinFourCover(*pair), KleinFourCover(*moved)
+    assert (cn.invariants, cn.type) == (c.invariants, c.type)
+
+    no_inf = (parse_ratfun(GF2, "1/x"), parse_ratfun(GF2, "1/(x+1)"))
     same, beta = normalize_infinity(no_inf)
     assert beta is None and same is no_inf
 
@@ -310,3 +336,48 @@ def test_witness_fields_from_genus_13():
                     assert cover.field.degree <= 2, (g, s, p, recipe.tags())
                 over_gf16 += cover.field.degree > 2
         assert over_gf16 <= before, (g, over_gf16)
+
+
+def _realizable_cells(max_g):
+    for g in range(max_g + 1):
+        for p in partitions_of(g):
+            for s in range(g + 1):
+                if realizable(g, s, p).exists:
+                    yield g, s, p
+
+
+# sha256 over the witness and recipe JSON of the 255 realizable cells with
+# g <= 12, in the order of _realizable_cells; recorded while the induction
+# chain still ran on reduced covers, so running it on the unreduced pair
+# must change no witness
+WITNESSES_SHA256_G12 = (
+    "c63503ffce820ee51209d97ea1cda4e3f1700bc236db10605c7689f5bb1df993")
+
+
+def test_witnesses_pinned_through_g12():
+    digest = hashlib.sha256()
+    cells = 0
+    for g, s, p in _realizable_cells(12):
+        cover, recipe = construct(g, s, p)
+        digest.update(json.dumps({"w": cover.to_json(),
+                                  "r": recipe.to_json()},
+                                 sort_keys=True).encode())
+        cells += 1
+    assert cells == 255
+    assert digest.hexdigest() == WITNESSES_SHA256_G12
+
+
+def test_one_cover_per_induction_level(monkeypatch):
+    module = importlib.import_module("kleinfour.construct")
+    built = []
+
+    def counting(f1, f2):
+        built.append((f1, f2))
+        return KleinFourCover(f1, f2)
+
+    monkeypatch.setattr(module, "KleinFourCover", counting)
+    for g, s, p in _realizable_cells(12):
+        built.clear()
+        _, recipe = construct(g, s, p)
+        levels = sum(t in ("INDUCT", "S5gen") for t in recipe.tags())
+        assert len(built) == 1 + levels, (g, s, p, recipe.tags())

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from kleinfour.field import GF2, GF4, BinaryField, _is_irreducible2
-from kleinfour.poly import (Poly, ext_gcd, factor, field_embedding, gcd,
-                            invmod, is_irreducible, monic_irreducibles, roots)
+from kleinfour.poly import (Poly, _edf, ext_gcd, factor, field_embedding,
+                            gcd, invmod, is_irreducible, monic_irreducibles,
+                            roots)
 
 x2 = Poly.x(GF2)
 one2 = Poly.one(GF2)
@@ -60,8 +63,16 @@ def test_factor_roundtrip_random_gf4(rng):
 
 
 def test_factor_deterministic_across_seeds():
-    p = Poly.make(GF4, [3, 1, 2, 0, 1, 1])
-    assert factor(p, seed=0) == factor(p, seed=1) == factor(p, seed=12345)
+    # the equal-degree split draws random polynomials; the sorted factors
+    # it returns must not depend on the stream they come from
+    quadratics = [q for q in monic_irreducibles(GF4, 2) if q.degree == 2]
+    block = quadratics[0] * quadratics[2] * quadratics[5]
+    splits = [sorted(_edf(block, 2, random.Random(seed)),
+                     key=Poly.sort_key)
+              for seed in (0, 1, 12345)]
+    assert splits[0] == splits[1] == splits[2]
+    assert splits[0] == [q for q, _ in factor(block)]
+    assert splits[0] == [quadratics[0], quadratics[2], quadratics[5]]
 
 
 def test_repeated_factors():

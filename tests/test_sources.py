@@ -1,6 +1,6 @@
 """Static checks on the sources: the oldest supported Python parses them,
-every lru_cache in the package is bounded, and every function in it is
-used somewhere."""
+every lru_cache in the package is bounded, every function in it is used
+somewhere, and no module rebinds its own state at run time."""
 
 import ast
 import importlib
@@ -82,3 +82,13 @@ def test_every_function_is_used():
                    if (path, number) not in def_lines):
             dead.append(name)
     assert not dead, f"functions never referenced: {dead}"
+
+
+def test_no_global_statements():
+    # module state is set once at import; a `global` rebinding would make
+    # results depend on what ran before
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "kleinfour").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Global)]
+    assert not found, f"global statements: {found}"
