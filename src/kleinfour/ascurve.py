@@ -46,9 +46,16 @@ def reduce_form(f):
     polynomial part carry no even-order terms, and the constant is trace
     normalized.  May be constant; callers decide what that means.
     """
-    F = f.field
     poly_part, parts = principal_parts(f)
+    return canonical_form(f.field, poly_part, parts)
 
+
+def canonical_form(F, poly_part, parts):
+    """The canonical form (see `reduce_form`) of the function with
+    polynomial part `poly_part` and principal parts `parts`, as
+    `principal_parts` returns them: each even-order term is traded for
+    odd-order ones by an h^2 + h shift, and the constant is trace
+    normalized."""
     new_parts = {}
     for q, rs in parts.items():
         r = [None] + list(rs)  # 1-indexed pole orders

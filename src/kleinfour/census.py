@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from itertools import compress
 
 from . import poly
-from .ascurve import PackedLayout, _pack, place_terms, reduce_form
+from .ascurve import PackedLayout, _pack, canonical_form, place_terms
 from .klein4 import KleinFourCover, Partition
 from .poly import Poly
-from .ratfun import RatFun
+from .ratfun import RatFun, partial_fractions, place_inverses
 from .realize import realizable
 
 
@@ -119,10 +119,23 @@ def enumerate_functions(field, max_deg):
 
 def basis_forms(den, n):
     """reduce_form(2^b x^i / den) for i < n and every bit b of a field
-    element, at index i*m + b: the numerator code with only that bit set."""
+    element, at index i*m + b: the numerator code with only that bit set.
+
+    den is factored once, with one CRT inverse per place, and x^i / den
+    split into partial fractions once per i.  Partial fractions are
+    F-linear, so 2^b x^i / den has those parts scaled by 2^b; only the
+    canonicalisation, which is not, runs per basis element."""
     F = den.field
-    return [reduce_form(RatFun(Poly.monomial(F, i, 1 << b), den))
-            for i in range(n) for b in range(F.degree)]
+    places = place_inverses(den)
+    forms = []
+    for i in range(n):
+        poly_part, parts = partial_fractions(Poly.monomial(F, i), den, places)
+        for b in range(F.degree):
+            c = 1 << b
+            forms.append(canonical_form(
+                F, poly_part.scale(c),
+                {q: [r.scale(c) for r in rs] for q, rs in parts.items()}))
+    return forms
 
 
 def _packed_functions(field, max_deg):

@@ -17,7 +17,7 @@ from .ascurve import ASCurve, DegenerateCover
 from .census import CensusViolation, run_census
 from .construct import NotRealizable, construct
 from .field import GF2, GF4
-from .klein4 import InvalidCover, InvalidPartition, partitions_of
+from .klein4 import MAX_GENUS, InvalidCover, InvalidPartition, partitions_of
 from .ratfun import parse_ratfun
 from .realize import (hyperelliptic_extra_involution, partition_validate,
                       realizable, realizable_any)
@@ -108,6 +108,8 @@ def _table_rows(g):
 
 def cmd_table(args):
     g = args.g
+    if g > MAX_GENUS:
+        raise ValueError(f"table accepts g up to {MAX_GENUS}, got {g}")
     rows = []
     worst = EXIT_OK
     for s, p, verdict in _table_rows(g):

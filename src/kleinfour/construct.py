@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .field import GF2, GF4, BinaryField
-from .klein4 import KleinFourCover, Partition
+from .klein4 import MAX_GENUS, KleinFourCover, Partition
 from .poly import Poly, field_embedding, monic_irreducibles
 from .ratfun import INFINITY, Place, RatFun
 from .realize import realizable
@@ -427,9 +427,12 @@ def _inducted(base_cover):
 def construct(g, sigma, p):
     """Witness cover plus recipe for any realizable (g, sigma, p).
 
-    Raises NotRealizable on impossible cells and InternalMismatch if a
-    produced witness misses its target (which would be a bug).
+    Raises NotRealizable on impossible cells, ValueError above MAX_GENUS,
+    and InternalMismatch if a produced witness misses its target (which
+    would be a bug).
     """
+    if g > MAX_GENUS:
+        raise ValueError(f"construct accepts g up to {MAX_GENUS}, got {g}")
     verdict = realizable(g, sigma, p)
     if not verdict.exists:
         raise NotRealizable(g, sigma, p, verdict)

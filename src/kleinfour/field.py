@@ -3,10 +3,11 @@
 Field elements are plain ints holding coefficient bit-vectors: bit i is the
 coefficient of a^i, where `a` is the residue of the generator modulo the
 field's defining polynomial.  Zero and one are the ints 0 and 1 in every
-field.  A BinaryField carries degree and modulus and does all arithmetic on
-raw ints with bit loops.  Fields of degree at most TABLE_MAX_DEGREE also
-offer log/antilog tables, built on first use, for loops that multiply many
-elements of one field (the point counts in `zeta`).
+field.  A BinaryField carries degree and modulus, and its element methods
+(`mul`, `inv`, ...) work on raw ints with bit loops.  Fields of degree at
+most TABLE_MAX_DEGREE also offer log/antilog tables, built on first use and
+kept on the field instance, for loops that multiply many elements of one
+field: polynomial arithmetic in `poly` and the point counts in `zeta`.
 
 The canonical GF(4) modulus is a^2+a+1, so the cube root of unity used by
 the witness constructions prints as `a`.
@@ -18,8 +19,10 @@ import functools
 from dataclasses import dataclass
 
 MAX_DEGREE = 24  # desk-scale bound: no field larger than GF(2^24)
-# Largest degree with log/antilog tables: at 16 they are int lists of 2^16
-# and 2^17 entries, about 6 MB.
+# Largest degree with log/antilog tables, which serve `Poly` arithmetic and
+# the point counts in `zeta`: at 16 they are int lists of 2^16 and 2^17
+# entries, about 6 MB, built in about 0.06 s.  Above it both fall back to
+# the bit-loop `mul`.
 TABLE_MAX_DEGREE = 16
 
 
@@ -283,11 +286,25 @@ class BinaryField:
         exp has 2(2^m - 1) entries, so a sum of two logs indexes it without
         reduction; log[v] is the k < 2^m - 1 with g^k = v (log[0] is
         unused).  None for degrees above TABLE_MAX_DEGREE.  Built with the
-        bit-loop mul on first use and kept per field.
+        bit-loop mul on first use and kept on the field instance.
         """
         if self.degree > TABLE_MAX_DEGREE:
             return None
-        return _log_tables(self)
+        return self._tables
+
+    @functools.cached_property
+    def _tables(self):
+        n1 = self.order - 1
+        primes = _prime_divisors(n1)
+        g = next(v for v in range(1, self.order)
+                 if all(self.pow(v, n1 // p) != 1 for p in primes))
+        exp = [1] * n1
+        for k in range(1, n1):
+            exp[k] = self.mul(exp[k - 1], g)
+        log = [0] * self.order
+        for k, v in enumerate(exp):
+            log[v] = k
+        return log, exp + exp
 
     def format_elt(self, bits):
         return _poly2_text(bits, "a")
@@ -325,21 +342,6 @@ class BinaryField:
     def to_json(self):
         return {"degree": self.degree, "modulus": self.modulus,
                 "text": _poly2_text(self.modulus)}
-
-
-@functools.lru_cache(maxsize=TABLE_MAX_DEGREE)
-def _log_tables(fld):
-    n1 = fld.order - 1
-    primes = _prime_divisors(n1)
-    g = next(v for v in range(1, fld.order)
-             if all(fld.pow(v, n1 // p) != 1 for p in primes))
-    exp = [1] * n1
-    for k in range(1, n1):
-        exp[k] = fld.mul(exp[k - 1], g)
-    log = [0] * fld.order
-    for k, v in enumerate(exp):
-        log[v] = k
-    return log, exp + exp
 
 
 @functools.lru_cache(maxsize=MAX_DEGREE)

@@ -83,6 +83,14 @@ def check_genus(g):
         raise ValueError(f"genus must be >= 0, got {g}")
 
 
+# Largest genus that `construct` and `k4 table` accept.  At g = 330 the
+# slowest witnesses, the near-balanced types at sigma = g (induction chains
+# of about g/3 steps), take about 9 s on one core, and `k4 table -g 330`
+# prints its 778,512 rows in about 9 s.  `realizable` answers at once at any
+# genus and is uncapped.
+MAX_GENUS = 330
+
+
 def partitions_of(g):
     """All valid genus triples summing to g, in descending lex order."""
     check_genus(g)
@@ -129,7 +137,7 @@ class KleinFourCover:
         self.field = v1.field
         self.f1 = v1.to_ratfun()
         self.f2 = v2.to_ratfun()
-        self.f3 = self.f1 + self.f2
+        self.f3 = v3.to_ratfun()
         self.forms = (v1, v2, v3)
 
     @functools.cached_property

@@ -3,6 +3,13 @@
 Coefficients are stored low-to-high as raw element ints (see field.py), with
 no trailing zeros; the empty tuple is the zero polynomial, whose degree is -1.
 
+Arithmetic (`+`, `*`, `divmod`, `scale`, `monic`) multiplies coefficients in
+the log domain on the field's log/antilog tables, fetched once per call;
+fields above TABLE_MAX_DEGREE have none and take the bit-loop `mul` in
+`_bit_loop`.  Results are built without the trailing-zero check: a product
+or quotient ends in lc(a) * lc(b) or lc(a) / lc(b), never 0, and only sums
+of equal length and remainders are trimmed.
+
 Factorization runs squarefree / distinct-degree / equal-degree stages.  The
 equal-degree splitting in characteristic 2 uses the absolute trace map; its
 internal randomness is drawn from a Random seeded by the polynomial itself,
@@ -15,6 +22,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from operator import xor
 
 from .field import BinaryField
 
@@ -76,39 +84,59 @@ class Poly:
     def _same(self, other):
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise ValueError("polynomials over different fields")
 
     def __add__(self, other):
         self._same(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.make(self.field,
-                         (self.coeff(i) ^ other.coeff(i) for i in range(n)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = tuple(map(xor, a, b))
+        if len(a) > len(b):
+            return _poly(self.field, out + a[len(b):])
+        # equal lengths: the top coefficients may cancel
+        n = len(out)
+        while n and not out[n - 1]:
+            n -= 1
+        return _poly(self.field, out[:n])
 
     __sub__ = __add__
 
     def __mul__(self, other):
         self._same(other)
-        if not self.coeffs or not other.coeffs:
-            return Poly.zero(self.field)
-        mul = self.field.mul
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] ^= mul(a, b)
-        return Poly.make(self.field, out)
+        a, b = self.coeffs, other.coeffs
+        F = self.field
+        if not a or not b:
+            return _poly(F, ())
+        tables = F.log_tables()
+        if tables is None:
+            return _poly(F, _bit_loop(F, a, b, False))
+        log, exp = tables
+        lb = [(j, log[c]) for j, c in enumerate(b) if c]
+        out = [0] * (len(a) + len(b) - 1)
+        i = 0
+        for c in a:
+            if c:
+                lc = log[c]
+                for j, l in lb:
+                    out[i + j] ^= exp[lc + l]
+            i += 1
+        # the top coefficient is lc(a) * lc(b), never 0
+        return _poly(F, tuple(out))
 
     def scale(self, c):
         """Multiply by the field element with bits c."""
         if c == 0:
-            return Poly.zero(self.field)
+            return _poly(self.field, ())
         if c == 1:
             return self
-        mul = self.field.mul
-        return Poly.make(self.field, (mul(a, c) for a in self.coeffs))
+        F = self.field
+        tables = F.log_tables()
+        if tables is None:
+            return _poly(F, _bit_loop(F, self.coeffs, (c,), False))
+        log, exp = tables
+        return _poly(F, _scaled(self.coeffs, log[c], log, exp))
 
     def shift(self, k):
         """Multiply by x^k."""
@@ -118,25 +146,37 @@ class Poly:
 
     def __divmod__(self, other):
         self._same(other)
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
         F = self.field
-        inv_lc = F.inv(other.lc)
-        rem = list(self.coeffs)
-        dq = self.degree - other.degree
-        if dq < 0:
-            return Poly.zero(F), self
-        quo = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[other.degree + k]
-            if c == 0:
-                continue
-            q = F.mul(c, inv_lc)
-            quo[k] = q
-            for i, b in enumerate(other.coeffs):
-                if b:
-                    rem[i + k] ^= F.mul(q, b)
-        return Poly.make(F, quo), Poly.make(F, rem)
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        db = len(b) - 1
+        if len(a) <= db:
+            return _poly(F, ()), self
+        tables = F.log_tables()
+        if tables is None:
+            quo, rem = _bit_loop(F, a, b, True)
+        else:
+            log, exp = tables
+            n1 = len(exp) >> 1
+            inv_lc = n1 - log[b[-1]]  # log of 1/lc(b), in 1..n1
+            lb = [(j, log[c]) for j, c in enumerate(b[:db]) if c]
+            rem = list(a)
+            quo = [0] * (len(a) - db)
+            for k in range(len(a) - db - 1, -1, -1):
+                c = rem[db + k]
+                if c:
+                    lq = log[c] + inv_lc
+                    if lq >= n1:
+                        lq -= n1
+                    quo[k] = exp[lq]
+                    for j, l in lb:
+                        rem[j + k] ^= exp[lq + l]
+        # the top quotient coefficient is lc(a) / lc(b), never 0
+        n = db
+        while n and not rem[n - 1]:
+            n -= 1
+        return _poly(F, tuple(quo)), _poly(F, tuple(rem[:n]))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -146,9 +186,15 @@ class Poly:
 
     def monic(self):
         """Monic associate (self scaled by 1/lc); zero stays zero."""
-        if not self.coeffs or self.coeffs[-1] == 1:
+        a = self.coeffs
+        if not a or a[-1] == 1:
             return self
-        return self.scale(self.field.inv(self.lc))
+        F = self.field
+        tables = F.log_tables()
+        if tables is None:
+            return self.scale(F.inv(a[-1]))
+        log, exp = tables
+        return _poly(F, _scaled(a, (len(exp) >> 1) - log[a[-1]], log, exp))
 
     def eval_at(self, x_bits):
         """Evaluate at a raw element of the coefficient field."""
@@ -200,6 +246,53 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.field}, {self})"
+
+
+_new = object.__new__
+
+
+def _poly(field, coeffs):
+    """The Poly with a coefficient tuple already known to have no trailing
+    zero: the arithmetic's results, built without a check."""
+    p = _new(Poly)
+    d = p.__dict__
+    d["field"] = field
+    d["coeffs"] = coeffs
+    return p
+
+
+def _scaled(coeffs, lc, log, exp):
+    """coeffs times the element of log lc (0 <= lc <= n1), on the tables."""
+    return tuple(exp[lc + log[v]] if v else 0 for v in coeffs)
+
+
+def _bit_loop(F, a, b, divide):
+    """The coefficient tuple of a * b, or with `divide` the (quotient,
+    remainder) lists of a divided by b, on the bit-loop `F.mul`: the kernel
+    for fields above TABLE_MAX_DEGREE, which have no log tables.  Only the
+    remainder may end in zeros."""
+    mul = F.mul
+    if not divide:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, v in enumerate(b):
+                    if v:
+                        out[i + j] ^= mul(c, v)
+        return tuple(out)
+    db = len(b) - 1
+    inv_lc = F.inv(b[-1])
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for k in range(len(a) - db - 1, -1, -1):
+        c = rem[db + k]
+        if c:
+            q = mul(c, inv_lc)
+            quo[k] = q
+            for j, v in enumerate(b):
+                if v:
+                    rem[j + k] ^= mul(q, v)
+    return quo, rem
 
 
 def gcd(a, b):

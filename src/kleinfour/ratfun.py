@@ -93,6 +93,16 @@ class RatFun:
         raise AttributeError("RatFun is immutable")
 
     @classmethod
+    def lowest_terms(cls, num, den):
+        """num/den for a pair already in lowest terms with den monic; no
+        gcd is taken."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "field", num.field)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
+
+    @classmethod
     def from_poly(cls, p):
         return cls(p, Poly.one(p.field))
 
@@ -353,6 +363,35 @@ def parse_ratfun(field, text):
 # ---------------------------------------------------------------------------
 # Partial fractions, used by the standard-form reduction.
 
+def place_inverses(den):
+    """(q, e, q^e, (den / q^e)^-1 mod q^e) for each place q^e of den: the
+    factoring and CRT inverses that `partial_fractions` shares between
+    numerators over one denominator."""
+    out = []
+    for (q, e) in P.factor(den):
+        qe = q
+        for _ in range(e - 1):
+            qe = qe * q
+        out.append((q, e, qe, P.invmod(den // qe, qe)))
+    return out
+
+
+def partial_fractions(num, den, places):
+    """(poly_part, parts) of num/den as in `principal_parts`, given
+    `place_inverses(den)`.  num/den need not be in lowest terms; a place
+    it cancels gets all-zero digits."""
+    poly_part, rem = divmod(num, den)
+    parts = {}
+    for (q, e, qe, inv) in places:
+        c = (rem * inv) % qe
+        digits = []
+        for _ in range(e):
+            c, r = divmod(c, q)
+            digits.append(r)  # digits[j] = coefficient of q^j
+        parts[q] = digits[::-1]  # r_i = digit e-i
+    return poly_part, parts
+
+
 def principal_parts(f):
     """Polynomial part and per-place principal parts of f.
 
@@ -360,31 +399,34 @@ def principal_parts(f):
     divisor q of the denominator to the list [r_1, ..., r_e] with
     f = poly_part + sum over places of sum_i r_i / q^i and deg r_i < deg q.
     """
-    F = f.field
-    poly_part, rem = divmod(f.num, f.den)
-    parts = {}
-    for (q, e) in P.factor(f.den):
-        qe = q
-        for _ in range(e - 1):
-            qe = qe * q
-        cof = f.den // qe
-        c = (rem * P.invmod(cof, qe)) % qe
-        digits = []
-        for _ in range(e):
-            c, r = divmod(c, q)
-            digits.append(r)  # digits[j] = coefficient of q^j
-        rs = [digits[e - i] for i in range(1, e + 1)]  # r_i = digit e-i
-        parts[q] = rs
-    return poly_part, parts
+    return partial_fractions(f.num, f.den, place_inverses(f.den))
 
 
 def assemble(field, poly_part, parts):
-    """Inverse of principal_parts: rebuild the rational function."""
-    f = RatFun.from_poly(poly_part)
+    """Inverse of principal_parts: rebuild the rational function.
+
+    Trailing zero digits are dropped, so each place q left has a nonzero
+    top digit r_e and contributes H_q / q^e with H_q = sum_i r_i q^(e-i),
+    which is r_e, a nonzero residue, mod q.  So the sum over the common
+    denominator, the product of the q^e, is already in lowest terms, and
+    monic: it is built with no gcd.
+    """
+    places = []
     for q, rs in parts.items():
-        qi = Poly.one(field)
-        for i, r in enumerate(rs, start=1):
-            qi = qi * q
-            if r.coeffs:
-                f = f + RatFun(r, qi)
-    return f
+        e = len(rs)
+        while e and not rs[e - 1].coeffs:
+            e -= 1
+        if not e:
+            continue
+        h, qe = rs[0], q
+        for r in rs[1:e]:
+            h = h * q + r
+            qe = qe * q
+        places.append((qe, h))
+    den = Poly.one(field)
+    for qe, _ in places:
+        den = den * qe
+    num = poly_part * den
+    for qe, h in places:
+        num = num + (den // qe) * h
+    return RatFun.lowest_terms(num, den)

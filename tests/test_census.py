@@ -309,3 +309,18 @@ def test_census_json_is_unchanged(capsys, field, max_deg):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == CENSUS_JSON_SHA256[field, max_deg]
+
+
+# every monic denominator of degree up to 5 over GF(2), 3 over GF(4) and 2
+# over GF(8), multiples of x included
+BASIS_DENS = [den for F, d in ((GF2, 5), (GF4, 3), (BinaryField.default(3), 2))
+              for den in census._denominators(F, d)]
+
+
+def test_basis_forms_match_reduce_form():
+    for den in BASIS_DENS:
+        F = den.field
+        n = den.degree + 2  # past den's degree, so poly parts show up too
+        assert basis_forms(den, n) == [
+            reduce_form(RatFun(Poly.monomial(F, i, 1 << b), den))
+            for i in range(n) for b in range(F.degree)], den

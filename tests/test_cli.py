@@ -184,6 +184,32 @@ def test_negative_genus_is_bad_input(capsys):
         assert "genus must be >= 0" in err, argv
 
 
+def test_genus_cap(capsys):
+    from kleinfour.klein4 import MAX_GENUS
+    assert MAX_GENUS >= 30  # the g <= 30 sweep still constructs
+    g = MAX_GENUS + 1
+    third = g // 3
+    triple = f"{g - 2 * third},{third},{third}"
+    for argv in (["table", "-g", str(g)],
+                 ["table", "-g", str(g), "--json"],
+                 ["table", "-g", str(g), "--verify"],
+                 ["construct", "-g", str(g), "-s", str(g), "-p", triple]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert f"up to {MAX_GENUS}" in err, argv
+        assert time.perf_counter() - start < 1, argv
+    # the decision procedure stays uncapped
+    for argv in (["check", "-g", "100000", "-s", "5"],
+                 ["check", "-g", "100000", "-s", "5", "-p",
+                  "40000,30000,30000"],
+                 ["hyperelliptic", "-g", "100000", "-s", "5"]):
+        start = time.perf_counter()
+        code, _ = run_json(capsys, *argv)
+        assert code in (0, 1), argv
+        assert time.perf_counter() - start < 1, argv
+
+
 def test_hyperelliptic(capsys):
     code, doc = run_json(capsys, "hyperelliptic", "-g", "5", "-s", "3")
     assert code == 0 and doc["extra_involution"] is True

@@ -381,3 +381,15 @@ def test_one_cover_per_induction_level(monkeypatch):
         _, recipe = construct(g, s, p)
         levels = sum(t in ("INDUCT", "S5gen") for t in recipe.tags())
         assert len(built) == 1 + levels, (g, s, p, recipe.tags())
+
+
+def test_construct_stops_at_the_genus_cap():
+    from kleinfour.klein4 import MAX_GENUS
+    g = MAX_GENUS
+    third = g // 3
+    cover, recipe = construct(g, 0, Partition(third, third, g - 2 * third))
+    assert cover.invariants == (g, 0) and recipe.lemma == "S0"
+    with pytest.raises(ValueError, match=f"up to {MAX_GENUS}"):
+        construct(g + 1, g + 1, Partition(g + 1 - 2 * third, third, third))
+    with pytest.raises(ValueError, match=f"up to {MAX_GENUS}"):
+        construct(10 * g, 0, Partition(5 * g, 5 * g, 0))

@@ -50,6 +50,17 @@ def test_f3_is_the_reduced_sum(pair):
     assert KleinFourCover(*c.forms[:2]) == c
 
 
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs())
+def test_f3_is_the_ratfun_sum(pair):
+    try:
+        c = KleinFourCover(*pair)
+    except (InvalidCover, DegenerateCover):
+        assume(False)
+    assert c.f3 == c.f1 + c.f2
+    assert c.f3.den.is_monic
+
+
 def test_cover_arguments():
     assert KleinFourCover(reduce_form(pr2("x")), pr2("1/x")) == \
         KleinFourCover(pr2("x"), pr2("1/x"))

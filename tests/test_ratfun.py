@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_ratfun
-from kleinfour.field import GF2, GF4
-from kleinfour.poly import Poly
+from kleinfour.field import GF2, GF4, BinaryField
+from kleinfour.poly import Poly, gcd, monic_irreducibles
 from kleinfour.ratfun import (INFINITY, Place, RatFun, assemble, parse_ratfun,
                               principal_parts)
 
@@ -123,3 +125,65 @@ def test_principal_parts_reassemble(rng):
             for q, rs in parts.items():
                 assert all(r.degree < q.degree for r in rs)
                 assert rs[-1].coeffs  # top coefficient nonzero
+
+
+# -- assemble against the RatFun-sum assembly it replaced -----------------------
+
+def sum_assemble(field, poly_part, parts):
+    """Reference: poly_part plus one RatFun per nonzero digit, each sum
+    reduced to lowest terms by RatFun's gcd."""
+    f = RatFun.from_poly(poly_part)
+    for q, rs in parts.items():
+        qi = Poly.one(field)
+        for i, r in enumerate(rs, start=1):
+            qi = qi * q
+            if r.coeffs:
+                f = f + RatFun(r, qi)
+    return f
+
+
+GF8 = BinaryField.default(3)
+PLACES = {F: list(monic_irreducibles(F, 3 if F is GF2 else 2))
+          for F in (GF2, GF4, GF8)}
+
+
+@st.composite
+def partial_fraction_data(draw):
+    """A polynomial part and digits at a few places, where digits are often
+    0, so that top digits are 0 and some places are all zeros."""
+    F = draw(st.sampled_from(sorted(PLACES, key=lambda F: F.degree)))
+    elt = st.integers(0, F.order - 1)
+
+    def poly(n):
+        return Poly.make(F, draw(st.lists(elt, max_size=n)))
+    places = draw(st.lists(st.sampled_from(PLACES[F]), max_size=4,
+                           unique_by=lambda q: q.coeffs))
+    parts = {}
+    for q in places:
+        e = draw(st.integers(0, 3))
+        parts[q] = [poly(q.degree) if draw(st.booleans()) else Poly.zero(F)
+                    for _ in range(e)]
+    return F, poly(4), parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_fraction_data())
+def test_assemble_matches_the_ratfun_sum(case):
+    F, poly_part, parts = case
+    f = assemble(F, poly_part, parts)
+    assert f == sum_assemble(F, poly_part, parts)
+    assert f.den.is_monic
+    assert gcd(f.num, f.den).degree == 0
+    if f.num.coeffs:
+        assert f.num.coeffs[-1] != 0
+
+
+def test_assemble_drops_zero_digits():
+    q = Poly.make(GF2, [1, 1])  # x + 1
+    x = Poly.x(GF2)
+    zero, one = Poly.zero(GF2), Poly.one(GF2)
+    parts = {q: [one, zero, zero], x: [zero, zero]}
+    f = assemble(GF2, x, parts)
+    assert f == pr("x + 1/(x+1)")
+    assert f.den == q and f.num == x * q + one
+    assert assemble(GF2, zero, {q: [zero]}) == RatFun.zero(GF2)
