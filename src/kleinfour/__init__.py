@@ -11,8 +11,7 @@ from .census import CensusViolation, run_census
 from .construct import (InternalMismatch, NotRealizable, Recipe, construct,
                         construct_half_minus, construct_sigma0,
                         construct_unbalanced_even, construct_unbalanced_odd,
-                        induct_step, lift_pair, make_hyperelliptic,
-                        normalize_infinity)
+                        lift_pair, make_hyperelliptic, place_step)
 from .field import GF2, GF4, BinaryField, default_modulus
 from .klein4 import (InvalidCover, InvalidPartition, KleinFourCover,
                      Partition, partitions_of)

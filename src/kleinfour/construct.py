@@ -2,18 +2,16 @@
 
 Each small 2-rank has its own scheme of defining pairs built from monomial
 poles at 0, 1, infinity (and, when a fourth rational point is needed, the
-generator of GF(4)); 2-ranks of 6 and above reduce by 3 through the
-induction f1 -> f1 + x, f2 -> f2 + a*x, which raises every quotient genus
-by 1 and the 2-rank by 3.  The induction chain (lift, move the poles off
-infinity, add x and a*x) runs on the defining pair itself, so each level
-builds one KleinFourCover.  Every witness is checked against its target
-invariants before it is returned; a failure raises InternalMismatch and
-means a bug, not bad input.  Hyperelliptic pole packs come from one
-builder, make_hyperelliptic, over the field it is given.
-
-The recipes returned alongside the covers record which scheme fired and
-with what parameters, nested through induction steps, so a derivation can
-be replayed.
+generator of GF(4)); the unbalanced and (g-1)/2 families use hyperelliptic
+pole packs from one builder, make_hyperelliptic.  Every other cell lies k
+steps of (+3, +3, +1 each) above a cell a scheme builds, and one
+place_step reaches it: simple poles at places of total degree k raise each
+quotient's genus and 2-rank by k, so the cell builds two KleinFourCovers.
+The packs and the step choose their places with one helper.  Every witness
+is checked against its target invariants before it is returned; a failure
+raises InternalMismatch and means a bug, not bad input.  The recipes record
+which scheme fired, with its parameters and the step's places, so a
+derivation can be replayed.
 """
 
 from __future__ import annotations
@@ -56,10 +54,7 @@ class Recipe:
         return out
 
     def tags(self):
-        t = [self.lemma]
-        if self.base is not None:
-            t.extend(self.base.tags())
-        return t
+        return [self.lemma] + (self.base.tags() if self.base else [])
 
 
 # -- small builders ---------------------------------------------------------
@@ -90,21 +85,57 @@ def lift_pair(pair, target):
                         f.den.map_field(target, emb)) for f in pair)
 
 
-# -- pole packs (hyperelliptic building blocks) -----------------------------
+# -- places (shared by the pole packs and the place step) -------------------
 
 def _fill_degrees(places, budget):
-    # first-fit with backtracking, in list order
-    if budget == 0:
-        return []
-    for i, pl in enumerate(places):
-        d = pl.degree
-        if d > budget:
-            continue
-        rest = _fill_degrees(places[i + 1:], budget - d)
-        if rest is not None:
-            return [pl] + rest
-    return None
+    """The first sublist of places, in list order, whose degrees sum to
+    budget, or None.  A (start, budget) that failed is recorded and never
+    searched again, so the backtracking stays polynomial."""
+    failed = set()
 
+    def fill(start, budget):
+        if budget == 0:
+            return []
+        if (start, budget) not in failed:
+            for i in range(start, len(places)):
+                if places[i].degree <= budget:
+                    rest = fill(i + 1, budget - places[i].degree)
+                    if rest is not None:
+                        return [places[i]] + rest
+            failed.add((start, budget))
+        return None
+    return fill(0, budget)
+
+
+def _free_rational(field, avoid):
+    """The finite rational places of field outside avoid, by coefficient."""
+    return [pl for c in range(field.order)
+            if (pl := Place(_x_plus(field, c))) not in avoid]
+
+
+def _choose_places(field, budget, avoid, rational):
+    """Distinct places outside avoid whose degrees sum to budget, or None:
+    from a short ascending run of places of degree 2 and more, joined by
+    the degree-1 places in rational only when the run alone cannot fill
+    the budget; the run widens, in the same order, while neither fills."""
+    wider = (pl for q in monic_irreducibles(field, max(budget, 2))
+             if q.degree > 1 and (pl := Place(q)) not in avoid)
+    pool = []
+    for pl in wider:
+        pool.append(pl)
+        if sum(q.degree for q in pool) >= 3 * (budget + 2):
+            break
+    while True:
+        for places in (pool, pool + rational):
+            chosen = _fill_degrees(places, budget)
+            if chosen is not None:
+                return chosen
+        if (pl := next(wider, None)) is None:
+            return None
+        pool.append(pl)
+
+
+# -- pole packs (hyperelliptic building blocks) -----------------------------
 
 def make_hyperelliptic(h, s, avoid=frozenset(), at_infinity=True, field=GF2):
     """A reduced f over field with genus h, 2-rank s, and no pole in avoid.
@@ -113,17 +144,16 @@ def make_hyperelliptic(h, s, avoid=frozenset(), at_infinity=True, field=GF2):
     first free rational point (no such anchor when h = s), and simple poles
     of total degree s (s+1 without the infinity pole) supply the remaining
     geometric poles.  The simple poles go on places of degree 2 and more
-    before rational ones, because each +3 induction step spends a rational
-    point of the line on its new pole at infinity and GF(4) has only five.
-    Raises ValueError when field has no room for the poles.
+    before rational ones, because rational points are scarce: GF(4) has
+    four finite ones, and the two packs of an unbalanced odd cover anchor
+    their deep poles there.  Raises ValueError when field has no room for
+    the poles.
     """
     if not 0 <= s <= h:
         raise ValueError(f"need 0 <= 2-rank <= genus, got ({h}, {s})")
     if at_infinity and INFINITY in avoid:
         raise ValueError("asked for a pole at infinity while avoiding it")
-    avoid_polys = {pl.poly for pl in avoid if pl.poly is not None}
-    rational = [Place(q) for c in range(field.order)
-                if (q := _x_plus(field, c)) not in avoid_polys]
+    rational = _free_rational(field, avoid)
     deep = 2 * (h - s) + 1
     budget = s
     if at_infinity:
@@ -136,21 +166,10 @@ def make_hyperelliptic(h, s, avoid=frozenset(), at_infinity=True, field=GF2):
     else:
         f = RatFun.zero(field)
         budget = s + 1
-    # the pool is a short ascending run of places of degree 2 and more; it
-    # widens, in the same order, only when it cannot fill the budget
-    wider = (Place(q) for q in monic_irreducibles(field, max(budget, 2))
-             if q.degree > 1 and q not in avoid_polys)
-    pool = []
-    for pl in wider:
-        pool.append(pl)
-        if sum(q.degree for q in pool) >= 3 * (s + 2):
-            break
-    while (chosen := _fill_degrees(pool + rational, budget)) is None:
-        pl = next(wider, None)
-        if pl is None:
-            raise ValueError(f"no room in {field} for simple poles of total "
-                             f"degree {budget}")
-        pool.append(pl)
+    chosen = _choose_places(field, budget, avoid, rational)
+    if chosen is None:
+        raise ValueError(f"no room in {field} for simple poles of total "
+                         f"degree {budget}")
     for pl in chosen:
         f = f + RatFun.pole_at(pl.poly, 1)
     return f
@@ -259,27 +278,24 @@ def _construct_sigma4(p):
 
 
 def _construct_sigma5(p):
-    g1, g2, g3 = p.entries
-    if p.is_totally_balanced:
-        a = g1
-        if a % 2 == 1:
-            F = GF4
-            f1 = _xk(F, a) + _inv_xk(F, a)
-            f2 = (_xk(F, a) + RatFun.pole_at(_x_plus(F, 1), a - 2)
-                  + RatFun.pole_at(_x_plus(F, 2), 1))
-            return KleinFourCover(f1, f2), Recipe("S5bal", {"a": a})
-        # even a: partial cancellation at two points, all over GF(2)
-        F = GF2
-        f1 = (_xk(F, 1) + _inv_xk(F, a - 1)
-              + RatFun.pole_at(_x_plus(F, 1), a - 1))
-        f2 = (_xk(F, 1) + _inv_xk(F, a - 3)
-              + RatFun.pole_at(_x_plus(F, 1), a + 1))
-        return (KleinFourCover(f1, f2),
-                Recipe("S5bal", {"a": a, "variant": 1}))
-    phat = Partition(g1 - 1, g2 - 1, g3 - 1)
-    base_cover, base_recipe = _construct_sigma2(phat)
-    cover, params = _inducted(base_cover)
-    return cover, Recipe("S5gen", params, base=base_recipe)
+    """2-rank 5 on a totally balanced type; None on the other types, which
+    the place step reaches from 2-rank 2."""
+    if not p.is_totally_balanced:
+        return None
+    a = p.entries[0]
+    if a % 2 == 1:
+        F = GF4
+        f1 = _xk(F, a) + _inv_xk(F, a)
+        f2 = (_xk(F, a) + RatFun.pole_at(_x_plus(F, 1), a - 2)
+              + RatFun.pole_at(_x_plus(F, 2), 1))
+        return KleinFourCover(f1, f2), Recipe("S5bal", {"a": a})
+    # even a: partial cancellation at two points, all over GF(2)
+    F = GF2
+    f1 = (_xk(F, 1) + _inv_xk(F, a - 1)
+          + RatFun.pole_at(_x_plus(F, 1), a - 1))
+    f2 = (_xk(F, 1) + _inv_xk(F, a - 3)
+          + RatFun.pole_at(_x_plus(F, 1), a + 1))
+    return KleinFourCover(f1, f2), Recipe("S5bal", {"a": a, "variant": 1})
 
 
 # -- the unbalanced families and the (g-1)/2 family --------------------------
@@ -322,8 +338,7 @@ def construct_unbalanced_odd(g, sigma, p):
     f1 = make_hyperelliptic(ga, ka, at_infinity=False, field=GF4)
     f2 = make_hyperelliptic(gb, kb, avoid=f1.pole_divisor().places(),
                             at_infinity=False, field=GF4)
-    return (KleinFourCover(f1, f2),
-            Recipe("UNB_ODD", {"k1": ka, "k2": kb}))
+    return KleinFourCover(f1, f2), Recipe("UNB_ODD", {"k1": ka, "k2": kb})
 
 
 def construct_half_minus(g, sigma, p):
@@ -340,18 +355,13 @@ def construct_half_minus(g, sigma, p):
     if gb < 1:
         raise ValueError(f"type {p} needs two positive companion genera")
     k = sigma // 2
-    split = None
-    for ka in range(min(ga - 1, k), -1, -1):
-        kb = k - ka
-        if kb < 0 or kb > max(gb - 1, 0):
-            continue
-        if (ka == 0 and ga != 1) or (kb == 0 and gb != 1):
-            continue
-        split = (ka, kb)
-        break
-    if split is None:
+    # the largest ka < ga with kb < gb; a companion of genus 1 alone may
+    # take no pack
+    splits = [(ka, k - ka) for ka in range(min(ga - 1, k), -1, -1)
+              if k - ka < gb and (ka or ga == 1) and (k - ka or gb == 1)]
+    if not splits:
         raise ValueError(f"2-rank {sigma} does not split over type {p}")
-    ka, kb = split
+    ka, kb = splits[0]
     F = GF4
     if ka == 0:
         h1 = RatFun.zero(F)
@@ -365,61 +375,45 @@ def construct_half_minus(g, sigma, p):
                                 at_infinity=False, field=F)
     f1 = _xk(F, 3) + h1
     f2 = _xk(F, 3, _alpha(F)) + h2
-    return (KleinFourCover(f1, f2),
-            Recipe("HALF_MINUS", {"k1": ka, "k2": kb}))
+    return KleinFourCover(f1, f2), Recipe("HALF_MINUS", {"k1": ka, "k2": kb})
 
 
-# -- normalization and induction ---------------------------------------------
+# -- the place step -----------------------------------------------------------
 
-def normalize_infinity(pair):
-    """Mobius-move so that neither defining function has a pole at infinity.
+def place_step(pair, k):
+    """From (g, sigma, {g1,g2,g3}) to (g+3k, sigma+3k, {g1+k,g2+k,g3+k}).
 
-    Substitutes x -> beta + 1/x for the smallest field point beta that is
-    a pole of neither f1 nor f2 (a pole of f1 + f2 is a pole of one of
-    them), extending the base field when every point is taken.  Returns
-    (pair, beta_bits); invariants and type are untouched.
+    Adds 1/P to f1 and r/P to f2 at distinct places P, poles of neither,
+    whose degrees sum to k; r is x at a place of degree 2 or more and the
+    GF(4) generator a at a rational one (infinity first, where the terms
+    are x and a*x: the paper's +3 step), so 1, r, 1 + r are nonzero mod P.
+    Each quotient gains a simple pole of degree deg P at each P, so its
+    genus and, by Deuring-Shafarevich, its 2-rank rise by k.  A pair with
+    no room moves to the field of twice the degree.  Returns the stepped
+    pair and the places.
     """
-    if all(f.num.degree <= f.den.degree for f in pair):
-        return pair, None
     while True:
         F = pair[0].field
-        for beta in range(F.order):
-            if all(f.den.eval_at(beta) != 0 for f in pair):
-                return tuple(f.mobius(beta, 1, 1, 0) for f in pair), beta
+        poles = set().union(*(f.pole_divisor().places() for f in pair))
+        rational = []
+        if F.degree % 2 == 0:
+            rational = _free_rational(F, poles)
+            if INFINITY not in poles:
+                rational.insert(0, INFINITY)
+        places = _choose_places(F, k, poles, rational)
+        if places is not None:
+            break
         pair = lift_pair(pair, BinaryField.default(F.degree * 2))
-
-
-def induct_step(pair):
-    """From (g, sigma, {g1,g2,g3}) to (g+3, sigma+3, {g1+1,g2+1,g3+1}).
-
-    Adds x, a*x and (a+1)*x to the three defining functions; each quotient
-    picks up one more simple pole at infinity.  Neither function of the
-    pair may have a pole at infinity already, and they must live over a
-    field containing GF(4).
-    """
     f1, f2 = pair
-    F = f1.field
-    if F.degree % 2:
-        raise ValueError("induction needs the GF(4) generator; lift first")
-    if any(f.num.degree > f.den.degree for f in pair):
-        raise ValueError(
-            "a defining function has a pole at infinity; apply "
-            "normalize_infinity first")
-    return f1 + _xk(F, 1), f2 + _xk(F, 1, _alpha(F))
-
-
-def _inducted(base_cover):
-    """Lift, normalize, and induct the base's defining pair; returns
-    (cover, recipe params), building the one cover of this level."""
-    pair = (base_cover.f1, base_cover.f2)
-    F = base_cover.field
-    if F.degree % 2:
-        pair = lift_pair(pair, BinaryField.default(F.degree * 2))
-    params = {}
-    pair, beta = normalize_infinity(pair)
-    if beta is not None:
-        params["n0"] = beta
-    return KleinFourCover(*induct_step(pair)), params
+    for pl in places:
+        if pl.is_infinity:
+            t1, t2 = _xk(F, 1), _xk(F, 1, _alpha(F))
+        else:
+            r = (Poly.monomial(F, 1) if pl.degree > 1
+                 else Poly.const(F, _alpha(F)))
+            t1, t2 = RatFun.pole_at(pl.poly, 1), RatFun(r, pl.poly)
+        f1, f2 = f1 + t1, f2 + t2
+    return (f1, f2), places
 
 
 # -- the dispatcher -----------------------------------------------------------
@@ -445,7 +439,9 @@ def construct(g, sigma, p):
     return cover, recipe
 
 
-def _dispatch(g, sigma, p):
+def _direct(g, sigma, p):
+    """(cover, recipe) from the scheme that builds the cell directly, or
+    None for a cell that only the place step reaches."""
     g1, g2, g3 = p.entries
     if sigma >= 3 and sigma % 2 and 2 * g1 == g + 1:
         return construct_unbalanced_odd(g, sigma, p)
@@ -465,7 +461,19 @@ def _dispatch(g, sigma, p):
         return construct_unbalanced_even(g, sigma)
     if 2 * g1 == g - 1 and sigma % 2 == 0:
         return construct_half_minus(g, sigma, p)
-    phat = Partition(g1 - 1, g2 - 1, g3 - 1)
-    base_cover, base_recipe = _dispatch(g - 3, sigma - 3, phat)
-    cover, params = _inducted(base_cover)
-    return cover, Recipe("INDUCT", params, base=base_recipe)
+    return None
+
+
+def _dispatch(g, sigma, p):
+    # walk down by 3 to a directly built base, then take one step of k
+    k = 0
+    while (built := _direct(g, sigma, p)) is None:
+        g, sigma, k = g - 3, sigma - 3, k + 1
+        p = Partition(*(e - 1 for e in p.entries))
+    if k == 0:
+        return built
+    base_cover, base_recipe = built
+    pair, places = place_step((base_cover.f1, base_cover.f2), k)
+    return (KleinFourCover(*pair),
+            Recipe("INDUCT", {"k": k, "places": [str(pl) for pl in places]},
+                   base=base_recipe))

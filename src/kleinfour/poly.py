@@ -196,14 +196,6 @@ class Poly:
         log, exp = tables
         return _poly(F, _scaled(a, (len(exp) >> 1) - log[a[-1]], log, exp))
 
-    def eval_at(self, x_bits):
-        """Evaluate at a raw element of the coefficient field."""
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.mul(acc, x_bits) ^ c
-        return acc
-
     def derivative(self):
         # (i+1) * c_{i+1} survives mod 2 exactly when i is even
         return Poly.make(self.field,

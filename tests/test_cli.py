@@ -159,6 +159,25 @@ def test_table_verify_g12(capsys):
     assert verified and all(r["verified"] for r in verified)
 
 
+def test_table_verify_g13(capsys):
+    # every g = 13 witness is over GF(2) or GF(4), so every count fits the
+    # tables; a GF(16) witness here once kept this from finishing
+    code, doc = run_json(capsys, "table", "-g", "13", "--verify", "--json")
+    assert code == 0
+    verified = [r for r in doc["rows"] if r["exists"]]
+    assert len(verified) == 85 and all(r["verified"] for r in verified)
+
+
+@pytest.mark.parametrize("cell", [("33", "31", "17,13,3"),
+                                  ("90", "88", "45,41,4")])
+def test_construct_once_refused_cells(capsys, cell):
+    g, s, p = cell
+    code, doc = run_json(capsys, "construct", "-g", g, "-s", s, "-p", p)
+    assert code == 0
+    assert (doc["witness"]["genus"], doc["witness"]["two_rank"]) == (
+        int(g), int(s))
+
+
 def test_census_command(capsys):
     code, doc = run_json(capsys, "census", "--field", "gf4", "--max-deg", "1",
                          "--json")
