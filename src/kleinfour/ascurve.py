@@ -19,7 +19,7 @@ import functools
 from typing import NamedTuple
 
 from .poly import Poly
-from .ratfun import RatFun, principal_parts, assemble
+from .ratfun import INFINITY, Place, RatFun, assemble, principal_parts
 
 
 class DegenerateCover(ValueError):
@@ -101,6 +101,12 @@ def _unpack(v, m, n):
     return [(v >> (i * m)) & mask for i in range(n)]
 
 
+def _poly_of(F, v):
+    """The polynomial over F whose coefficients `_pack` packed into v."""
+    m = F.degree
+    return Poly.make(F, _unpack(v, m, -(-v.bit_length() // m)))
+
+
 class ReducedForm:
     """A canonical form as its principal-part vector.
 
@@ -148,13 +154,19 @@ class ReducedForm:
         m = F.degree
         parts = {}
         for qv, v in self.places.items():
-            d = (qv.bit_length() - 1) // m
-            q = Poly.make(F, _unpack(qv, m, d + 1))
+            q = _poly_of(F, qv)
+            d = q.degree
             e = (v.bit_length() - 1) // (m * d) + 1
             parts[q] = [Poly.make(F, _unpack(v >> (i * m * d), m, d))
                         for i in range(e)]
-        n = (self.poly.bit_length() + m - 1) // m
-        return assemble(F, Poly.make(F, _unpack(self.poly, m, n)), parts)
+        return assemble(F, _poly_of(F, self.poly), parts)
+
+    def pole_places(self):
+        """The places where f has a pole, read from the vector."""
+        places = {Place(_poly_of(self.field, qv)) for qv in self.places}
+        if self.poly >> self.field.degree:
+            places.add(INFINITY)
+        return places
 
     def __add__(self, other):
         if other.field is not self.field and other.field != self.field:

@@ -6,18 +6,20 @@ generator of GF(4)); the unbalanced and (g-1)/2 families use hyperelliptic
 pole packs from one builder, make_hyperelliptic.  Every other cell lies k
 steps of (+3, +3, +1 each) above a cell a scheme builds, and one
 place_step reaches it: simple poles at places of total degree k raise each
-quotient's genus and 2-rank by k, so the cell builds two KleinFourCovers.
-The packs and the step choose their places with one helper.  Every witness
-is checked against its target invariants before it is returned; a failure
-raises InternalMismatch and means a bug, not bad input.  The recipes record
-which scheme fired, with its parameters and the step's places, so a
-derivation can be replayed.
+quotient's genus and 2-rank by k.  The packs and the step choose their
+places with one helper.  Every term, c*x^k or r/P^e with k and e odd, is
+already reduced, so pairs are reduced forms: a sum is an XOR and poles are
+read from the vector.  The cell builds one KleinFourCover, checked against
+its target invariants; a failure raises InternalMismatch and means a bug,
+not bad input.  The recipes record which scheme fired, with its parameters
+and the step's places, so a derivation can be replayed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 
+from .ascurve import ReducedForm, reduce_form
 from .field import GF2, GF4, BinaryField
 from .klein4 import MAX_GENUS, KleinFourCover, Partition
 from .poly import Poly, field_embedding, monic_irreducibles
@@ -60,13 +62,20 @@ class Recipe:
 # -- small builders ---------------------------------------------------------
 
 def _xk(F, k, c=1):
-    """c * x^k as a RatFun."""
-    return RatFun.from_poly(Poly.monomial(F, k, c))
+    """c * x^k, k odd, as a reduced form."""
+    return ReducedForm.from_parts(F, [0] * k + [c], {})
+
+
+def _pole(q, e=1, r=None):
+    """r / q^e, e odd, as a reduced form; r is a residue mod q, 1 if None."""
+    F = q.field
+    digits = [Poly.zero(F)] * (e - 1) + [Poly.one(F) if r is None else r]
+    return ReducedForm.from_parts(F, (), {q: digits})
 
 
 def _inv_xk(F, k, c=1):
-    """c / x^k."""
-    return RatFun(Poly.const(F, c), Poly.monomial(F, k))
+    """c / x^k, k odd."""
+    return _pole(Poly.monomial(F, 1), k, Poly.const(F, c))
 
 
 def _x_plus(F, cbits):
@@ -79,10 +88,14 @@ def _alpha(F):
 
 
 def lift_pair(pair, target):
-    """Re-express a defining pair (f1, f2) over a larger field."""
+    """Re-express a pair of reduced forms over a larger field, through
+    RatFun: a place of even degree splits in the quadratic extension, so
+    the lifted digits must be found and reduced again over target."""
     emb = field_embedding(pair[0].field, target)
-    return tuple(RatFun(f.num.map_field(target, emb),
-                        f.den.map_field(target, emb)) for f in pair)
+    return tuple(
+        reduce_form(RatFun.lowest_terms(f.num.map_field(target, emb),
+                                        f.den.map_field(target, emb)))
+        for f in (v.to_ratfun() for v in pair))
 
 
 # -- places (shared by the pole packs and the place step) -------------------
@@ -138,7 +151,7 @@ def _choose_places(field, budget, avoid, rational):
 # -- pole packs (hyperelliptic building blocks) -----------------------------
 
 def make_hyperelliptic(h, s, avoid=frozenset(), at_infinity=True, field=GF2):
-    """A reduced f over field with genus h, 2-rank s, and no pole in avoid.
+    """A reduced form over field: genus h, 2-rank s, no pole in avoid.
 
     A pole of order 2(h-s)+1 goes at infinity when requested, else at the
     first free rational point (no such anchor when h = s), and simple poles
@@ -162,17 +175,15 @@ def make_hyperelliptic(h, s, avoid=frozenset(), at_infinity=True, field=GF2):
         if not rational:
             raise ValueError(f"no free rational point of {field} for the "
                              f"pole of order {deep}")
-        f = RatFun.pole_at(rational.pop(0).poly, deep)
+        f = _pole(rational.pop(0).poly, deep)
     else:
-        f = RatFun.zero(field)
+        f = ReducedForm(field, 0, {})
         budget = s + 1
     chosen = _choose_places(field, budget, avoid, rational)
     if chosen is None:
         raise ValueError(f"no room in {field} for simple poles of total "
                          f"degree {budget}")
-    for pl in chosen:
-        f = f + RatFun.pole_at(pl.poly, 1)
-    return f
+    return sum((_pole(pl.poly) for pl in chosen), f)
 
 
 # -- the per-rank schemes ----------------------------------------------------
@@ -194,7 +205,7 @@ def construct_sigma0(p):
         f1 = _xk(F, a)
         f2 = _xk(F, a) + _xk(F, c)
         recipe = Recipe("S0", {"a": a, "c": c})
-    return KleinFourCover(f1, f2), recipe
+    return (f1, f2), recipe
 
 
 def _construct_sigma1(p):
@@ -203,8 +214,7 @@ def _construct_sigma1(p):
     a = 2 * p2 + 1
     b = 2 * p3 + 1
     F = GF2
-    return (KleinFourCover(_xk(F, a), _inv_xk(F, b)),
-            Recipe("S1", {"a": a, "b": b}))
+    return (_xk(F, a), _inv_xk(F, b)), Recipe("S1", {"a": a, "b": b})
 
 
 def _construct_sigma2(p):
@@ -216,7 +226,7 @@ def _construct_sigma2(p):
     F = GF4
     f1 = _xk(F, a) + _inv_xk(F, b)
     f2 = _xk(F, c, 2) + _inv_xk(F, b)
-    return KleinFourCover(f1, f2), Recipe("S2", {"a": a, "b": b, "c": c})
+    return (f1, f2), Recipe("S2", {"a": a, "b": b, "c": c})
 
 
 def _construct_sigma3(p):
@@ -229,7 +239,7 @@ def _construct_sigma3(p):
     F = GF4
     f1 = _xk(F, s) + _inv_xk(F, m)
     f2 = _xk(F, s) + _xk(F, t, 2) + _inv_xk(F, 1, 2)
-    return KleinFourCover(f1, f2), Recipe("S3b", {"a": s, "b": m, "c": t})
+    return (f1, f2), Recipe("S3b", {"a": s, "b": m, "c": t})
 
 
 def _construct_sigma4(p):
@@ -241,40 +251,38 @@ def _construct_sigma4(p):
         c = 2 * (g2 + g3 - g1) + 1
         if a > c:
             F = GF2
-            f1 = _xk(F, a) + _inv_xk(F, b) + RatFun.pole_at(_x_plus(F, 1), 1)
+            f1 = _xk(F, a) + _inv_xk(F, b) + _pole(_x_plus(F, 1))
             f3 = _xk(F, c) + _inv_xk(F, b)
-            return (KleinFourCover(f1, f1 + f3),
-                    Recipe("S4a", {"a": a, "b": b, "c": c}))
+            return (f1, f1 + f3), Recipe("S4a", {"a": a, "b": b, "c": c})
         # a == c makes f1 + f3 drop its infinity pole; share the top
         # monomial with distinct leading coefficients instead
         F = GF4
         top = 2 * (g2 + g3 - g1) + 1
         u = 2 * (g1 - g3) - 1
         v = 2 * (g1 - g2) - 1
-        f1 = _xk(F, top) + _inv_xk(F, u) + RatFun.pole_at(_x_plus(F, 1), v)
+        f1 = _xk(F, top) + _inv_xk(F, u) + _pole(_x_plus(F, 1), v)
         f2 = _xk(F, top, 2) + _inv_xk(F, u)
-        return (KleinFourCover(f1, f2),
-                Recipe("S4a", {"a": top, "b": u, "c": v, "variant": 1}))
+        return (f1, f2), Recipe("S4a", {"a": top, "b": u, "c": v,
+                                        "variant": 1})
     if g3 >= 2:
         a = 2 * g1 - 1
         b = 2 * g3 - 3
         F = GF2
         f1 = _xk(F, a) + _inv_xk(F, 1)
-        f3 = _xk(F, b) + _inv_xk(F, 1) + RatFun.pole_at(_x_plus(F, 1), 1)
-        return KleinFourCover(f1, f1 + f3), Recipe("S4b", {"a": a, "b": b})
+        f3 = _xk(F, b) + _inv_xk(F, 1) + _pole(_x_plus(F, 1))
+        return (f1, f1 + f3), Recipe("S4b", {"a": a, "b": b})
     if g3 == 0:
         # {g/2, g/2, 0}, g even
         F = GF4
-        f1 = _xk(F, g - 3) + _inv_xk(F, 1) + RatFun.pole_at(_x_plus(F, 1), 1)
+        f1 = _xk(F, g - 3) + _inv_xk(F, 1) + _pole(_x_plus(F, 1))
         f2 = _xk(F, 1, 2)
-        return KleinFourCover(f1, f2), Recipe("S4c", {"a": g - 3})
+        return (f1, f2), Recipe("S4c", {"a": g - 3})
     # {(g-1)/2, (g-1)/2, 1}, g odd >= 7; the second function must be a
     # cubic, not linear, to keep its quotient at genus 1
     F = GF4
-    f1 = _xk(F, g - 4) + _inv_xk(F, 1) + RatFun.pole_at(_x_plus(F, 1), 1)
+    f1 = _xk(F, g - 4) + _inv_xk(F, 1) + _pole(_x_plus(F, 1))
     f2 = _xk(F, 3, 2)
-    return (KleinFourCover(f1, f2),
-            Recipe("S4d", {"a": g - 4, "c": 3, "corrected": 1}))
+    return (f1, f2), Recipe("S4d", {"a": g - 4, "c": 3, "corrected": 1})
 
 
 def _construct_sigma5(p):
@@ -286,16 +294,13 @@ def _construct_sigma5(p):
     if a % 2 == 1:
         F = GF4
         f1 = _xk(F, a) + _inv_xk(F, a)
-        f2 = (_xk(F, a) + RatFun.pole_at(_x_plus(F, 1), a - 2)
-              + RatFun.pole_at(_x_plus(F, 2), 1))
-        return KleinFourCover(f1, f2), Recipe("S5bal", {"a": a})
+        f2 = _xk(F, a) + _pole(_x_plus(F, 1), a - 2) + _pole(_x_plus(F, 2))
+        return (f1, f2), Recipe("S5bal", {"a": a})
     # even a: partial cancellation at two points, all over GF(2)
     F = GF2
-    f1 = (_xk(F, 1) + _inv_xk(F, a - 1)
-          + RatFun.pole_at(_x_plus(F, 1), a - 1))
-    f2 = (_xk(F, 1) + _inv_xk(F, a - 3)
-          + RatFun.pole_at(_x_plus(F, 1), a + 1))
-    return KleinFourCover(f1, f2), Recipe("S5bal", {"a": a, "variant": 1})
+    f1 = _xk(F, 1) + _inv_xk(F, a - 1) + _pole(_x_plus(F, 1), a - 1)
+    f2 = _xk(F, 1) + _inv_xk(F, a - 3) + _pole(_x_plus(F, 1), a + 1)
+    return (f1, f2), Recipe("S5bal", {"a": a, "variant": 1})
 
 
 # -- the unbalanced families and the (g-1)/2 family --------------------------
@@ -313,8 +318,7 @@ def construct_unbalanced_even(g, sigma):
     k = sigma // 2
     F, c = (GF2, 1) if 2 * k < g else (GF4, _alpha(GF4))
     f1 = make_hyperelliptic(g // 2, k, field=F)
-    return (KleinFourCover(f1, _xk(F, 1, c)),
-            Recipe("UNB_EVEN", {"k1": k}))
+    return (f1, _xk(F, 1, c)), Recipe("UNB_EVEN", {"k1": k})
 
 
 def construct_unbalanced_odd(g, sigma, p):
@@ -336,9 +340,9 @@ def construct_unbalanced_odd(g, sigma, p):
     if kb > gb:
         raise ValueError(f"2-rank {sigma} does not split over type {p}")
     f1 = make_hyperelliptic(ga, ka, at_infinity=False, field=GF4)
-    f2 = make_hyperelliptic(gb, kb, avoid=f1.pole_divisor().places(),
+    f2 = make_hyperelliptic(gb, kb, avoid=f1.pole_places(),
                             at_infinity=False, field=GF4)
-    return KleinFourCover(f1, f2), Recipe("UNB_ODD", {"k1": ka, "k2": kb})
+    return (f1, f2), Recipe("UNB_ODD", {"k1": ka, "k2": kb})
 
 
 def construct_half_minus(g, sigma, p):
@@ -363,19 +367,14 @@ def construct_half_minus(g, sigma, p):
         raise ValueError(f"2-rank {sigma} does not split over type {p}")
     ka, kb = splits[0]
     F = GF4
-    if ka == 0:
-        h1 = RatFun.zero(F)
-    else:
-        h1 = make_hyperelliptic(ga - 2, ka - 1, at_infinity=False, field=F)
-    if kb == 0:
-        h2 = RatFun.zero(F)
-    else:
-        h2 = make_hyperelliptic(gb - 2, kb - 1,
-                                avoid=h1.pole_divisor().places(),
-                                at_infinity=False, field=F)
+    zero = ReducedForm(F, 0, {})
+    h1 = (make_hyperelliptic(ga - 2, ka - 1, at_infinity=False, field=F)
+          if ka else zero)
+    h2 = (make_hyperelliptic(gb - 2, kb - 1, avoid=h1.pole_places(),
+                             at_infinity=False, field=F) if kb else zero)
     f1 = _xk(F, 3) + h1
     f2 = _xk(F, 3, _alpha(F)) + h2
-    return KleinFourCover(f1, f2), Recipe("HALF_MINUS", {"k1": ka, "k2": kb})
+    return (f1, f2), Recipe("HALF_MINUS", {"k1": ka, "k2": kb})
 
 
 # -- the place step -----------------------------------------------------------
@@ -390,11 +389,13 @@ def place_step(pair, k):
     Each quotient gains a simple pole of degree deg P at each P, so its
     genus and, by Deuring-Shafarevich, its 2-rank rise by k.  A pair with
     no room moves to the field of twice the degree.  Returns the stepped
-    pair and the places.
+    pair and the places; k = 0 returns the pair with no places.
     """
+    if k < 0:
+        raise ValueError(f"a place step needs k >= 0, got {k}")
     while True:
         F = pair[0].field
-        poles = set().union(*(f.pole_divisor().places() for f in pair))
+        poles = pair[0].pole_places() | pair[1].pole_places()
         rational = []
         if F.degree % 2 == 0:
             rational = _free_rational(F, poles)
@@ -411,7 +412,7 @@ def place_step(pair, k):
         else:
             r = (Poly.monomial(F, 1) if pl.degree > 1
                  else Poly.const(F, _alpha(F)))
-            t1, t2 = RatFun.pole_at(pl.poly, 1), RatFun(r, pl.poly)
+            t1, t2 = _pole(pl.poly), _pole(pl.poly, 1, r)
         f1, f2 = f1 + t1, f2 + t2
     return (f1, f2), places
 
@@ -430,7 +431,16 @@ def construct(g, sigma, p):
     verdict = realizable(g, sigma, p)
     if not verdict.exists:
         raise NotRealizable(g, sigma, p, verdict)
-    cover, recipe = _dispatch(g, sigma, p)
+    # walk down by 3 to a directly built base, then take one step of k
+    k, base = 0, p
+    while (built := _direct(g - 3 * k, sigma - 3 * k, base)) is None:
+        k, base = k + 1, Partition(*(e - 1 for e in base.entries))
+    pair, recipe = built
+    if k:
+        pair, places = place_step(pair, k)
+        recipe = Recipe("INDUCT", {"k": k, "places": list(map(str, places))},
+                        base=recipe)
+    cover = KleinFourCover(*pair)
     got = (cover.invariants, cover.type)
     if got != ((g, sigma), p):
         raise InternalMismatch(
@@ -440,7 +450,7 @@ def construct(g, sigma, p):
 
 
 def _direct(g, sigma, p):
-    """(cover, recipe) from the scheme that builds the cell directly, or
+    """(pair, recipe) from the scheme that builds the cell directly, or
     None for a cell that only the place step reaches."""
     g1, g2, g3 = p.entries
     if sigma >= 3 and sigma % 2 and 2 * g1 == g + 1:
@@ -463,17 +473,3 @@ def _direct(g, sigma, p):
         return construct_half_minus(g, sigma, p)
     return None
 
-
-def _dispatch(g, sigma, p):
-    # walk down by 3 to a directly built base, then take one step of k
-    k = 0
-    while (built := _direct(g, sigma, p)) is None:
-        g, sigma, k = g - 3, sigma - 3, k + 1
-        p = Partition(*(e - 1 for e in p.entries))
-    if k == 0:
-        return built
-    base_cover, base_recipe = built
-    pair, places = place_step((base_cover.f1, base_cover.f2), k)
-    return (KleinFourCover(*pair),
-            Recipe("INDUCT", {"k": k, "places": [str(pl) for pl in places]},
-                   base=base_recipe))

@@ -83,11 +83,10 @@ def check_genus(g):
         raise ValueError(f"genus must be >= 0, got {g}")
 
 
-# Largest genus that `construct` and `k4 table` accept.  At g = 330 the
-# slowest witnesses, the near-balanced types at sigma = g (induction chains
-# of about g/3 steps), take about 9 s on one core, and `k4 table -g 330`
-# prints its 778,512 rows in about 9 s.  `realizable` answers at once at any
-# genus and is uncapped.
+# Largest genus that `construct` and `k4 table` accept.  A witness at the
+# cap, one base and one place step, takes about 0.1 s, so the cap is set by
+# the plain table: `k4 table -g 330` prints its 778,512 rows in about 9 s
+# on one core.  `realizable` answers at once at any genus and is uncapped.
 MAX_GENUS = 330
 
 

@@ -110,15 +110,6 @@ class RatFun:
     def zero(cls, field):
         return cls(Poly.zero(field), Poly.one(field))
 
-    @classmethod
-    def pole_at(cls, place_poly, order, c=1):
-        """c / place^order for a monic polynomial place."""
-        num = Poly.const(place_poly.field, c)
-        den = Poly.one(place_poly.field)
-        for _ in range(order):
-            den = den * place_poly
-        return cls(num, den)
-
     @property
     def is_zero(self):
         return not self.num.coeffs

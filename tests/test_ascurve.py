@@ -102,6 +102,16 @@ def test_reduce_form_is_the_vector_of_reduce_standard(pair):
         assert v.to_ratfun() == reduce_standard(f)
 
 
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs())
+def test_pole_places_match_the_factored_pole_divisor(pair):
+    # construct reads a form's poles off its vector; the reference factors
+    # the denominator of the RatFun
+    for f in pair:
+        v = reduce_form(f)
+        assert v.pole_places() == v.to_ratfun().pole_divisor().places()
+
+
 def pole_divisor_invariants(r):
     """Reference rule: genus and 2-rank from the factored pole divisor."""
     genus, k = -1, 0

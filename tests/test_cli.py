@@ -178,6 +178,19 @@ def test_construct_once_refused_cells(capsys, cell):
         int(g), int(s))
 
 
+# sha256 of the stdout of `k4 construct -g 300 -s 300 -p 100,100,100`,
+# recorded when one place step replaced the +3 induction chain
+CONSTRUCT_G300_SHA256 = (
+    "4017946a3725a9bd3f050889f0c36123a511bd4132f6d6f729e9014b22f17693")
+
+
+def test_construct_g300_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "construct", "-g", "300", "-s", "300",
+                       "-p", "100,100,100")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_G300_SHA256
+
+
 def test_census_command(capsys):
     code, doc = run_json(capsys, "census", "--field", "gf4", "--max-deg", "1",
                          "--json")

@@ -8,15 +8,27 @@ from types import SimpleNamespace
 
 import pytest
 
-from kleinfour.construct import (NotRealizable, _fill_degrees, construct,
+from kleinfour.ascurve import ReducedForm, reduce_form
+from kleinfour.construct import (NotRealizable, _direct, _fill_degrees,
+                                 _inv_xk, _pole, _xk, construct,
                                  construct_half_minus, construct_sigma0,
                                  construct_unbalanced_even,
                                  construct_unbalanced_odd, lift_pair,
                                  make_hyperelliptic, place_step)
 from kleinfour.field import GF2, GF4, BinaryField
 from kleinfour.klein4 import KleinFourCover, Partition, partitions_of
+from kleinfour.poly import Poly, monic_irreducibles
 from kleinfour.ratfun import parse_ratfun
 from kleinfour.realize import realizable
+
+
+def _forms(*fs):
+    """The reduced forms of RatFuns, as the pair builders take them."""
+    return tuple(reduce_form(f) for f in fs)
+
+
+def _ratfuns(pair):
+    return tuple(v.to_ratfun() for v in pair)
 
 
 def test_lemma_witness_examples():
@@ -45,9 +57,10 @@ def test_refuses_impossible_with_verdict():
 
 
 def test_make_hyperelliptic_examples():
-    assert str(make_hyperelliptic(2, 1)) == "(x^4 + 1) / (x)"  # x^3 + 1/x
-    assert str(make_hyperelliptic(2, 0)) == "x^5"
-    f = make_hyperelliptic(3, 3, at_infinity=False)
+    # x^3 + 1/x
+    assert str(make_hyperelliptic(2, 1).to_ratfun()) == "(x^4 + 1) / (x)"
+    assert str(make_hyperelliptic(2, 0).to_ratfun()) == "x^5"
+    f = make_hyperelliptic(3, 3, at_infinity=False).to_ratfun()
     # a budget of 4 fills from the places of degree 2 and more alone, so
     # no rational point is spent: x^2+x+1 and a cubic leave 1, and only
     # x^4+x+1 fills it
@@ -61,7 +74,7 @@ def test_make_hyperelliptic_contract(rng):
         h = rng.randrange(7)
         s = rng.randrange(h + 1)
         at_inf = rng.random() < 0.5
-        f = make_hyperelliptic(h, s, at_infinity=at_inf)
+        f = make_hyperelliptic(h, s, at_infinity=at_inf).to_ratfun()
         curve = ASCurve(f)
         assert curve.invariants == (h, s)
         places = f.pole_divisor().places()
@@ -134,6 +147,7 @@ def test_make_hyperelliptic_contract_with_avoid(rng, field):
         try:
             f = make_hyperelliptic(h, s, avoid=frozenset(avoid),
                                    at_infinity=at_inf, field=field)
+            f = f.to_ratfun()
         except ValueError:
             assert not room, (h, s, at_inf, sorted(map(str, avoid)))
             refused += 1
@@ -165,26 +179,28 @@ def test_make_hyperelliptic_past_its_first_pool():
     avoid = frozenset(Place(q) for q in monic_irreducibles(GF4, 2))
     assert len(avoid) == 10
     f = make_hyperelliptic(3, 3, avoid, at_infinity=False, field=GF4)
+    f = f.to_ratfun()
     assert ASCurve(f).invariants == (3, 3)
     assert not f.pole_divisor().places() & avoid
 
 
 def test_make_hyperelliptic_avoid(rng):
     f1 = make_hyperelliptic(3, 2)
-    avoid = f1.pole_divisor().places()
+    avoid = f1.to_ratfun().pole_divisor().places()
     f2 = make_hyperelliptic(2, 2, avoid=avoid, at_infinity=False)
-    shared = avoid & f2.pole_divisor().places()
+    shared = avoid & f2.to_ratfun().pole_divisor().places()
     assert not shared
 
 
 def test_unbalanced_even_examples():
-    c, r = construct_unbalanced_even(4, 2)
+    pair, r = construct_unbalanced_even(4, 2)
+    c = KleinFourCover(*pair)
     assert c.type == Partition(2, 2, 0) and c.invariants == (4, 2)
     assert c.f1 == parse_ratfun(GF2, "x^3 + 1/x")
     assert str(c.f2) == "x"
-    c, _ = construct_unbalanced_even(2, 0)
+    c = KleinFourCover(*construct_unbalanced_even(2, 0)[0])
     assert str(c.f1) == "x^3" and str(c.f2) == "x"
-    c, _ = construct_unbalanced_even(4, 4)
+    c = KleinFourCover(*construct_unbalanced_even(4, 4)[0])
     assert c.type == Partition(2, 2, 0) and c.invariants == (4, 4)
     with pytest.raises(ValueError):
         construct_unbalanced_even(5, 2)
@@ -196,7 +212,8 @@ def test_unbalanced_odd_contract():
                       (5, 5, Partition(3, 1, 1)),
                       (9, 7, Partition(5, 3, 1)),
                       (11, 11, Partition(6, 4, 1))]:
-        c, r = construct_unbalanced_odd(g, s, p)
+        pair, r = construct_unbalanced_odd(g, s, p)
+        c = KleinFourCover(*pair)
         assert c.invariants == (g, s) and c.type == p
         assert r.lemma == "UNB_ODD"
 
@@ -206,39 +223,40 @@ def test_half_minus_contract():
                       (7, 4, Partition(3, 3, 1)),
                       (9, 6, Partition(4, 3, 2)),
                       (11, 8, Partition(5, 5, 1))]:
-        c, r = construct_half_minus(g, s, p)
+        c = KleinFourCover(*construct_half_minus(g, s, p)[0])
         assert c.invariants == (g, s) and c.type == p
     with pytest.raises(ValueError):
         construct_half_minus(5, 0, Partition(2, 2, 1))
 
 
 def test_sigma0_schemes():
-    c, _ = construct_sigma0(Partition(2, 2, 2))
+    c = KleinFourCover(*construct_sigma0(Partition(2, 2, 2))[0])
     assert (str(c.f1), str(c.f2)) == ("x^5", "a*x^5")
-    c, _ = construct_sigma0(Partition(0, 0, 0))
+    c = KleinFourCover(*construct_sigma0(Partition(0, 0, 0))[0])
     assert (str(c.f1), str(c.f2)) == ("x", "a*x")
     with pytest.raises(NotRealizable):
         construct_sigma0(Partition(3, 2, 1))
 
 
 def test_place_step_examples():
-    p0 = (parse_ratfun(GF4, "1/x"), parse_ratfun(GF4, "a/(x)"))
+    p0 = _forms(parse_ratfun(GF4, "1/x"), parse_ratfun(GF4, "a/(x)"))
     assert KleinFourCover(*p0).type == Partition(0, 0, 0)
     # k = 1 over GF(4) is the paper's step: x and a*x at infinity
     p1, places = place_step(p0, 1)
     assert [str(pl) for pl in places] == ["infinity"]
-    assert p1 == (parse_ratfun(GF4, "x + 1/x"), parse_ratfun(GF4, "a*x + a/x"))
+    assert _ratfuns(p1) == (parse_ratfun(GF4, "x + 1/x"),
+                            parse_ratfun(GF4, "a*x + a/x"))
     c1 = KleinFourCover(*p1)
     assert c1.type == Partition(1, 1, 1) and c1.invariants == (3, 3)
     # k = 2 takes the first free place of degree 2, with r = x
     p2, places = place_step(p0, 2)
     assert [str(pl) for pl in places] == ["x^2 + x + a"]
-    assert p2[1] == parse_ratfun(GF4, "a/x + x/(x^2+x+a)")
+    assert p2[1].to_ratfun() == parse_ratfun(GF4, "a/x + x/(x^2+x+a)")
     c2 = KleinFourCover(*p2)
     assert c2.type == Partition(2, 2, 2) and c2.invariants == (6, 6)
     # GF(2) has no room at k = 1: its residue fields of degree 1 cannot
     # hold 1, r and 1 + r, so the pair moves to GF(4)
-    over_f2 = (parse_ratfun(GF2, "1/x"), parse_ratfun(GF2, "1/(x+1)"))
+    over_f2 = _forms(parse_ratfun(GF2, "1/x"), parse_ratfun(GF2, "1/(x+1)"))
     stepped, places = place_step(over_f2, 1)
     assert stepped[0].field == GF4 and [str(pl) for pl in places] == [
         "infinity"]
@@ -247,8 +265,8 @@ def test_place_step_examples():
     assert stepped[0].field == GF2 and [str(pl) for pl in places] == [
         "x^2 + x + 1"]
     # poles at all five rational places of GF(4) leave no room at k = 1
-    full = (parse_ratfun(GF4, "x + 1/x + 1/(x+1)"),
-            parse_ratfun(GF4, "1/(x+a) + 1/(x+a+1)"))
+    full = _forms(parse_ratfun(GF4, "x + 1/x + 1/(x+1)"),
+                  parse_ratfun(GF4, "1/(x+a) + 1/(x+a+1)"))
     base = KleinFourCover(*full)
     stepped, places = place_step(full, 1)
     assert stepped[0].field.order == 16 and places[0].degree == 1
@@ -258,12 +276,36 @@ def test_place_step_examples():
     assert stepped[0].field == GF4 and places[0].degree == 2
 
 
+def test_place_step_refuses_a_negative_k():
+    # no budget below 0 can be filled, so the search once lifted the pair
+    # field after field without end
+    pair = _forms(parse_ratfun(GF4, "1/x"), parse_ratfun(GF4, "a/(x)"))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="k >= 0"):
+        place_step(pair, -1)
+    assert time.perf_counter() - start < 1
+    assert place_step(pair, 0) == (pair, [])
+
+
+def test_lift_pair_reduces_split_places():
+    # x^2+x+1 splits over GF(4), where 1/(x^2+x+1)^3 has a term of even
+    # order at each factor: the lift is reduced again, not mapped digitwise
+    pair = _forms(parse_ratfun(GF2, "1/(x^2+x+1)^3"), parse_ratfun(GF2, "x"))
+    lifted = lift_pair(pair, GF4)
+    raw = parse_ratfun(GF4, "1/(x^2+x+1)^3")
+    assert lifted == (reduce_form(raw), reduce_form(parse_ratfun(GF4, "x")))
+    assert lifted[0] != ReducedForm.of(raw) and len(lifted[0].places) == 2
+    assert KleinFourCover(*lifted).invariants == KleinFourCover(
+        *pair).invariants
+
+
 def _step_has_room(pair, k):
     """Whether distinct places of total degree k, poles of neither function
     and rational only over a field containing GF(4), exist; judged from
     place counts."""
     F = pair[0].field
-    poles = set().union(*(f.pole_divisor().places() for f in pair))
+    poles = set().union(*(f.to_ratfun().pole_divisor().places()
+                          for f in pair))
     reach = {0}
     for d in range(1 if F.degree % 2 == 0 else 2, k + 1):
         # infinity is one more place of degree 1
@@ -282,15 +324,16 @@ def test_place_step_contract(rng, field):
         for _ in range(200 // k):
             c = rand_cover(rng, field, max_deg=4)
             g, s = c.invariants
-            stepped, places = place_step((c.f1, c.f2), k)
+            stepped, places = place_step(c.forms[:2], k)
             # the field grows, by doubling, only while there is no room
-            pair = (c.f1, c.f2)
+            pair = c.forms[:2]
             while not _step_has_room(pair, k):
                 pair = lift_pair(pair, BinaryField.default(
                     2 * pair[0].field.degree))
             assert stepped[0].field == pair[0].field
             lifted += pair[0].field != field
-            poles = set().union(*(f.pole_divisor().places() for f in pair))
+            poles = set().union(*(f.to_ratfun().pole_divisor().places()
+                                  for f in pair))
             assert not poles & set(places)
             assert len(set(places)) == len(places)
             assert sum(pl.degree for pl in places) == k
@@ -407,6 +450,43 @@ def test_witnesses_pinned_through_g12():
     assert digest.hexdigest() == WITNESSES_SHA256_G12
 
 
+def test_term_builders_match_reduce_form():
+    # each term construct writes is already canonical: it equals the
+    # reduction of the same term parsed as a RatFun
+    for F in (GF2, GF4, BinaryField.default(3)):
+        for k in (1, 3, 5, 9):
+            for c in range(1, F.order):
+                elt = f"({F.format_elt(c)})"
+                assert _xk(F, k, c) == reduce_form(
+                    parse_ratfun(F, f"{elt}*x^{k}"))
+                assert _inv_xk(F, k, c) == reduce_form(
+                    parse_ratfun(F, f"{elt}/x^{k}"))
+        for q in monic_irreducibles(F, 3 if F.order < 8 else 2):
+            residues = [None] + [Poly.const(F, c) for c in range(1, F.order)]
+            residues += [Poly.monomial(F, d) for d in range(1, q.degree)]
+            for e in (1, 3, 5):
+                for r in residues:
+                    text = "1" if r is None else str(r)
+                    assert _pole(q, e, r) == reduce_form(
+                        parse_ratfun(F, f"({text})/({q})^{e}")), (q, e, r)
+
+
+def test_scheme_and_step_forms_are_reduced():
+    # construct sums terms as reduced forms and never reduces them; every
+    # pair a scheme or the step returns must already be canonical
+    for g, s, p in _realizable_cells(12):
+        k = 0
+        while (built := _direct(g - 3 * k, s - 3 * k, Partition(
+                *(e - k for e in p.entries)))) is None:
+            k += 1
+        pairs = [built[0]]
+        if k:
+            pairs.append(place_step(built[0], k)[0])
+        for pair in pairs:
+            for v in pair:
+                assert reduce_form(v.to_ratfun()) == v, (g, s, p, k)
+
+
 def test_one_cover_per_induction_level(monkeypatch):
     module = importlib.import_module("kleinfour.construct")
     built = []
@@ -420,9 +500,9 @@ def test_one_cover_per_induction_level(monkeypatch):
         built.clear()
         _, recipe = construct(g, s, p)
         assert recipe.tags().count("INDUCT") <= 1
-        # the base, then the stepped pair
-        assert len(built) == 1 + ("INDUCT" in recipe.tags()), (
-            g, s, p, recipe.tags())
+        # the base and the step are built as pairs; only the witness is a
+        # cover
+        assert len(built) == 1, (g, s, p, recipe.tags())
 
 
 def test_construct_stops_at_the_genus_cap():
