@@ -18,11 +18,12 @@ degree d are evaluated all at once.  Each is a lane of a packed int, the
 narrowest native unsigned int that holds an element of GF(q^d).  A
 polynomial's values at every lane are the XOR of cached term vectors, the
 lanes of b*x^i for each power i and basis element b of GF(q) set in its
-coefficients' bits.  The values are unpacked into native ints and mapped
-through small per-field tables to a state byte per lane: the trace bit of
-num/den, or a pole.  The tally of states over one (functions, d) is
-memoized, so N_1..N_n share the tallies of the divisors of n; a cover's
-triple (f1, f2, f3) has its own tallies, never its quotients'.  Above 16
+coefficients' bits.  The trace bit of num/den is the parity of num & W[den]
+for a per-field table W of trace duals, one lookup per lane; shifts fold
+each lane's parity, and whether den is nonzero, into its bit 0.  Those bit
+planes are memoized per (function, d), the tallies of states (bit counts
+of their ANDs) per (functions, d): a cover reuses its quotients' planes of
+f1 and f2, and N_1..N_n share the tallies of the divisors of n.  Above 16
 bits, every element of GF(q^n) is evaluated with the bit-loop arithmetic.
 
 For a quotient curve, counts N_1..N_g determine the L-polynomial through
@@ -41,7 +42,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field as dfield
 from itertools import product
-from operator import add
 
 from .ascurve import ASCurve
 from .field import MAX_DEGREE, TABLE_MAX_DEGREE, BinaryField
@@ -54,6 +54,8 @@ class InconsistentCounts(ValueError):
 
 
 def _extension(base, n):
+    if n < 1:
+        raise ValueError(f"extension degree n must be >= 1, got {n}")
     bits = base.degree * n
     if bits > MAX_DEGREE:
         raise ValueError(
@@ -67,11 +69,7 @@ def _extension(base, n):
 @functools.lru_cache(maxsize=MAX_DEGREE)
 def _trace_mask(fld):
     """Bits whose sum mod 2 is the absolute trace: Tr(v) = |v & mask| mod 2."""
-    mask = 0
-    for i in range(fld.degree):
-        if fld.trace(1 << i):
-            mask |= 1 << i
-    return mask
+    return sum(fld.trace(1 << i) << i for i in range(fld.degree))
 
 
 def _eval(coeffs, x, mul):
@@ -132,36 +130,39 @@ def _lane_code(bits):
     raise ValueError(f"no lane holds {bits} bits")
 
 
-def _packed(code, values):
-    """values as native items of format code, in one bytes object."""
-    return struct.pack(f"{len(values)}{code}", *values)
-
-
-# A state is 0 or 1, the trace bit of a regular value, or POLE.  Tallies
-# share one tuple per key of state bytes, with None at a pole as _fibre reads.
-POLE = 2
-_STATES = {key: tuple(None if k == POLE else k for k in key)
-           for r in (1, 3) for key in product(range(3), repeat=r)}
-
-
 # One entry per table field.
 @functools.lru_cache(maxsize=2 * TABLE_MAX_DEGREE)
-def _state_tables(fld):
-    """(LN, LD, T): the state of num/den at a point is T[LN[num] + LD[den]].
-
-    log num - log den + n1 lies in [1, 2 n1 - 1], where T holds the trace
-    bit of g^k.  A zero numerator lands in [2 n1, 3 n1 - 1], where T is 0,
-    and a zero denominator at 3 n1 and above, where T is POLE.
-    """
+def _trace_duals(fld):
+    """W in lane format: W[v] = w(1/v) and W[0] = 0, where bit i of w(c) is
+    Tr(2^i c), so that Tr(u/v) = |u & W[v]| mod 2 for every v != 0.  w is
+    GF(2)-linear, so it is spanned from its values at the basis 2^j."""
     log, exp = fld.log_tables()
-    n1 = fld.order - 1
     tmask = _trace_mask(fld)
-    code = _lane_code((3 * n1).bit_length())
-    LN = _packed(code, [2 * n1 - 1] + log[1:])
-    LD = _packed(code, [3 * n1] + [n1 - k for k in log[1:]])
-    trace = bytes((v & tmask).bit_count() & 1 for v in exp[:n1])
-    return (memoryview(LN).cast(code), memoryview(LD).cast(code),
-            trace * 2 + bytes(n1) + bytes([POLE]) * (2 * n1))
+    w = [0]
+    for j in range(fld.degree):
+        wj = sum(((fld.mul(1 << i, 1 << j) & tmask).bit_count() & 1) << i
+                 for i in range(fld.degree))
+        w += [c ^ wj for c in w]
+    by_log = list(map(w.__getitem__, exp[fld.order - 1:0:-1]))  # w(g^-k)
+    code = _lane_code(fld.degree)
+    return memoryview(struct.pack(f"{fld.order}{code}", 0, *map(
+        by_log.__getitem__, log[1:]))).cast(code)
+
+
+def _state(num, den, W):
+    """num/den's state at one element; W[den] masks num's higher bits."""
+    return (num & W[den]).bit_count() & 1 if den else None
+
+
+def _fold(t, r, width, ones):
+    """(parity, nonzero) of each width-bit lane of t and of r, at its bit 0;
+    ones has bit 0 of every lane set.  A shift by s brings the next lane's
+    bits into a lane's top s bits, which narrower shifts never bring down."""
+    while width > 1:
+        width //= 2
+        t ^= t >> width
+        r |= r >> width
+    return t & ones, r & ones
 
 
 # Keys are (base field, d) with m*d <= TABLE_MAX_DEGREE, about 50 of them
@@ -172,84 +173,82 @@ def _lanes(base, d):
     orbit rep k, holding an element of GF(q^d) at x = g^k in the narrowest
     native unsigned int that fits it, in native byte order both ways.
 
-    Returns (code, count, tables, term): the lane format and count, the
-    state tables of GF(q^d), and term(t), the packed lanes of embed(b_j) x^i
-    for t = i*m + j, b_j = 2^j the j-th basis element of GF(q).  The value
-    of a polynomial at every lane is the XOR of term(t) over the set bits t
-    of its coefficients' concatenated bits, since embedding is GF(2)-linear.
-    """
+    Returns (values, dual, W, ones).  values(poly) packs poly's value at
+    each lane as the XOR of term(t), the lanes of embed(2^j) x^i, over the
+    set bits t = i*m + j of its coefficients (embedding is GF(2)-linear).
+    dual(v) maps each lane of v through W, the trace duals of GF(q^d)."""
     fld, embed = _extension(base, d)
     log, exp = fld.log_tables()
-    n1 = fld.order - 1
     reps = _orbit_reps(base.order, d)
-    code = _lane_code(fld.degree)
+    W = _trace_duals(fld)
+    fmt = f"{len(reps)}{W.format}"
+
+    def packed(lanes):
+        return int.from_bytes(struct.pack(fmt, *lanes), sys.byteorder)
 
     @functools.lru_cache(maxsize=256)  # t < m * (degree + 1)
     def term(t):
         i, j = divmod(t, base.degree)
         lj = log[embed(1 << j)]
-        lanes = _packed(code, [exp[(lj + i * k) % n1] for k in reps])
-        return int.from_bytes(lanes, sys.byteorder)
-
-    return code, len(reps), _state_tables(fld), term
-
-
-def _find_all(s, byte):
-    """Indices of byte in s, in order."""
-    i = s.find(byte)
-    while i >= 0:
-        yield i
-        i = s.find(byte, i + 1)
-
-
-def _states_by_orbit(fns, d):
-    """Tally of state tuples over the closed points of degree d, as an
-    immutable tuple of (states, points) pairs.
-
-    Each function's numerator and denominator are evaluated at every lane
-    at once by XORs of packed term vectors, then unpacked into native ints
-    and mapped through the state tables.  For a cover, f3 is read only on the
-    lanes where f1 or f2 has a pole: elsewhere f3 = f1 + f2 is regular and
-    its trace bit is t1 XOR t2."""
-    base = fns[0].field
-    m = base.degree
-    code, count, (LN, LD, T), term = _lanes(base, d)
-    nbytes = count * struct.calcsize(code)
+        return packed([exp[(lj + i * k) % (fld.order - 1)] for k in reps])
 
     def values(poly):
         v = 0
         for i, c in enumerate(poly.coeffs):
             while c:
                 low = c & -c
-                v ^= term(i * m + low.bit_length() - 1)
+                v ^= term(i * base.degree + low.bit_length() - 1)
                 c ^= low
-        return memoryview(v.to_bytes(nbytes, sys.byteorder)).cast(code)
+        return v
 
-    def lane_states(f):
-        return bytes(map(T.__getitem__, map(
-            add, map(LN.__getitem__, values(f.num)),
-            map(LD.__getitem__, values(f.den)))))
+    def dual(v):
+        lanes = v.to_bytes(struct.calcsize(fmt), sys.byteorder)
+        return packed(map(W.__getitem__, memoryview(lanes).cast(W.format)))
 
+    return values, dual, W, packed([1] * len(reps))
+
+
+# Keys are (function, d).  A verify call uses at most 3 * 16, its three
+# functions at each d <= 16, and a cover's tally reuses its quotients'.
+@functools.lru_cache(maxsize=64)
+def _planes(f, d):
+    """(trace bits, regular bits) of f over the closed points of degree d,
+    one bit per lane: the trace bit of f (0 at a pole) and whether f is
+    regular.  The trace bit of num/den is the parity of num & W[den]."""
+    values, dual, W, ones = _lanes(f.field, d)
+    den = values(f.den)
+    return _fold(values(f.num) & dual(den), den, 8 * W.itemsize, ones)
+
+
+def _states_by_orbit(fns, d):
+    """Tally of state tuples over the closed points of degree d, as an
+    immutable tuple of (states, points) pairs, by bit counts of ANDs of the
+    functions' planes.  For a cover, f3 is read only on the lanes where f1
+    or f2 has a pole: elsewhere f3 = f1 + f2 has trace bit t1 XOR t2."""
+    values, _, W, ones = _lanes(fns[0].field, d)
     tally = Counter()
     if d == 1:  # the point 0: the constant terms
-        tally[tuple(T[LN[f.num.coeffs[0] if f.num.coeffs else 0]
-                      + LD[f.den.coeffs[0]]] for f in fns)] += 1
+        tally[tuple(_state(f.num.coeffs[0] if f.num.coeffs else 0,
+                           f.den.coeffs[0], W) for f in fns)] += 1
+    t1, r1 = _planes(fns[0], d)
     if len(fns) == 1:
-        s = lane_states(fns[0])
-        for k in (0, 1, POLE):
-            tally[k,] += s.count(k)
+        for k, plane in zip((0, 1, None), (r1 ^ t1, t1, ones ^ r1)):
+            tally[k,] += plane.bit_count()
     else:
-        s1, s2 = lane_states(fns[0]), lane_states(fns[1])
-        for (t1, t2), points in Counter(zip(s1, s2)).items():
-            if POLE not in (t1, t2):
-                tally[t1, t2, t1 ^ t2] += points
-        poles = set(_find_all(s1, POLE)) | set(_find_all(s2, POLE))
+        t2, r2 = _planes(fns[1], d)
+        p1, p2 = (r1 ^ t1, t1), (r2 ^ t2, t2)  # lanes by trace bit
+        for a, b in product((0, 1), repeat=2):
+            tally[a, b, a ^ b] += (p1[a] & p2[b]).bit_count()
+        poles = ones ^ (r1 & r2)
         if poles:
             num, den = values(fns[2].num), values(fns[2].den)
-            for i in poles:
-                tally[s1[i], s2[i], T[LN[num[i]] + LD[den[i]]]] += 1
-    return tuple((_STATES[key], points)
-                 for key, points in tally.items() if points)
+        while poles:
+            p = (poles & -poles).bit_length() - 1
+            poles ^= 1 << p
+            tally[tuple(t >> p & 1 if r >> p & 1 else None
+                        for t, r in ((t1, r1), (t2, r2)))
+                  + (_state(num >> p, (den >> p) % len(W), W),)] += 1
+    return tuple((key, points) for key, points in tally.items() if points)
 
 
 # Keys are (functions, d): N_1..N_n share the tallies of the divisors of n.

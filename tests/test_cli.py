@@ -261,12 +261,17 @@ def test_seed_flag_accepted(capsys):
     assert code == 0 and seeded == plain
 
 
-# sha256 of two verify outputs, as printed by the oracle that evaluated each
-# closed point with a scalar log-domain Horner loop.
+# sha256 of verify outputs: the first two as printed by the oracle that
+# evaluated each closed point with a scalar log-domain Horner loop, the
+# 16-bit counts of g = 16 as printed by the lane kernel that mapped each
+# lane through per-field state tables.
 VERIFY_OUTPUT_SHA256 = {
     "table -g 12 --verify --json":
         "253cfee194f0e966556488552a517b01"
         "2e911ce98c2b5ce9e9dc7770fa7b5c5c",
+    "table -g 16 --verify --json":
+        "cec2ce9c1caf75464cf20ff8c96dd859"
+        "56f83764a9f5e411ef16f23c029ff7c7",
     "construct -g 9 -s 5 -p 3,3,3 --verify-depth 4":
         "1786fdbdb32bd2bad39ad4c9283cf06f"
         "944ca89e752e919566922efde0d48f71",

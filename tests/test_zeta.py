@@ -1,5 +1,7 @@
+import random
 import struct
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,8 +13,8 @@ from kleinfour import zeta
 from kleinfour.ascurve import ASCurve, DegenerateCover
 from kleinfour.field import GF2, GF4, MAX_DEGREE, BinaryField
 from kleinfour.klein4 import InvalidCover, KleinFourCover
-from kleinfour.poly import field_embedding
-from kleinfour.ratfun import parse_ratfun
+from kleinfour.poly import Poly, field_embedding, is_irreducible
+from kleinfour.ratfun import RatFun, parse_ratfun
 from kleinfour.zeta import (InconsistentCounts, count_points,
                             count_points_cover, lpoly_from_counts,
                             verify, weil_ok)
@@ -55,6 +57,15 @@ def test_extension_cap():
     c = ASCurve(pr2("x^3"))
     with pytest.raises(ValueError):
         count_points(c, 25)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_counts_refuse_an_extension_degree_below_one(n):
+    for count, target in ((count_points, ASCurve(pr2("x^3"))),
+                          (count_points_cover,
+                           KleinFourCover(pr2("x"), pr2("1/x")))):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}$"):
+            count(target, n)
 
 
 def test_lpoly_goldens():
@@ -334,7 +345,8 @@ def fresh_zeta_caches():
     so a run with the table cap patched recomputes every tally instead of
     reading one memoized by an earlier run."""
     def clear():
-        for cache in (zeta._tally, zeta._lanes, zeta._state_tables):
+        for cache in (zeta._tally, zeta._planes, zeta._lanes,
+                      zeta._trace_duals):
             cache.cache_clear()
     clear()
     yield
@@ -501,13 +513,14 @@ GF8 = BinaryField.default(3)
 GF8_ALT = BinaryField(3, 0b1101)  # the other GF(8) modulus
 
 
-def assert_tallies_match_the_scalar_loop(f1, f2):
-    """Every d with m*d <= 12, for each function alone, the cover triple, and
-    a triple whose third function is not f1 + f2 (so a kernel that reads f3
-    off the pole lanes, or never reads it, disagrees)."""
+def assert_tallies_match_the_scalar_loop(f1, f2, ds=None):
+    """Every d in ds, by default every d with m*d <= 12, for each function
+    alone, the cover triple, and a triple whose third function is not
+    f1 + f2 (so a kernel that reads f3 off the pole lanes, or never reads
+    it, disagrees)."""
     F = f1.field
     for fns in ((f1,), (f2,), (f1, f2, f1 + f2), (f1, f2, f2)):
-        for d in range(1, 12 // F.degree + 1):
+        for d in ds or range(1, 12 // F.degree + 1):
             fld, embed = zeta._extension(F, d)
             expected = scalar_states_by_orbit(fns, F.order, d, fld, embed)
             tally = zeta._states_by_orbit(fns, d)
@@ -527,6 +540,38 @@ def test_lane_tallies_match_the_scalar_loop_on_pole_patterns(F):
     for a, b in POLE_PATTERNS + (("1/x^3 + x", "1/x"),):
         assert_tallies_match_the_scalar_loop(parse_ratfun(F, a),
                                              parse_ratfun(F, b))
+
+
+def irreducible(F, d):
+    """The first irreducible x^d + c3 x^3 + ... + c0 over F, d > 3."""
+    return next(p for cs in product(range(F.order), repeat=4)
+                for p in [Poly.make(F, [*cs] + [0] * (d - 4) + [1])]
+                if is_irreducible(p))
+
+
+@pytest.mark.parametrize("pattern", [0, 4])
+def test_16_bit_lanes_match_the_scalar_loop_at_finite_poles(pattern):
+    # 14- and 16-bit lanes over GF(4) with denominators other than 1, so
+    # every lane's trace bit reads W; the patterns' poles are rational
+    # places, so no lane of degree 7 or 8 is a pole (see the next test)
+    assert_tallies_match_the_scalar_loop(
+        *(pr4(t) for t in POLE_PATTERNS[pattern]), ds=(7, 8))
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_16_bit_pole_lanes_match_the_scalar_loop(d):
+    # a place of degree d over GF(4) is a pole lane of the degree-d lanes:
+    # shared by f1 and f2, then of f1 alone; the function regular there has
+    # a denominator, so its trace bit reads every bit of the lane
+    P = RatFun(Poly.one(GF4), irreducible(GF4, d))
+    g = pr4("1/(x+1) + x^3")
+    for f1, f2, pole_of in ((P + pr4("x"), P + g, (1, 1, 0)),
+                            (P + pr4("a*x"), g, (1, 0, 1))):
+        assert_tallies_match_the_scalar_loop(f1, f2, ds=(d,))
+        # the orbit of P's roots is the one pole lane
+        assert [(tuple(s is None for s in states), n) for states, n
+                in zeta._states_by_orbit((f1, f2, f1 + f2), d)
+                if None in states] == [(pole_of, 1)]
 
 
 def test_the_widest_lane_counts_exactly():
@@ -579,6 +624,72 @@ def test_the_tally_memo_keys_on_the_field(monkeypatch):
     assert count_points(c1, 1) == seed_count_points(c1, 1) == 9
     assert count_points(c2, 1) == seed_count_points(c2, 1) == 13
     assert set(calls) == {((c1.f,), 1), ((c2.f,), 1)}
+
+
+def test_verify_computes_each_plane_once(rng, fresh_zeta_caches):
+    for cov in (KleinFourCover(pr2("1/x + x^3"), pr2("1/x + x^5")),
+                rand_cover(rng, GF4, max_deg=3)):
+        zeta._tally.cache_clear()
+        zeta._planes.cache_clear()
+        assert verify(cov).confirmed
+        depth = max(sub.genus for sub in cov.quotients) + 1
+        # each quotient's function at each d once; the cover's tally reads
+        # the planes of f1 and f2 that quotients 1 and 2 made
+        info = zeta._planes.cache_info()
+        assert info.misses == info.currsize == 3 * depth
+        assert info.hits == 2 * depth
+        assert [s.f for s in cov.quotients[:2]] == [cov.f1, cov.f2]
+
+
+def test_the_planes_memo_keys_on_the_field(fresh_zeta_caches):
+    c1, c2 = (ASCurve(parse_ratfun(F, "x^3 + a*x")) for F in (GF8, GF8_ALT))
+    assert (count_points(c1, 1), count_points(c2, 1)) == (9, 13)
+    assert zeta._planes.cache_info().currsize == 2
+    assert zeta._planes(c1.f, 1) != zeta._planes(c2.f, 1)
+
+
+@pytest.mark.parametrize("F", [BinaryField.default(m) for m in range(1, 9)]
+                         + [GF8_ALT], ids=repr)
+def test_trace_duals_give_the_trace_of_every_quotient(F):
+    W = zeta._trace_duals(F)
+    tmask = seed_trace_mask(F)
+    assert len(W) == F.order and W[0] == 0
+    for v in range(1, F.order):
+        c = F.inv(v)
+        for u in range(F.order):
+            assert (F.mul(u, c) & tmask).bit_count() & 1 == \
+                (u & W[v]).bit_count() & 1, (u, v)
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_trace_duals_on_a_sample_of_the_wide_fields(m):
+    F = BinaryField.default(m)
+    W = zeta._trace_duals(F)
+    rng = random.Random(m)
+    assert len(W) == F.order and W[0] == 0
+    for _ in range(3000):
+        u, v = rng.randrange(F.order), rng.randrange(1, F.order)
+        assert F.trace(F.mul(u, F.inv(v))) == (u & W[v]).bit_count() & 1
+
+
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_fold_reads_each_lane_alone(width):
+    # lanes of all ones next to each other and to sparse lanes: a fold that
+    # let the next lane's bits reach bit 0 would flip the parity
+    rng = random.Random(width)
+    full = (1 << width) - 1
+    count = 40
+    ones = sum(1 << i * width for i in range(count))
+    for _ in range(100):
+        lanes = [[rng.choice((0, full, full, 1 << rng.randrange(width),
+                              rng.getrandbits(width)))
+                  for _ in range(count)] for _ in range(2)]
+        t, r = (sum(v << i * width for i, v in enumerate(ls))
+                for ls in lanes)
+        assert zeta._fold(t, r, width, ones) == (
+            sum((v.bit_count() & 1) << i * width
+                for i, v in enumerate(lanes[0])),
+            sum((v != 0) << i * width for i, v in enumerate(lanes[1])))
 
 
 def test_a_memoized_tally_is_immutable():
