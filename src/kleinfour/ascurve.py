@@ -276,32 +276,35 @@ class PackedLayout:
 
 
 class ASCurve:
-    """y^2 + y = f(x), stored with f in canonical standard form."""
+    """y^2 + y = f(x), kept as f's reduced form; `f` is built on use."""
 
-    __slots__ = ("field", "f", "form", "__dict__")
+    __slots__ = ("field", "form", "__dict__")
 
     def __init__(self, f):
         if not isinstance(f, RatFun):
             raise TypeError("ASCurve takes a RatFun")
-        form = reduce_form(f)
-        self._set(f, form, form.to_ratfun())
+        self._set(reduce_form(f), f)
 
     @classmethod
-    def from_form(cls, form, r):
-        """The curve y^2 + y = r of a reduced form, given r =
-        form.to_ratfun(); nothing is reduced again."""
+    def from_form(cls, form):
+        """The curve y^2 + y = r of a reduced form r; nothing is reduced
+        again, and r is built as a RatFun only on first use of `f`."""
         curve = cls.__new__(cls)
-        curve._set(r, form, r)
+        curve._set(form, None)
         return curve
 
-    def _set(self, f, form, reduced):
+    def _set(self, form, f):
         if form.is_constant:
+            r = form.to_ratfun()
             raise DegenerateCover(
-                f"y^2+y = {f} reduces to the constant {reduced}; "
-                "the double cover is split or a constant twist")
+                f"y^2+y = {r if f is None else f} reduces to the constant "
+                f"{r}; the double cover is split or a constant twist")
         self.field = form.field
         self.form = form
-        self.f = reduced
+
+    @functools.cached_property
+    def f(self):
+        return self.form.to_ratfun()
 
     @functools.cached_property
     def invariants(self):
@@ -319,11 +322,10 @@ class ASCurve:
         return self.f.pole_divisor()
 
     def __eq__(self, other):
-        return (isinstance(other, ASCurve) and self.field == other.field
-                and self.f == other.f)
+        return isinstance(other, ASCurve) and self.form == other.form
 
     def __hash__(self):
-        return hash((self.field, self.f))
+        return hash((self.field, self.form.key()))
 
     def __str__(self):
         return f"y^2+y = {self.f} over {self.field}"

@@ -14,21 +14,24 @@ the denominator are the multiples of its irreducible factors, and their
 codes are dropped with no gcd (`coprime_codes`).  Every form is packed into
 one int under a layout local to the call (`PackedLayout`), so a pair sum
 is an XOR, a constant sum is an int below 1 << m, and the lowest-pair test
-is a dict hit.  Genus and 2-rank add up over places, so a sum that is not
-itself a class takes its invariants from the pair's, corrected only at the
-places both classes have poles at (`sum_invariants`, through the same
-per-place rule as `ReducedForm.invariants`).  Covers are counted under an
-int key and folded into (genus, 2-rank, type) cells after the pair loop
-(`fold_keys`); RatFuns are built only for each cell's example, its
-earliest pair.  A cover in a cell the decision procedure declares
-impossible would disprove the classification; the run asserts that never
-happens, checking each cell in the order the pair loop first reached it.
+is a dict hit.  Genus and 2-rank add up over places, so a pair with no
+shared pole has a key fixed by its classes' invariants and is counted in
+bulk (`count_covers`), and a sum with a shared pole that is not itself a
+class takes its invariants from the pair's, corrected only at the shared
+places (`sum_invariants`, through the same per-place rule as
+`ReducedForm.invariants`).  Covers are counted under an int key and folded
+into (genus, 2-rank, type) cells afterwards (`fold_keys`); RatFuns are
+built only for each cell's example, its earliest pair, when printed.  A
+cover in a cell the decision procedure declares impossible would disprove
+the classification; the run asserts that never happens, checking the cells
+in the order of their earliest pairs.
 The degree bound is capped per field (`max_census_degree`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from collections import Counter
 from itertools import compress
 
 from . import poly
@@ -180,7 +183,7 @@ def max_census_degree(field):
     """The largest degree bound the census accepts over `field`.
 
     The census pairs about q^(2D + 1) functions, so D is capped where that
-    reaches 2^14: 6 over GF(2) and 3 over GF(4), each about 10 s."""
+    reaches 2^14: 6 over GF(2) and 3 over GF(4), each about 3 s."""
     return (14 // field.degree - 1) // 2
 
 
@@ -197,6 +200,90 @@ def fold_keys(counts, first):
     return cells
 
 
+def _skipped_pairs(classes, index, fields, one):
+    """{i: {j, ...}}: the pairs i < j of classes with no shared pole whose
+    sum is a class k < j, so that their cover is counted at a lower pair.
+    Such a k splits along its pole slots (`fields`): one summand takes a
+    proper subset of them, with k's lowest, the other the rest, and the
+    constant goes to either side.  In census order no pair is skipped (the
+    sum comes after both summands); other orders need this."""
+    skipped = {}
+    for k, x in enumerate(classes):
+        parts = [x & f for f in fields if x & f]
+        for rest in span(parts[1:])[:-1]:
+            for c in range(one):
+                p, q = sorted((index.get(parts[0] ^ rest ^ c, -1),
+                               index.get(parts[0] ^ rest ^ c ^ x, -1)))
+                if p >= 0 and k < q:
+                    skipped.setdefault(p, set()).add(q)
+    return skipped
+
+
+def count_covers(classes, layout):
+    """(counts, first): the covers {r_i, r_j, r_i + r_j} of the distinct
+    non-constant packed forms `classes`, each at its lowest pair i < j,
+    counted under raw keys g1 << 24 | g2 << 16 | g3 << 8 | sigma (every
+    genus and sigma is below 64 at the degree caps), and the earliest pair
+    counted under each key.  With no shared pole, r_i + r_j has invariants
+    (g_i + g_j + 1, s_i + s_j + 1), so row i counts those pairs in bulk,
+    keyed by i's `own_apart` plus the `apart` of each (poles, apart) group
+    above i.  Only pairs with a shared pole go one by one, and their digits
+    at the shared places alone shift that key (`sum_invariants`)."""
+    one = 1 << layout.field.degree  # a form is constant exactly when below
+    index = {x: i for i, x in enumerate(classes)}
+    invariants = [layout.unpack(x).invariants() for x in classes]
+    apart = [(g << 16) + (g << 8) + 2 * s for g, s in invariants]
+    fields = [mask << offset for offset, mask, _, _ in layout.slots]
+    poles = [sum(f for f in fields if x & f) for x in classes]  # pole slots
+    skipped = _skipped_pairs(classes, index, fields, one)
+    above = Counter(zip(poles, apart))
+    disjoint = {m: [group for group in above if not group[0] & m]
+                for m in set(poles)}
+    shares = {m: bytes(map(bool, map(m.__and__, poles))) for m in disjoint}
+    shifts = {}
+    counts = Counter()
+    first = {}
+    n = len(classes)
+    for i, a in enumerate(classes):
+        g1, s1 = invariants[i]
+        mask1 = poles[i]
+        above[mask1, apart[i]] -= 1
+        own_apart = (g1 << 24) + (g1 << 8) + 2 * s1 + 257
+        for j in compress(range(i + 1, n), shares[mask1][i + 1:]):
+            b = classes[j]
+            s = a ^ b  # already reduced: reduction is GF(2)-linear
+            if s < one or index.get(s, j) < j:
+                continue  # no cover, or one counted at a lower pair
+            digits = a & poles[j], b & mask1  # at the shared places
+            shift = shifts.get(digits)
+            if shift is None:  # the shared places' part alone
+                dg, ds = sum_invariants(layout.slots, *digits,
+                                        layout.places_mask(digits[0]),
+                                        (-1, -1), (0, 0))
+                shift = shifts[digits] = (dg << 8) + ds
+            key = own_apart + apart[j] + shift
+            if key not in counts:
+                first[key] = i, j
+            counts[key] += 1
+        skip = skipped.get(i, ())
+        row = {}
+        for group in disjoint[mask1]:
+            key = own_apart + group[1]
+            row[key] = row.get(key, 0) + above[group]
+        for j in skip:
+            row[own_apart + apart[j]] -= 1
+        for key, count in row.items():
+            if count:
+                counts[key] += count
+                fi, fj = first.get(key, (i, n))
+                if fi == i:  # the row's lowest j may come before fj
+                    first[key] = i, next(
+                        (j for j in range(i + 1, fj) if j not in skip
+                         and own_apart + apart[j] == key
+                         and not poles[j] & mask1), fj)
+    return counts, first
+
+
 def run_census(field, max_deg):
     """Census cells sorted by (g, sigma, type); raises CensusViolation if a
     cover contradicts the realizability decision."""
@@ -207,56 +294,11 @@ def run_census(field, max_deg):
         raise ValueError(f"census degree bound over {field} is {cap}, "
                          f"got {max_deg}")
     packed, layout = _packed_functions(field, max_deg)
-    one = 1 << field.degree  # a form is constant exactly when below this
-    index = {}  # the distinct non-constant forms, in order of first sight
-    for x in packed:
-        if x >= one and x not in index:
-            index[x] = len(index)
-    classes = list(index)
-    invariants = [layout.unpack(x).invariants() for x in classes]
-    masks = [layout.places_mask(x) for x in classes]
-    slots = layout.slots
-    # A cover is counted under the raw key g1 << 24 | g2 << 16 | g3 << 8 |
-    # sigma (every genus and sigma is below 64 at the degree caps).  A fresh
-    # r3 with no pole shared by r1 and r2 has invariants (g1 + g2 + 1,
-    # s1 + s2 + 1), so its key is r1's `own_apart` plus r2's `apart`.
-    apart = [(g << 16) + (g << 8) + 2 * s for g, s in invariants]
-    counts = {}
-    first = {}
-    n = len(classes)
-    for i, a in enumerate(classes):
-        inv1 = invariants[i]
-        g1, s1 = inv1
-        mask1 = masks[i]
-        own_apart = (g1 << 24) + (g1 << 8) + 2 * s1 + 257
-        for j, b, mask2, key in zip(range(i + 1, n), classes[i + 1:],
-                                    masks[i + 1:], apart[i + 1:]):
-            s = a ^ b  # already reduced: reduction is GF(2)-linear
-            k = index.get(s)
-            if k is None and not mask1 & mask2:
-                key += own_apart
-            else:
-                # a constant sum is never a class, and its terms share
-                # every pole, so it is caught here
-                if s < one:
-                    continue  # r1 and r2 differ by a constant: no cover
-                if k is None:
-                    g3, s3 = sum_invariants(slots, a, b, mask1 & mask2,
-                                            inv1, invariants[j])
-                elif k < j:
-                    continue  # {r1, r2, r3} is counted at its lowest pair
-                else:
-                    g3, s3 = invariants[k]
-                g2, s2 = invariants[j]
-                key = (g1 << 24) + (g2 << 16) + (g3 << 8) + s1 + s2 + s3
-            count = counts.get(key)
-            if count is None:
-                counts[key] = 1
-                first[key] = i, j
-            else:
-                counts[key] = count + 1
+    # the distinct non-constant forms, in order of first sight
+    classes = list(dict.fromkeys(x for x in packed if x >> field.degree))
+    counts, first = count_covers(classes, layout)
     cells = fold_keys(counts, first)
-    # check each cell in the order the pair loop first reached it
+    # check the cells in the order of their earliest pairs
     for cell_key, (count, (i, j)) in sorted(cells.items(),
                                             key=lambda c: c[1][1]):
         g, sigma, entries = cell_key

@@ -115,11 +115,12 @@ def _form(f):
 class KleinFourCover:
     """The cover determined by (f1, f2), with derived f3 = f1 + f2.
 
-    f1 and f2 may be RatFuns or reduced forms (`ReducedForm`); they are
-    kept as canonical RatFuns, and `forms` holds the three reduced forms.
+    f1 and f2 may be RatFuns or reduced forms (`ReducedForm`); `forms`
+    holds the three reduced forms, and the quotient curves build each one's
+    canonical RatFun on first use, which f1, f2 and f3 share.
     """
 
-    __slots__ = ("field", "f1", "f2", "f3", "forms", "__dict__")
+    __slots__ = ("field", "forms", "__dict__")
 
     def __init__(self, f1, f2):
         v1, v2 = _form(f1), _form(f2)
@@ -134,15 +135,15 @@ class KleinFourCover:
                     f"{name} reduces to the constant {v.to_ratfun()}: the "
                     "pair does not generate a Klein-four extension")
         self.field = v1.field
-        self.f1 = v1.to_ratfun()
-        self.f2 = v2.to_ratfun()
-        self.f3 = v3.to_ratfun()
         self.forms = (v1, v2, v3)
 
     @functools.cached_property
     def quotients(self):
-        return tuple(ASCurve.from_form(v, f) for v, f in
-                     zip(self.forms, (self.f1, self.f2, self.f3)))
+        return tuple(map(ASCurve.from_form, self.forms))
+
+    f1, f2, f3 = (functools.cached_property(lambda self, i=i:
+                                            self.quotients[i].f)
+                  for i in range(3))
 
     @functools.cached_property
     def type(self):
@@ -165,8 +166,7 @@ class KleinFourCover:
 
     def key(self):
         """Canonical identity: field plus the unordered reduced triple."""
-        return (self.field,
-                frozenset((self.f1.key(), self.f2.key(), self.f3.key())))
+        return self.field, frozenset(v.key() for v in self.forms)
 
     def __eq__(self, other):
         return isinstance(other, KleinFourCover) and self.key() == other.key()

@@ -19,7 +19,9 @@ whatever the random stream.
 
 from __future__ import annotations
 
+import copy
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from operator import xor
@@ -424,9 +426,9 @@ def is_irreducible(p):
     return len(fs) == 1 and fs[0][1] == 1
 
 
-def monic_irreducibles(field, max_degree):
-    """Yield monic irreducibles in ascending (degree, coefficient) order."""
-    for d in range(1, max_degree + 1):
+def _irreducibles(field):
+    """Every monic irreducible, in ascending (degree, coefficient) order."""
+    for d in itertools.count(1):
         for enc in range(field.order ** d):
             cs = []
             v = enc
@@ -436,6 +438,19 @@ def monic_irreducibles(field, max_degree):
             p = Poly.make(field, cs + [1])
             if is_irreducible(p):
                 yield p
+
+
+# One entry per field `construct` places poles over.  The tee keeps every
+# irreducible found so far and searches further only on demand.
+@functools.lru_cache(maxsize=16)
+def _irreducibles_found(field):
+    return itertools.tee(_irreducibles(field), 1)[0]
+
+
+def monic_irreducibles(field, max_degree):
+    """Monic irreducibles in ascending (degree, coefficient) order."""
+    return itertools.takewhile(lambda p: p.degree <= max_degree,
+                               copy.copy(_irreducibles_found(field)))
 
 
 def roots(p):

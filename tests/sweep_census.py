@@ -1,0 +1,62 @@
+"""Check the census at its degree caps, beyond what tier-1 can afford.
+
+The sha256 of `k4 census --field F --max-deg D --json` must be
+CENSUS_JSON_SHA256[F, D] at GF(2) degrees 5 and 6 and GF(4) degree 3, the
+values printed by the census that visited every class pair one by one.
+At GF(2) degree 5, `count_covers` must also return exactly what the pair
+loop of test_census.py does.  Prints each check with its time and exits 1
+on the first mismatch.  The sweep takes about 6 s on one core, too long
+for the tier-1 suite, so its name keeps pytest from collecting it:
+
+    PYTHONPATH=src python tests/sweep_census.py
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import time
+
+from kleinfour.cli import main as k4
+from kleinfour.census import count_covers
+from kleinfour.field import GF2
+from test_census import census_classes, pair_loop_count_covers
+
+CENSUS_JSON_SHA256 = {
+    ("gf2", 5): "45fe3b882f30d4a168e8bf202526cf77"
+                "8d7a06807a595f665a74ef03677d73dd",
+    ("gf2", 6): "180a401edb646699d5e38a1dee597090"
+                "c852bae1b6c1aea2e7b4d0fe8b693e7f",
+    ("gf4", 3): "56e52d4259904dfa20fdf5d99026274f"
+                "2559c605303ce942332cfda084e0b57c",
+}
+
+
+def main():
+    for (field, max_deg), expected in CENSUS_JSON_SHA256.items():
+        start = time.perf_counter()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = k4(["census", "--field", field, "--max-deg", str(max_deg),
+                       "--json"])
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        if code != 0 or digest != expected:
+            print(f"FAIL census {field} degree {max_deg}: exit {code}, "
+                  f"sha256 {digest}, not {expected}")
+            return 1
+        print(f"census {field} degree {max_deg} matches {expected[:8]} "
+              f"({time.perf_counter() - start:.1f} s)", flush=True)
+    start = time.perf_counter()
+    classes, layout = census_classes(GF2, 5)
+    if count_covers(classes, layout) != pair_loop_count_covers(classes,
+                                                                layout):
+        print("FAIL: bulk counts differ from the pair loop at GF(2) "
+              "degree 5")
+        return 1
+    print(f"bulk counts match the pair loop on the {len(classes)} GF(2) "
+          f"degree-5 classes ({time.perf_counter() - start:.1f} s)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

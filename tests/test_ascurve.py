@@ -86,7 +86,8 @@ def test_invariants_of_reduced_sum_match_curve(pair):
     r3 = reduce_standard(f1) + reduce_standard(f2)
     assume(not r3.is_constant)
     assert ReducedForm.of(r3).invariants() == ASCurve(f1 + f2).invariants
-    curve = ASCurve.from_form(reduce_form(f1) + reduce_form(f2), r3)
+    curve = ASCurve.from_form(reduce_form(f1) + reduce_form(f2))
+    assert curve.f == r3
     assert curve == ASCurve(f1 + f2)
     assert curve.invariants == ASCurve(f1 + f2).invariants
 
@@ -190,10 +191,10 @@ def test_reduced_form_layout():
 def test_from_form_rejects_constant():
     zero = RatFun.zero(GF2)
     with pytest.raises(DegenerateCover):
-        ASCurve.from_form(reduce_form(zero), zero)
+        ASCurve.from_form(reduce_form(zero))
     one = RatFun.from_poly(Poly.one(GF2))  # trace 1: a constant twist
     with pytest.raises(DegenerateCover):
-        ASCurve.from_form(reduce_form(one), reduce_standard(one))
+        ASCurve.from_form(reduce_form(one))
 
 
 def test_invariants_examples():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import time
 from itertools import compress
@@ -11,7 +12,7 @@ from kleinfour import census
 from kleinfour.ascurve import (ASCurve, PackedLayout, reduce_form,
                                reduce_standard)
 from kleinfour.census import (CensusViolation, basis_forms, coprime_codes,
-                              enumerate_functions, fold_keys,
+                              count_covers, enumerate_functions, fold_keys,
                               max_census_degree, run_census, span,
                               sum_invariants)
 from kleinfour.cli import EXIT_BAD_INPUT, EXIT_MISMATCH, main
@@ -52,6 +53,118 @@ def raw_pair_census(field, max_deg):
             else:
                 cell["witness_count"] += 1
     return [cells[k] for k in sorted(cells)]
+
+
+def pair_loop_count_covers(classes, layout):
+    """Reference for `count_covers`: every pair of classes visited one by
+    one, the loop the census ran before it counted disjoint-pole pairs in
+    bulk.  Returns (counts, first)."""
+    one = 1 << layout.field.degree
+    index = {x: i for i, x in enumerate(classes)}
+    invariants = [layout.unpack(x).invariants() for x in classes]
+    masks = [layout.places_mask(x) for x in classes]
+    slots = layout.slots
+    apart = [(g << 16) + (g << 8) + 2 * s for g, s in invariants]
+    counts = {}
+    first = {}
+    n = len(classes)
+    for i, a in enumerate(classes):
+        inv1 = invariants[i]
+        g1, s1 = inv1
+        mask1 = masks[i]
+        own_apart = (g1 << 24) + (g1 << 8) + 2 * s1 + 257
+        for j, b, mask2, key in zip(range(i + 1, n), classes[i + 1:],
+                                    masks[i + 1:], apart[i + 1:]):
+            s = a ^ b
+            k = index.get(s)
+            if k is None and not mask1 & mask2:
+                key += own_apart
+            else:
+                if s < one:
+                    continue
+                if k is None:
+                    g3, s3 = sum_invariants(slots, a, b, mask1 & mask2,
+                                            inv1, invariants[j])
+                elif k < j:
+                    continue
+                else:
+                    g3, s3 = invariants[k]
+                g2, s2 = invariants[j]
+                key = (g1 << 24) + (g2 << 16) + (g3 << 8) + s1 + s2 + s3
+            count = counts.get(key)
+            if count is None:
+                counts[key] = 1
+                first[key] = i, j
+            else:
+                counts[key] = count + 1
+    return counts, first
+
+
+@functools.lru_cache(maxsize=None)
+def census_classes(field, max_deg):
+    """The census's classes, in order of first sight, and their layout."""
+    packed, layout = census._packed_functions(field, max_deg)
+    one = 1 << field.degree
+    return list(dict.fromkeys(x for x in packed if x >= one)), layout
+
+
+GF8 = BinaryField.default(3)
+
+
+@pytest.mark.parametrize("field, max_deg",
+                         [(GF2, d) for d in range(5)]
+                         + [(GF4, d) for d in range(3)] + [(GF8, 0), (GF8, 1)],
+                         ids=str)
+def test_bulk_counts_match_the_pair_loop(field, max_deg):
+    classes, layout = census_classes(field, max_deg)
+    assert count_covers(classes, layout) == \
+        pair_loop_count_covers(classes, layout)
+    # in census order a disjoint-pole sum always comes after both summands,
+    # so no triangle is skipped; reversed, every one is
+    classes = classes[::-1]
+    assert count_covers(classes, layout) == \
+        pair_loop_count_covers(classes, layout)
+
+
+def test_a_skipped_pair_is_never_the_earliest():
+    # x + 1/x comes first, so the disjoint pair (x, 1/x) is its cover's
+    # second pair and is skipped; (x, 1/(x+1)) has the same key and is the
+    # earliest pair counted under it
+    forms = [reduce_form(parse_ratfun(GF2, text))
+             for text in ("x + 1/x", "x", "1/x", "1/(x+1)")]
+    layout = PackedLayout(GF2, forms)
+    classes = [layout.pack(v) for v in forms]
+    counts, first = count_covers(classes, layout)
+    assert (counts, first) == pair_loop_count_covers(classes, layout)
+    key = 1 << 8 | 1  # genera (0, 0, 1), 2-rank 1
+    assert (counts[key], first[key]) == (2, (1, 3))
+
+
+SUBLIST_CASES = st.sampled_from([(GF2, 4), (GF4, 2)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(SUBLIST_CASES, st.data())
+def test_bulk_counts_match_the_pair_loop_on_sublists(case, data):
+    # dropping classes turns some sums into non-classes and moves earliest
+    # pairs; the bulk rows and the pair loop see the same sub-list
+    classes, layout = census_classes(*case)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(classes),
+                              max_size=len(classes)))
+    sub = list(compress(classes, keep))
+    assert count_covers(sub, layout) == pair_loop_count_covers(sub, layout)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SUBLIST_CASES, st.data())
+def test_bulk_counts_match_the_pair_loop_in_any_order(case, data):
+    # out of census order a disjoint-pole sum can come before a summand, so
+    # its lowest pair is not the disjoint one and the bulk count drops it
+    classes, layout = census_classes(*case)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(classes),
+                              max_size=len(classes)))
+    sub = data.draw(st.permutations(list(compress(classes, keep))))
+    assert count_covers(sub, layout) == pair_loop_count_covers(sub, layout)
 
 
 @pytest.mark.parametrize("field, max_deg",

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 
@@ -7,8 +9,10 @@ from kleinfour.ascurve import (ASCurve, DegenerateCover, ReducedForm,
 from kleinfour.field import GF2, GF4
 from kleinfour.klein4 import (InvalidCover, InvalidPartition, KleinFourCover,
                               Partition, partitions_of)
+from kleinfour.census import run_census
+from kleinfour.construct import construct
 from kleinfour.ratfun import parse_ratfun
-from kleinfour.zeta import count_points, count_points_cover
+from kleinfour.zeta import count_points, count_points_cover, verify
 
 
 def pr2(t):
@@ -30,6 +34,46 @@ def test_make_examples():
         KleinFourCover(pr2("x"), pr2("x^2"))  # same class after reduction
     with pytest.raises(InvalidCover):
         KleinFourCover(pr2("x"), pr2("x + 1/(x^2) + 1/x"))  # f3 constant
+
+
+@pytest.mark.parametrize("f1, f2, name", [("x^2 + x", "x", "f1"),
+                                          ("x", "1", "f2"),
+                                          ("x + 1/x", "1/x^2 + x^2", "f1+f2")])
+def test_a_constant_quotient_is_refused_at_construction(f1, f2, name):
+    for make in (pr2, lambda text: reduce_form(pr2(text))):
+        with pytest.raises(InvalidCover, match=f"^{re.escape(name)} reduces"):
+            KleinFourCover(make(f1), make(f2))
+
+
+@pytest.fixture
+def to_ratfun_calls(monkeypatch):
+    """The reduced forms `ReducedForm.to_ratfun` is called on."""
+    calls = []
+    real = ReducedForm.to_ratfun
+
+    def counting(form):
+        calls.append(form)
+        return real(form)
+
+    monkeypatch.setattr(ReducedForm, "to_ratfun", counting)
+    return calls
+
+
+def test_the_census_builds_no_ratfun(to_ratfun_calls):
+    run_census(GF2, 3)
+    assert to_ratfun_calls == []
+
+
+def test_a_witness_builds_its_ratfuns_once_on_first_use(to_ratfun_calls):
+    # the cell needs no field lift, so construct works on vectors only; a
+    # verify then builds each quotient's RatFun once, shared with the cover
+    cover, _ = construct(9, 5, Partition(3, 3, 3))
+    assert to_ratfun_calls == []
+    verify(cover, depth=2)
+    assert to_ratfun_calls == list(cover.forms)
+    assert (cover.f1, cover.f2, cover.f3) == tuple(
+        q.f for q in cover.quotients)
+    assert len(to_ratfun_calls) == 3
 
 
 @settings(max_examples=300, deadline=None)
