@@ -325,6 +325,11 @@ class ASCurve:
         return isinstance(other, ASCurve) and self.form == other.form
 
     def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self):
+        # curves key the point-count memos, so the form's key is hashed once
         return hash((self.field, self.form.key()))
 
     def __str__(self):

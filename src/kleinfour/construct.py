@@ -102,22 +102,25 @@ def lift_pair(pair, target):
 
 def _fill_degrees(places, budget):
     """The first sublist of places, in list order, whose degrees sum to
-    budget, or None.  A (start, budget) that failed is recorded and never
-    searched again, so the backtracking stays polynomial."""
-    failed = set()
-
-    def fill(start, budget):
-        if budget == 0:
-            return []
-        if (start, budget) not in failed:
-            for i in range(start, len(places)):
-                if places[i].degree <= budget:
-                    rest = fill(i + 1, budget - places[i].degree)
-                    if rest is not None:
-                        return [places[i]] + rest
-            failed.add((start, budget))
+    budget, or None.  Bit b of reach[i] is set when some sublist of
+    places[i:] sums to b, so the first fit takes each place whose degree
+    leaves a remainder that the places after it still reach."""
+    degrees = [pl.degree for pl in places]
+    full = (1 << (budget + 1)) - 1
+    reach = [1]
+    for d in reversed(degrees):
+        reach.append((reach[-1] | reach[-1] << d) & full)
+    reach.reverse()
+    if not reach[0] >> budget & 1:
         return None
-    return fill(0, budget)
+    chosen = []
+    for i, d in enumerate(degrees):
+        if not budget:
+            break
+        if d <= budget and reach[i + 1] >> (budget - d) & 1:
+            chosen.append(places[i])
+            budget -= d
+    return chosen
 
 
 def _free_rational(field, avoid):
@@ -130,22 +133,34 @@ def _choose_places(field, budget, avoid, rational):
     """Distinct places outside avoid whose degrees sum to budget, or None:
     from a short ascending run of places of degree 2 and more, joined by
     the degree-1 places in rational only when the run alone cannot fill
-    the budget; the run widens, in the same order, while neither fills."""
+    the budget; the run widens, in the same order, while neither fills.
+    Bit b of sums is set when some sublist of the run sums to b, so
+    `_fill_degrees` runs only on a list that fills the budget."""
     wider = (pl for q in monic_irreducibles(field, max(budget, 2))
              if q.degree > 1 and (pl := Place(q)) not in avoid)
-    pool = []
+    full = (1 << (budget + 1)) - 1
+
+    def widen(sums, places):
+        for pl in places:
+            sums = (sums | sums << pl.degree) & full
+        return sums
+
+    pool, total = [], 0
     for pl in wider:
         pool.append(pl)
-        if sum(q.degree for q in pool) >= 3 * (budget + 2):
+        total += pl.degree
+        if total >= 3 * (budget + 2):
             break
+    sums = widen(1, pool)
     while True:
-        for places in (pool, pool + rational):
-            chosen = _fill_degrees(places, budget)
-            if chosen is not None:
-                return chosen
+        for places, reach in ((pool, sums),
+                              (pool + rational, widen(sums, rational))):
+            if reach >> budget & 1:
+                return _fill_degrees(places, budget)
         if (pl := next(wider, None)) is None:
             return None
         pool.append(pl)
+        sums = widen(sums, [pl])
 
 
 # -- pole packs (hyperelliptic building blocks) -----------------------------

@@ -18,13 +18,20 @@ degree d are evaluated all at once.  Each is a lane of a packed int, the
 narrowest native unsigned int that holds an element of GF(q^d).  A
 polynomial's values at every lane are the XOR of cached term vectors, the
 lanes of b*x^i for each power i and basis element b of GF(q) set in its
-coefficients' bits.  The trace bit of num/den is the parity of num & W[den]
-for a per-field table W of trace duals, one lookup per lane; shifts fold
-each lane's parity, and whether den is nonzero, into its bit 0.  Those bit
-planes are memoized per (function, d), the tallies of states (bit counts
-of their ANDs) per (functions, d): a cover reuses its quotients' planes of
-f1 and f2, and N_1..N_n share the tallies of the divisors of n.  Above 16
-bits, every element of GF(q^n) is evaluated with the bit-loop arithmetic.
+coefficients' bits.  A curve is read from its reduced form, the polynomial
+part plus r_i / q^i over its places q, never from a num/den RatFun.  With
+W the per-field table of trace duals, Tr(u/v) is the parity of u & W[v],
+so the trace bit of f is the parity of the XOR of values(poly) & W[1] and
+values(r_i) & D, where D holds W[q^i] in every lane.  D is the only
+lane-by-lane lookup, and it is memoized per (field, place, order, d), so
+the curves that share a place share it; f is regular where no place
+vanishes, which is where D is nonzero.  Shifts fold each lane's parity
+into its bit 0.  Those bit planes are memoized per (curve, d), the
+tallies of states (bit counts of their ANDs) per (curves, d): a cover
+reads its three quotients' planes, and N_1..N_n share the tallies of the
+divisors of n.  The points 0 and infinity are read off the forms'
+constant digits.  Above 16 bits, every element of GF(q^n) is evaluated
+with the bit-loop arithmetic on the curves' RatFuns.
 
 For a quotient curve, counts N_1..N_g determine the L-polynomial through
 Newton's identities plus the functional equation, and the 2-rank is read
@@ -149,11 +156,6 @@ def _trace_duals(fld):
         by_log.__getitem__, log[1:]))).cast(code)
 
 
-def _state(num, den, W):
-    """num/den's state at one element; W[den] masks num's higher bits."""
-    return (num & W[den]).bit_count() & 1 if den else None
-
-
 def _fold(t, r, width, ones):
     """(parity, nonzero) of each width-bit lane of t and of r, at its bit 0;
     ones has bit 0 of every lane set.  A shift by s brings the next lane's
@@ -173,12 +175,16 @@ def _lanes(base, d):
     orbit rep k, holding an element of GF(q^d) at x = g^k in the narrowest
     native unsigned int that fits it, in native byte order both ways.
 
-    Returns (values, dual, W, ones).  values(poly) packs poly's value at
-    each lane as the XOR of term(t), the lanes of embed(2^j) x^i, over the
-    set bits t = i*m + j of its coefficients (embedding is GF(2)-linear).
-    dual(v) maps each lane of v through W, the trace duals of GF(q^d)."""
+    Returns (values, dual, trace, ones, width).  values(v) packs the value
+    at each lane of the polynomial that v packs as `ReducedForm` does, m
+    bits per coefficient: the XOR of term(t), the lanes of embed(2^j) x^i,
+    over the set bits t = i*m + j of v (embedding is GF(2)-linear).
+    dual(v, i) maps each lane c of v to W[c^i], through W, the trace duals
+    of GF(q^d).  trace holds W[1] in every lane, ones holds 1, and width
+    is the lane width in bits."""
     fld, embed = _extension(base, d)
     log, exp = fld.log_tables()
+    n1 = fld.order - 1
     reps = _orbit_reps(base.order, d)
     W = _trace_duals(fld)
     fmt = f"{len(reps)}{W.format}"
@@ -190,73 +196,127 @@ def _lanes(base, d):
     def term(t):
         i, j = divmod(t, base.degree)
         lj = log[embed(1 << j)]
-        return packed([exp[(lj + i * k) % (fld.order - 1)] for k in reps])
+        return packed([exp[(lj + i * k) % n1] for k in reps])
 
-    def values(poly):
-        v = 0
-        for i, c in enumerate(poly.coeffs):
-            while c:
-                low = c & -c
-                v ^= term(i * base.degree + low.bit_length() - 1)
-                c ^= low
-        return v
+    def values(v):
+        acc = 0
+        while v:
+            low = v & -v
+            acc ^= term(low.bit_length() - 1)
+            v ^= low
+        return acc
 
-    def dual(v):
-        lanes = v.to_bytes(struct.calcsize(fmt), sys.byteorder)
-        return packed(map(W.__getitem__, memoryview(lanes).cast(W.format)))
+    def dual(v, i):
+        lanes = memoryview(v.to_bytes(struct.calcsize(fmt), sys.byteorder))
+        lanes = lanes.cast(W.format)
+        if i > 1:
+            lanes = [exp[log[c] * i % n1] if c else 0 for c in lanes]
+        return packed(map(W.__getitem__, lanes))
 
-    return values, dual, W, packed([1] * len(reps))
+    return (values, dual, packed([W[1]] * len(reps)), packed([1] * len(reps)),
+            8 * W.itemsize)
 
 
-# Keys are (function, d).  A verify call uses at most 3 * 16, its three
-# functions at each d <= 16, and a cover's tally reuses its quotients'.
+# Keys are (base field, place, order, d).  A verify call at g <= 16 meets a
+# few hundred: each pole order of each place of its three forms, at each d.
+@functools.lru_cache(maxsize=1024)
+def _dual(base, q, i, d):
+    """The lanes of W[q^i] over the closed points of degree d: Tr(r/q^i) is
+    the parity of values(r) & this, and a lane where q vanishes holds 0.
+    q is a monic irreducible packed as `ReducedForm` packs a place."""
+    values, dual, *_ = _lanes(base, d)
+    return dual(values(q), i)
+
+
+# Keys are (curve, d).  A verify call uses at most 3 * 16, its three
+# quotients at each d <= 16, and a cover's tally reuses its quotients'.
 @functools.lru_cache(maxsize=64)
-def _planes(f, d):
-    """(trace bits, regular bits) of f over the closed points of degree d,
-    one bit per lane: the trace bit of f (0 at a pole) and whether f is
-    regular.  The trace bit of num/den is the parity of num & W[den]."""
-    values, dual, W, ones = _lanes(f.field, d)
-    den = values(f.den)
-    return _fold(values(f.num) & dual(den), den, 8 * W.itemsize, ones)
+def _planes(curve, d):
+    """(trace bits, regular bits) of a curve's reduced form over the closed
+    points of degree d, one bit per lane: the trace bit of f (0 at a pole)
+    and whether f is regular.  f is its polynomial part plus r_i / q^i over
+    places q and digits r_i, so its trace bit is the parity of
+    values(poly) & trace XOR values(r_i) & _dual(q, i), and f is regular
+    where no place q vanishes."""
+    form = curve.form
+    values, _, trace, ones, width = _lanes(form.field, d)
+    t, regular = values(form.poly) & trace, ones
+    for q, v in form.places.items():
+        digit_bits = q.bit_length() - 1  # m * deg q: q is monic
+        low = (1 << digit_bits) - 1
+        for i in range(1, -(-v.bit_length() // digit_bits) + 1):
+            if r := v >> (i - 1) * digit_bits & low:
+                w = _dual(form.field, q, i, d)
+                t ^= values(r) & w
+        # the top digit is nonzero, so its w is 0 exactly at q's roots
+        regular &= _fold(0, w, width, ones)[1]
+    return _fold(t, 0, width, ones)[0] & regular, regular
 
 
-def _states_by_orbit(fns, d):
+def _state_at_zero(form):
+    """A reduced form's state at x = 0, from its constant digits: None at
+    the place x, else the trace bit of poly(0) + sum of r_i(0) / q(0)^i."""
+    F = form.field
+    low = F.order - 1  # one coefficient's m bits
+    if 1 << F.degree in form.places:  # x, packed
+        return None
+    v = form.poly & low
+    for q, digits in form.places.items():
+        digit_bits = q.bit_length() - 1
+        inv_q0 = F.inv(q & low)  # q(0) != 0 for every other place
+        p = inv_q0
+        while digits:
+            v ^= F.mul(digits & low, p)
+            digits >>= digit_bits
+            p = F.mul(p, inv_q0)
+    return F.trace(v)
+
+
+def _state_at_infinity(form):
+    """None at a pole, when the polynomial part is not constant, else the
+    trace bit of its constant: each r_i / q^i vanishes at infinity."""
+    F = form.field
+    return None if form.poly >> F.degree else F.trace(form.poly)
+
+
+_STATES = (0, 1, None)  # in the order of a curve's lanes by state
+
+
+def _states_by_orbit(curves, d):
     """Tally of state tuples over the closed points of degree d, as an
     immutable tuple of (states, points) pairs, by bit counts of ANDs of the
-    functions' planes.  For a cover, f3 is read only on the lanes where f1
-    or f2 has a pole: elsewhere f3 = f1 + f2 has trace bit t1 XOR t2."""
-    values, _, W, ones = _lanes(fns[0].field, d)
+    curves' planes.  For a cover, f3's planes are read only on the lanes
+    where f1 or f2 has a pole: elsewhere f3 = f1 + f2 has trace bit
+    t1 XOR t2."""
+    ones = _lanes(curves[0].field, d)[3]
     tally = Counter()
-    if d == 1:  # the point 0: the constant terms
-        tally[tuple(_state(f.num.coeffs[0] if f.num.coeffs else 0,
-                           f.den.coeffs[0], W) for f in fns)] += 1
-    t1, r1 = _planes(fns[0], d)
-    if len(fns) == 1:
-        for k, plane in zip((0, 1, None), (r1 ^ t1, t1, ones ^ r1)):
+    if d == 1:  # the point 0
+        tally[tuple(_state_at_zero(c.form) for c in curves)] += 1
+    # the lanes where each curve's state is 0, 1 and None
+    by_state = [(r ^ t, t, ones ^ r)
+                for t, r in (_planes(c, d) for c in curves)]
+    if len(curves) == 1:
+        for k, plane in zip(_STATES, by_state[0]):
             tally[k,] += plane.bit_count()
     else:
-        t2, r2 = _planes(fns[1], d)
-        p1, p2 = (r1 ^ t1, t1), (r2 ^ t2, t2)  # lanes by trace bit
+        p1, p2, p3 = by_state
         for a, b in product((0, 1), repeat=2):
             tally[a, b, a ^ b] += (p1[a] & p2[b]).bit_count()
-        poles = ones ^ (r1 & r2)
-        if poles:
-            num, den = values(fns[2].num), values(fns[2].den)
-        while poles:
-            p = (poles & -poles).bit_length() - 1
-            poles ^= 1 << p
-            tally[tuple(t >> p & 1 if r >> p & 1 else None
-                        for t, r in ((t1, r1), (t2, r2)))
-                  + (_state(num >> p, (den >> p) % len(W), W),)] += 1
+        poles = p1[2] | p2[2]
+        for a, pa in zip(_STATES, p1):
+            for b, pb in zip(_STATES, p2):
+                if both := poles & pa & pb:
+                    for c, pc in zip(_STATES, p3):
+                        tally[a, b, c] += (both & pc).bit_count()
     return tuple((key, points) for key, points in tally.items() if points)
 
 
-# Keys are (functions, d): N_1..N_n share the tallies of the divisors of n.
+# Keys are (curves, d): N_1..N_n share the tallies of the divisors of n.
 # One verify call uses at most 4 * 16 keys: a cover and its three quotients,
 # each with d <= 16 on the table path.
 @functools.lru_cache(maxsize=128)
-def _tally(fns, d):
-    return _states_by_orbit(fns, d)
+def _tally(curves, d):
+    return _states_by_orbit(curves, d)
 
 
 def _states_by_element(fns, ext, embed):
@@ -284,18 +344,18 @@ def _states_by_element(fns, ext, embed):
     return tally
 
 
-def _count(fns, n):
-    """Points over GF(q^n) of the fibre product of y_i^2 + y_i = f_i over
-    P^1: (f,) for a curve, (f1, f2, f3) for a Klein-four cover."""
-    base = fns[0].field
+def _count(curves, n):
+    """Points over GF(q^n) of the fibre product of the curves over P^1:
+    (curve,) for a curve, its three quotients for a Klein-four cover."""
+    base = curves[0].field
     ext, embed = _extension(base, n)
     if ext.log_tables() is None:
-        groups = [(1, 1, _states_by_element(fns, ext, embed).items())]
+        tally = _states_by_element([c.f for c in curves], ext, embed)
+        groups = [(1, 1, tally.items())]
     else:
-        groups = [(d, (n // d) & 1, _tally(fns, d))
+        groups = [(d, (n // d) & 1, _tally(curves, d))
                   for d in range(1, n + 1) if n % d == 0]
-    at_inf = tuple(None if v is None else base.trace(v)
-                   for v in (f.infinity_value() for f in fns))
+    at_inf = tuple(_state_at_infinity(c.form) for c in curves)
     groups.append((1, n & 1, ((at_inf, 1),)))
     return sum(weight * points * _fibre(states, odd)
                for weight, odd, tally in groups
@@ -311,7 +371,7 @@ def count_points(curve, n):
     """
     if not isinstance(curve, ASCurve):
         raise TypeError("count_points takes an ASCurve")
-    return _count((curve.f,), n)
+    return _count((curve,), n)
 
 
 def count_points_cover(cover, n):
@@ -320,11 +380,12 @@ def count_points_cover(cover, n):
     At an unramified x the fibre is the product of the two Artin-Schreier
     fibres.  Over a pole, either exactly one of the three functions is
     regular there and its trace decides a fibre of size 2 or 0, or all
-    three have poles and the fibre is a single point.
+    three have poles and the fibre is a single point.  The quotients'
+    planes are read, never their counts.
     """
     if not isinstance(cover, KleinFourCover):
         raise TypeError("count_points_cover takes a KleinFourCover")
-    return _count((cover.f1, cover.f2, cover.f3), n)
+    return _count(cover.quotients, n)
 
 
 def weil_ok(counts, genus, q):
@@ -423,23 +484,32 @@ def lpoly_from_counts(counts, genus, q=2):
 
 @dataclass
 class Report:
-    """Outcome of comparing formula invariants against the count oracle."""
+    """Outcome of comparing formula invariants against the count oracle.
 
-    target: str
+    target is the ASCurve or KleinFourCover checked, and a cover's report
+    holds one subreport per quotient; both are rendered only by to_json,
+    so verify itself builds no RatFun."""
+
+    target: object
     formula: dict
     oracle: dict
     identity_checks: list = dfield(default_factory=list)
     status: str = "confirmed"
     truncated: bool = False
     detail: str = ""
+    quotients: list = dfield(default_factory=list)
 
     @property
     def confirmed(self):
         return self.status == "confirmed"
 
     def to_json(self):
-        return {"target": self.target, "formula": self.formula,
-                "oracle": self.oracle,
+        oracle = self.oracle
+        if self.quotients:
+            oracle = {"quotients": [sub.to_json() for sub in self.quotients],
+                      **oracle}
+        return {"target": str(self.target), "formula": self.formula,
+                "oracle": oracle,
                 "identity_checks": self.identity_checks,
                 "status": self.status, "truncated": self.truncated,
                 "detail": self.detail}
@@ -448,7 +518,7 @@ class Report:
 def _verify_curve(curve, depth, max_bits):
     g, sigma = curve.invariants
     q = curve.field.order
-    report = Report(target=str(curve),
+    report = Report(target=curve,
                     formula={"genus": g, "two_rank": sigma},
                     oracle={})
     depth = max(depth, g)
@@ -482,9 +552,9 @@ def _verify_curve(curve, depth, max_bits):
 
 def _verify_cover(cover, depth, max_bits):
     g, sigma = cover.invariants
-    report = Report(target=str(cover),
+    report = Report(target=cover,
                     formula={"genus": g, "two_rank": sigma},
-                    oracle={"quotients": []})
+                    oracle={})
     q = cover.field.order
     failures = []
     max_n = min(depth, max_bits // cover.field.degree)
@@ -493,7 +563,7 @@ def _verify_cover(cover, depth, max_bits):
     quotient_counts = []
     for i, sub in enumerate(cover.quotients, start=1):
         subreport = _verify_curve(sub, depth, max_bits)
-        report.oracle["quotients"].append(subreport.to_json())
+        report.quotients.append(subreport)
         if not subreport.confirmed:
             failures.append(f"quotient {i}: {subreport.detail}")
         report.truncated = report.truncated or subreport.truncated

@@ -65,11 +65,14 @@ def test_the_census_builds_no_ratfun(to_ratfun_calls):
 
 
 def test_a_witness_builds_its_ratfuns_once_on_first_use(to_ratfun_calls):
-    # the cell needs no field lift, so construct works on vectors only; a
-    # verify then builds each quotient's RatFun once, shared with the cover
+    # the cell needs no field lift, so construct works on vectors only, and
+    # verify counts from the forms; the report's JSON then builds each
+    # quotient's RatFun once, shared with the cover
     cover, _ = construct(9, 5, Partition(3, 3, 3))
     assert to_ratfun_calls == []
-    verify(cover, depth=2)
+    report = verify(cover, depth=2)
+    assert to_ratfun_calls == []
+    report.to_json()
     assert to_ratfun_calls == list(cover.forms)
     assert (cover.f1, cover.f2, cover.f3) == tuple(
         q.f for q in cover.quotients)

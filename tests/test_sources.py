@@ -48,7 +48,8 @@ def lru_caches():
 def test_every_lru_cache_is_bounded():
     caches = dict(lru_caches())
     assert {"poly._factor_cached", "poly.field_embedding",
-            "zeta._orbit_reps", "zeta._planes", "zeta._trace_duals",
+            "zeta._orbit_reps", "zeta._planes", "zeta._dual",
+            "zeta._trace_duals",
             "field.default_modulus",
             "field.BinaryField.trace_one_element",
             "ascurve.reduce_standard",

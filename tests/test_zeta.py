@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from conftest import rand_cover, raw_pairs
 from kleinfour import field as field_module
 from kleinfour import zeta
-from kleinfour.ascurve import ASCurve, DegenerateCover
+from kleinfour.ascurve import (ASCurve, DegenerateCover, ReducedForm,
+                               reduce_form)
 from kleinfour.field import GF2, GF4, MAX_DEGREE, BinaryField
 from kleinfour.klein4 import InvalidCover, KleinFourCover
-from kleinfour.poly import Poly, field_embedding, is_irreducible
+from kleinfour.poly import (Poly, field_embedding, is_irreducible,
+                            monic_irreducibles)
 from kleinfour.ratfun import RatFun, parse_ratfun
 from kleinfour.zeta import (InconsistentCounts, count_points,
                             count_points_cover, lpoly_from_counts,
@@ -345,7 +347,7 @@ def fresh_zeta_caches():
     so a run with the table cap patched recomputes every tally instead of
     reading one memoized by an earlier run."""
     def clear():
-        for cache in (zeta._tally, zeta._planes, zeta._lanes,
+        for cache in (zeta._tally, zeta._planes, zeta._dual, zeta._lanes,
                       zeta._trace_duals):
             cache.cache_clear()
     clear()
@@ -445,7 +447,7 @@ def test_quotient_capped_below_its_genus_still_gets_identity_rows(
     cov = KleinFourCover(pr2("x^3 + 1/x + 1/(x+1)"), pr2("x"))
     assert [s.genus for s in cov.quotients] == [3, 0, 3]
     report, calls = counted_verify(monkeypatch, cov, depth=2, max_bits=2)
-    subs = report.oracle["quotients"]
+    subs = report.to_json()["oracle"]["quotients"]
     assert ["counts" in sub["oracle"] for sub in subs] == [False, True, False]
     assert report.status == "mismatch" and "cap" in report.detail
     assert max(calls.values()) == 1
@@ -457,12 +459,13 @@ def test_quotient_capped_below_its_genus_still_gets_identity_rows(
 @pytest.mark.parametrize("pole", ["x", "x+1", "x^2+x+1"])
 def test_a_pole_of_f1_alone_is_still_caught(pole, table_max_degree,
                                             monkeypatch, fresh_zeta_caches):
-    # f3 is evaluated wherever f1 or f2 has a pole, so an f3 that is not
-    # f1 + f2 and is regular at a pole of f1 alone trips the fibre rule, on
-    # the table path and (with the cap at 0) the per-element path
+    # f3 is read wherever f1 or f2 has a pole, so a third quotient that is
+    # not f1 + f2 and is regular at a pole of f1 alone trips the fibre rule,
+    # on the table path and (with the cap at 0) the per-element path
     monkeypatch.setattr(field_module, "TABLE_MAX_DEGREE", table_max_degree)
     cov = KleinFourCover(pr2(f"1/({pole}) + x"), pr2("x^3"))
-    cov.f3 = pr2("x^3 + x")  # drops the pole
+    q1, q2, _ = cov.quotients
+    cov.quotients = (q1, q2, ASCurve(pr2("x^3 + x")))  # drops the pole
     with pytest.raises(AssertionError, match="exactly one pole"):
         count_points_cover(cov, 2)
 
@@ -513,19 +516,38 @@ GF8 = BinaryField.default(3)
 GF8_ALT = BinaryField(3, 0b1101)  # the other GF(8) modulus
 
 
+def curve_or_none(f):
+    """The curve y^2 + y = f, or None when f reduces to a constant."""
+    try:
+        return ASCurve(f)
+    except DegenerateCover:
+        return None
+
+
 def assert_tallies_match_the_scalar_loop(f1, f2, ds=None):
-    """Every d in ds, by default every d with m*d <= 12, for each function
-    alone, the cover triple, and a triple whose third function is not
-    f1 + f2 (so a kernel that reads f3 off the pole lanes, or never reads
-    it, disagrees)."""
+    """Every d in ds, by default every d with m*d <= 12, for the curve of
+    each function alone, the cover triple, and a triple whose third curve
+    is not that of f1 + f2 (so a kernel that reads f3 off the pole lanes,
+    or never reads it, disagrees).  The reference evaluates each curve's
+    reduced function; a function that reduces to a constant has no curve,
+    so the tuples that hold it are left out."""
+    c1, c2, c3 = map(curve_or_none, (f1, f2, f1 + f2))
     F = f1.field
-    for fns in ((f1,), (f2,), (f1, f2, f1 + f2), (f1, f2, f2)):
-        for d in ds or range(1, 12 // F.degree + 1):
-            fld, embed = zeta._extension(F, d)
-            expected = scalar_states_by_orbit(fns, F.order, d, fld, embed)
-            tally = zeta._states_by_orbit(fns, d)
-            assert Counter(dict(tally)) == expected, (fns, d)
-            assert len(tally) == len(expected)  # no key twice
+    for curves in ((c1,), (c2,), (c1, c2, c3), (c1, c2, c2)):
+        if None in curves:
+            continue
+        assert_tallies_match(curves, ds or range(1, 12 // F.degree + 1))
+
+
+def assert_tallies_match(curves, ds):
+    F = curves[0].field
+    for d in ds:
+        fld, embed = zeta._extension(F, d)
+        expected = scalar_states_by_orbit([c.f for c in curves], F.order, d,
+                                          fld, embed)
+        tally = zeta._states_by_orbit(curves, d)
+        assert Counter(dict(tally)) == expected, (curves, d)
+        assert len(tally) == len(expected)  # no key twice
 
 
 @settings(max_examples=60, deadline=None)
@@ -569,9 +591,65 @@ def test_16_bit_pole_lanes_match_the_scalar_loop(d):
                             (P + pr4("a*x"), g, (1, 0, 1))):
         assert_tallies_match_the_scalar_loop(f1, f2, ds=(d,))
         # the orbit of P's roots is the one pole lane
+        curves = KleinFourCover(f1, f2).quotients
         assert [(tuple(s is None for s in states), n) for states, n
-                in zeta._states_by_orbit((f1, f2, f1 + f2), d)
+                in zeta._states_by_orbit(curves, d)
                 if None in states] == [(pole_of, 1)]
+
+
+def place_pool(F):
+    """The first three monic irreducibles of each degree 1..4 over F, so
+    that two drawn forms often share a place."""
+    pool = {}
+    for q in monic_irreducibles(F, 4):
+        pool.setdefault(q.degree, []).append(q)
+    return [q for qs in pool.values() for q in qs[:3]]
+
+
+@st.composite
+def reduced_forms(draw, F):
+    """A canonical form over F: 1-3 finite places of degree 1-4, each with
+    an odd pole order up to 7 and digits at odd orders only, plus odd-degree
+    monomials up to x^7 and a trace-normalized constant."""
+    def digits(degree, nonzero):
+        cs = st.lists(st.integers(0, F.order - 1), min_size=degree,
+                      max_size=degree)
+        return Poly.make(F, draw(cs.filter(any) if nonzero else cs))
+
+    parts = {}
+    for q in draw(st.lists(st.sampled_from(place_pool(F)), min_size=1,
+                           max_size=3, unique=True)):
+        e = draw(st.sampled_from((1, 3, 5, 7)))
+        parts[q] = [digits(q.degree, i == e) if i % 2 else Poly.zero(F)
+                    for i in range(1, e + 1)]
+    poly = [draw(st.sampled_from((0, F.trace_one_element())))]
+    for i in range(1, 8):
+        poly.append(draw(st.integers(0, F.order - 1)) if i % 2 else 0)
+    return ReducedForm.from_parts(F, poly, parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_form_tallies_match_the_scalar_loop(data):
+    # the kernel reads the forms; the reference evaluates their RatFuns
+    F = data.draw(st.sampled_from((GF2, GF4, GF8, GF8_ALT)), label="field")
+    v1, v2 = (data.draw(reduced_forms(F)) for _ in range(2))
+    c1, c2 = map(ASCurve.from_form, (v1, v2))
+    assert reduce_form(c1.f) == v1  # the drawn form is canonical
+    curve_tuples = [(c1,)]
+    if not (v1 + v2).is_constant:
+        curve_tuples.append((c1, c2, ASCurve.from_form(v1 + v2)))
+    for curves in curve_tuples:
+        assert_tallies_match(curves, range(1, 12 // F.degree + 1))
+    # the states at 0 and infinity, from f's constant terms
+    for c in (c1, c2):
+        num, den = c.f.num, c.f.den
+        assert zeta._state_at_zero(c.form) == (
+            F.trace(F.mul(num.coeff(0), F.inv(den.coeff(0))))
+            if den.coeff(0) else None)
+        v = c.f.infinity_value()
+        assert zeta._state_at_infinity(c.form) == (
+            None if v is None else F.trace(v))
 
 
 def test_the_widest_lane_counts_exactly():
@@ -590,14 +668,14 @@ def test_the_widest_lane_counts_exactly():
 
 
 def counted_kernel(monkeypatch):
-    """Record every (functions, d) the tally kernel computes."""
+    """Record every (curves, d) the tally kernel computes."""
     zeta._tally.cache_clear()
     calls = Counter()
     kernel = zeta._states_by_orbit
 
-    def counting(fns, d):
-        calls[fns, d] += 1
-        return kernel(fns, d)
+    def counting(curves, d):
+        calls[curves, d] += 1
+        return kernel(curves, d)
 
     monkeypatch.setattr(zeta, "_states_by_orbit", counting)
     return calls
@@ -611,9 +689,9 @@ def test_verify_computes_each_tally_once(monkeypatch, rng):
         depth = max(sub.genus for sub in cov.quotients) + 1
         assert max(calls.values()) == 1
         # the cover's own triple is tallied, never read off its quotients
-        assert set(calls) == {(fns, d)
-                              for fns in [(s.f,) for s in cov.quotients]
-                              + [(cov.f1, cov.f2, cov.f3)]
+        assert set(calls) == {(curves, d)
+                              for curves in [(s,) for s in cov.quotients]
+                              + [cov.quotients]
                               for d in range(1, depth + 1)}
 
 
@@ -623,29 +701,42 @@ def test_the_tally_memo_keys_on_the_field(monkeypatch):
     calls = counted_kernel(monkeypatch)
     assert count_points(c1, 1) == seed_count_points(c1, 1) == 9
     assert count_points(c2, 1) == seed_count_points(c2, 1) == 13
-    assert set(calls) == {((c1.f,), 1), ((c2.f,), 1)}
+    assert set(calls) == {((c1,), 1), ((c2,), 1)}
 
 
 def test_verify_computes_each_plane_once(rng, fresh_zeta_caches):
     for cov in (KleinFourCover(pr2("1/x + x^3"), pr2("1/x + x^5")),
                 rand_cover(rng, GF4, max_deg=3)):
-        zeta._tally.cache_clear()
-        zeta._planes.cache_clear()
+        for cache in (zeta._tally, zeta._planes, zeta._dual):
+            cache.cache_clear()
         assert verify(cov).confirmed
         depth = max(sub.genus for sub in cov.quotients) + 1
-        # each quotient's function at each d once; the cover's tally reads
-        # the planes of f1 and f2 that quotients 1 and 2 made
+        # each quotient at each d once; the cover's tally reads the planes
+        # that its quotients made
         info = zeta._planes.cache_info()
         assert info.misses == info.currsize == 3 * depth
-        assert info.hits == 2 * depth
-        assert [s.f for s in cov.quotients[:2]] == [cov.f1, cov.f2]
+        assert info.hits == 3 * depth
+        # each (place, pole order, d) of the three forms once, and only
+        # the orders whose digit is nonzero
+        duals = {(q, i, d) for form in cov.forms
+                 for q, v in form.places.items()
+                 for i in nonzero_digits(v, q.bit_length() - 1)
+                 for d in range(1, depth + 1)}
+        info = zeta._dual.cache_info()
+        assert info.misses == info.currsize == len(duals)
+
+
+def nonzero_digits(v, width):
+    """The indices i >= 1 of the nonzero width-bit digits of v."""
+    return [i for i in range(1, -(-v.bit_length() // width) + 1)
+            if v >> (i - 1) * width & ((1 << width) - 1)]
 
 
 def test_the_planes_memo_keys_on_the_field(fresh_zeta_caches):
     c1, c2 = (ASCurve(parse_ratfun(F, "x^3 + a*x")) for F in (GF8, GF8_ALT))
     assert (count_points(c1, 1), count_points(c2, 1)) == (9, 13)
     assert zeta._planes.cache_info().currsize == 2
-    assert zeta._planes(c1.f, 1) != zeta._planes(c2.f, 1)
+    assert zeta._planes(c1, 1) != zeta._planes(c2, 1)
 
 
 @pytest.mark.parametrize("F", [BinaryField.default(m) for m in range(1, 9)]
@@ -694,11 +785,11 @@ def test_fold_reads_each_lane_alone(width):
 
 def test_a_memoized_tally_is_immutable():
     c = ASCurve(pr2("x^3 + 1/x"))
-    tally = zeta._tally((c.f,), 2)
+    tally = zeta._tally((c,), 2)
     assert isinstance(tally, tuple)
     with pytest.raises(TypeError):
         tally[0] = ((0,), 1)
     states, points = tally[0]
     with pytest.raises(TypeError):
         states[0] = 1
-    assert zeta._tally((c.f,), 2) is tally
+    assert zeta._tally((c,), 2) is tally
