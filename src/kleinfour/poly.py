@@ -420,10 +420,20 @@ def factor(p):
 
 
 def is_irreducible(p):
+    """Ben-Or's test: p of degree n is irreducible exactly when no monic
+    irreducible of degree d <= n/2 divides it, that is, when p is prime to
+    x^(Q^d) - x for each such d, Q the field's order.  Most reducible p
+    fail at a small d, so this is much cheaper than factoring them."""
     if p.degree < 1:
         return False
-    fs = factor(p)
-    return len(fs) == 1 and fs[0][1] == 1
+    x = Poly.x(p.field)
+    h = x
+    for _ in range(p.degree // 2):
+        for _ in range(p.field.degree):
+            h = (h * h) % p
+        if gcd(h + x, p).degree > 0:
+            return False
+    return True
 
 
 def _irreducibles(field):

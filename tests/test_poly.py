@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -113,6 +114,20 @@ def test_is_irreducible():
     assert is_irreducible(Poly.make(GF2, [1, 1, 1]))
     assert not is_irreducible(Poly.make(GF2, [1, 0, 1]))  # (x+1)^2
     assert not is_irreducible(Poly.one(GF2))
+
+
+@pytest.mark.parametrize("F, max_degree", [(GF2, 10), (GF4, 5),
+                                           (BinaryField.default(3), 3)],
+                         ids=str)
+def test_is_irreducible_agrees_with_factor(F, max_degree):
+    # every polynomial up to max_degree, with leading coefficient 1 and
+    # one other, against the factorization it replaced
+    for n in range(max_degree + 1):
+        for lc in sorted({1, F.order - 1}):
+            for low in itertools.product(range(F.order), repeat=n):
+                p = Poly.make(F, [*low, lc])
+                expected = n > 0 and factor(p) == [(p.monic(), 1)]
+                assert is_irreducible(p) == expected, p
 
 
 def test_roots():
