@@ -295,7 +295,7 @@ class ASCurve:
 
     def _set(self, form, f):
         if form.is_constant:
-            r = form.to_ratfun()
+            r = form.field.format_elt(form.poly)
             raise DegenerateCover(
                 f"y^2+y = {r if f is None else f} reduces to the constant "
                 f"{r}; the double cover is split or a constant twist")

@@ -4,7 +4,9 @@ Every rational function with numerator and denominator degrees up to a
 bound is reduced to its canonical form, and the distinct non-constant
 forms (the reduced classes) are paired.  Reduction is GF(2)-linear, so a
 cover is the 2-dimensional subspace {r1, r2, r1 + r2} of reduced forms; it
-is counted once, at its lowest pair of enumerated classes.
+is counted once, at its lowest pair of enumerated classes.  In their order
+of first sight, a class that is the sum of a disjoint-pole pair comes after
+both summands (checked by the tests at every degree cap).
 
 The census runs on plain ints.  A numerator is its code sum c_i q^i, whose
 bit i*m + b is bit b of c_i (q = 2^m).  Each denominator's basis
@@ -200,25 +202,6 @@ def fold_keys(counts, first):
     return cells
 
 
-def _skipped_pairs(classes, index, fields, one):
-    """{i: {j, ...}}: the pairs i < j of classes with no shared pole whose
-    sum is a class k < j, so that their cover is counted at a lower pair.
-    Such a k splits along its pole slots (`fields`): one summand takes a
-    proper subset of them, with k's lowest, the other the rest, and the
-    constant goes to either side.  In census order no pair is skipped (the
-    sum comes after both summands); other orders need this."""
-    skipped = {}
-    for k, x in enumerate(classes):
-        parts = [x & f for f in fields if x & f]
-        for rest in span(parts[1:])[:-1]:
-            for c in range(one):
-                p, q = sorted((index.get(parts[0] ^ rest ^ c, -1),
-                               index.get(parts[0] ^ rest ^ c ^ x, -1)))
-                if p >= 0 and k < q:
-                    skipped.setdefault(p, set()).add(q)
-    return skipped
-
-
 def count_covers(classes, layout):
     """(counts, first): the covers {r_i, r_j, r_i + r_j} of the distinct
     non-constant packed forms `classes`, each at its lowest pair i < j,
@@ -228,14 +211,17 @@ def count_covers(classes, layout):
     (g_i + g_j + 1, s_i + s_j + 1), so row i counts those pairs in bulk,
     keyed by i's `own_apart` plus the `apart` of each (poles, apart) group
     above i.  Only pairs with a shared pole go one by one, and their digits
-    at the shared places alone shift that key (`sum_invariants`)."""
+    at the shared places alone shift that key (`sum_invariants`).
+
+    `classes` must be in census order, or an order-preserving sub-list of
+    it, so that a class that is the sum of a disjoint-pole pair comes after
+    both summands: the disjoint pair is then its cover's lowest pair."""
     one = 1 << layout.field.degree  # a form is constant exactly when below
     index = {x: i for i, x in enumerate(classes)}
     invariants = [layout.unpack(x).invariants() for x in classes]
     apart = [(g << 16) + (g << 8) + 2 * s for g, s in invariants]
     fields = [mask << offset for offset, mask, _, _ in layout.slots]
     poles = [sum(f for f in fields if x & f) for x in classes]  # pole slots
-    skipped = _skipped_pairs(classes, index, fields, one)
     above = Counter(zip(poles, apart))
     disjoint = {m: [group for group in above if not group[0] & m]
                 for m in set(poles)}
@@ -265,21 +251,18 @@ def count_covers(classes, layout):
             if key not in counts:
                 first[key] = i, j
             counts[key] += 1
-        skip = skipped.get(i, ())
         row = {}
         for group in disjoint[mask1]:
             key = own_apart + group[1]
             row[key] = row.get(key, 0) + above[group]
-        for j in skip:
-            row[own_apart + apart[j]] -= 1
         for key, count in row.items():
             if count:
                 counts[key] += count
                 fi, fj = first.get(key, (i, n))
                 if fi == i:  # the row's lowest j may come before fj
                     first[key] = i, next(
-                        (j for j in range(i + 1, fj) if j not in skip
-                         and own_apart + apart[j] == key
+                        (j for j in range(i + 1, fj)
+                         if own_apart + apart[j] == key
                          and not poles[j] & mask1), fj)
     return counts, first
 

@@ -8,6 +8,8 @@ field.  A BinaryField carries degree and modulus, and its element methods
 most TABLE_MAX_DEGREE also offer log/antilog tables, built on first use and
 kept on the field instance, for loops that multiply many elements of one
 field: polynomial arithmetic in `poly` and the point counts in `zeta`.
+The absolute trace is GF(2)-linear: it is the parity of an element's bits
+under `trace_mask`, built once per field as sums of squarings.
 
 The canonical GF(4) modulus is a^2+a+1, so the cube root of unity used by
 the witness constructions prints as `a`.
@@ -254,15 +256,23 @@ class BinaryField:
             e >>= 1
         return r
 
+    @functools.cached_property
+    def trace_mask(self):
+        """The bits whose parity is the absolute trace: bit i is Tr(2^i),
+        the sum of the squarings (2^i)^(2^k) for k < m."""
+        mask = 0
+        for i in range(self.degree):
+            acc = t = 1 << i
+            for _ in range(self.degree - 1):
+                t = self.sqr(t)
+                acc ^= t
+            mask |= acc << i  # acc is 0 or 1
+        return mask
+
     def trace(self, a):
-        """Absolute trace down to GF(2): sum of a^(2^i), an int in {0,1}."""
-        acc = a
-        t = a
-        for _ in range(self.degree - 1):
-            t = self.sqr(t)
-            acc ^= t
-        assert acc in (0, 1)
-        return acc
+        """Absolute trace down to GF(2), an int in {0,1}: it is GF(2)-linear,
+        so it is the parity of a & trace_mask."""
+        return (a & self.trace_mask).bit_count() & 1
 
     def sqrt(self, a):
         """The unique square root: a^(2^(m-1))."""
@@ -270,15 +280,10 @@ class BinaryField:
             a = self.sqr(a)
         return a
 
-    # One entry per field: room for the MAX_DEGREE default fields and as
-    # many with other moduli.
-    @functools.lru_cache(maxsize=2 * MAX_DEGREE)
     def trace_one_element(self):
-        """Smallest element (by bit encoding) with trace 1."""
-        for v in range(1, self.order):
-            if self.trace(v) == 1:
-                return v
-        raise AssertionError("unreachable: trace is onto GF(2)")
+        """Smallest element (by bit encoding) with trace 1: the lowest bit
+        of trace_mask, as every smaller element misses the mask."""
+        return self.trace_mask & -self.trace_mask
 
     def log_tables(self):
         """(log, exp) with exp[k] = g^k for the smallest primitive element g.

@@ -131,9 +131,10 @@ class KleinFourCover:
         v3 = v1 + v2
         for name, v in (("f1", v1), ("f2", v2), ("f1+f2", v3)):
             if v.is_constant:
+                c = v.field.format_elt(v.poly)
                 raise InvalidCover(
-                    f"{name} reduces to the constant {v.to_ratfun()}: the "
-                    "pair does not generate a Klein-four extension")
+                    f"{name} reduces to the constant {c}: the pair does not "
+                    "generate a Klein-four extension")
         self.field = v1.field
         self.forms = (v1, v2, v3)
 

@@ -15,23 +15,23 @@ degree-1 place.
 
 While m*n <= 16, GF(q^d) has log/antilog tables and the closed points of
 degree d are evaluated all at once.  Each is a lane of a packed int, the
-narrowest native unsigned int that holds an element of GF(q^d).  A
-polynomial's values at every lane are the XOR of cached term vectors, the
-lanes of b*x^i for each power i and basis element b of GF(q) set in its
-coefficients' bits.  A curve is read from its reduced form, the polynomial
-part plus r_i / q^i over its places q, never from a num/den RatFun.  With
-W the per-field table of trace duals, Tr(u/v) is the parity of u & W[v],
-so the trace bit of f is the parity of the XOR of values(poly) & W[1] and
-values(r_i) & D, where D holds W[q^i] in every lane.  D is the only
-lane-by-lane lookup, and it is memoized per (field, place, order, d), so
-the curves that share a place share it; f is regular where no place
-vanishes, which is where D is nonzero.  Shifts fold each lane's parity
-into its bit 0.  Those bit planes are memoized per (curve, d), the
-tallies of states (bit counts of their ANDs) per (curves, d): a cover
-reads its three quotients' planes, and N_1..N_n share the tallies of the
-divisors of n.  The points 0 and infinity are read off the forms'
-constant digits.  Above 16 bits, every element of GF(q^n) is evaluated
-with the bit-loop arithmetic on the curves' RatFuns.
+narrowest native unsigned int that holds an element of GF(q^d), and the
+point 0 is one more lane among those of degree 1.  A polynomial's values
+at every lane are the XOR of cached term vectors, the lanes of b*x^i for
+each power i and basis element b of GF(q) set in its coefficients' bits.
+A curve is read from its reduced form, the polynomial part plus r_i / q^i
+over its places q, never from a num/den RatFun.  With W the per-field
+table of trace duals, Tr(u/v) is the parity of u & W[v], so the trace bit
+of f is the parity of the XOR of values(poly) & W[1] and values(r_i) & D,
+where D holds W[q^i] in every lane.  D is the only lane-by-lane lookup,
+and it is memoized per (field, place, order, d), so the curves that share
+a place share it; f is regular where no place vanishes, which is where D
+is nonzero.  Shifts fold each lane's parity into its bit 0.  Those bit
+planes are memoized per (curve, d), the tallies of states (bit counts of
+their ANDs) per (curves, d): a cover reads its three quotients' planes,
+and N_1..N_n share the tallies of the divisors of n.  Only infinity is
+read off the forms' constant digits.  Above 16 bits, every element of
+GF(q^n) is evaluated with the bit-loop arithmetic on the curves' RatFuns.
 
 For a quotient curve, counts N_1..N_g determine the L-polynomial through
 Newton's identities plus the functional equation, and the 2-rank is read
@@ -71,12 +71,6 @@ def _extension(base, n):
         return base, (lambda v: v)
     ext = BinaryField.default(bits)
     return ext, field_embedding(base, ext)
-
-
-@functools.lru_cache(maxsize=MAX_DEGREE)
-def _trace_mask(fld):
-    """Bits whose sum mod 2 is the absolute trace: Tr(v) = |v & mask| mod 2."""
-    return sum(fld.trace(1 << i) << i for i in range(fld.degree))
 
 
 def _eval(coeffs, x, mul):
@@ -144,10 +138,9 @@ def _trace_duals(fld):
     Tr(2^i c), so that Tr(u/v) = |u & W[v]| mod 2 for every v != 0.  w is
     GF(2)-linear, so it is spanned from its values at the basis 2^j."""
     log, exp = fld.log_tables()
-    tmask = _trace_mask(fld)
     w = [0]
     for j in range(fld.degree):
-        wj = sum(((fld.mul(1 << i, 1 << j) & tmask).bit_count() & 1) << i
+        wj = sum(fld.trace(fld.mul(1 << i, 1 << j)) << i
                  for i in range(fld.degree))
         w += [c ^ wj for c in w]
     by_log = list(map(w.__getitem__, exp[fld.order - 1:0:-1]))  # w(g^-k)
@@ -173,7 +166,9 @@ def _fold(t, r, width, ones):
 def _lanes(base, d):
     """The closed points of degree d as lanes of a packed int: one lane per
     orbit rep k, holding an element of GF(q^d) at x = g^k in the narrowest
-    native unsigned int that fits it, in native byte order both ways.
+    native unsigned int that fits it, in native byte order both ways, and
+    for d = 1 a last lane at x = 0.  There q(0) = 0 exactly for the place
+    x, and W[0] = 0, so that place reads as a pole like any other.
 
     Returns (values, dual, trace, ones, width).  values(v) packs the value
     at each lane of the polynomial that v packs as `ReducedForm` does, m
@@ -187,7 +182,8 @@ def _lanes(base, d):
     n1 = fld.order - 1
     reps = _orbit_reps(base.order, d)
     W = _trace_duals(fld)
-    fmt = f"{len(reps)}{W.format}"
+    size = len(reps) + (d == 1)  # the point 0 is the last lane of degree 1
+    fmt = f"{size}{W.format}"
 
     def packed(lanes):
         return int.from_bytes(struct.pack(fmt, *lanes), sys.byteorder)
@@ -196,7 +192,10 @@ def _lanes(base, d):
     def term(t):
         i, j = divmod(t, base.degree)
         lj = log[embed(1 << j)]
-        return packed([exp[(lj + i * k) % n1] for k in reps])
+        lanes = [exp[(lj + i * k) % n1] for k in reps]
+        if d == 1:  # b x^i at x = 0 is b for i = 0, else 0
+            lanes.append(0 if i else exp[lj])
+        return packed(lanes)
 
     def values(v):
         acc = 0
@@ -213,7 +212,7 @@ def _lanes(base, d):
             lanes = [exp[log[c] * i % n1] if c else 0 for c in lanes]
         return packed(map(W.__getitem__, lanes))
 
-    return (values, dual, packed([W[1]] * len(reps)), packed([1] * len(reps)),
+    return (values, dual, packed([W[1]] * size), packed([1] * size),
             8 * W.itemsize)
 
 
@@ -254,25 +253,6 @@ def _planes(curve, d):
     return _fold(t, 0, width, ones)[0] & regular, regular
 
 
-def _state_at_zero(form):
-    """A reduced form's state at x = 0, from its constant digits: None at
-    the place x, else the trace bit of poly(0) + sum of r_i(0) / q(0)^i."""
-    F = form.field
-    low = F.order - 1  # one coefficient's m bits
-    if 1 << F.degree in form.places:  # x, packed
-        return None
-    v = form.poly & low
-    for q, digits in form.places.items():
-        digit_bits = q.bit_length() - 1
-        inv_q0 = F.inv(q & low)  # q(0) != 0 for every other place
-        p = inv_q0
-        while digits:
-            v ^= F.mul(digits & low, p)
-            digits >>= digit_bits
-            p = F.mul(p, inv_q0)
-    return F.trace(v)
-
-
 def _state_at_infinity(form):
     """None at a pole, when the polynomial part is not constant, else the
     trace bit of its constant: each r_i / q^i vanishes at infinity."""
@@ -291,8 +271,6 @@ def _states_by_orbit(curves, d):
     t1 XOR t2."""
     ones = _lanes(curves[0].field, d)[3]
     tally = Counter()
-    if d == 1:  # the point 0
-        tally[tuple(_state_at_zero(c.form) for c in curves)] += 1
     # the lanes where each curve's state is 0, 1 and None
     by_state = [(r ^ t, t, ones ^ r)
                 for t, r in (_planes(c, d) for c in curves)]
@@ -323,7 +301,7 @@ def _tally(curves, d):
 def _states_by_element(fns, ext, embed):
     """Counter of state tuples over every element of ext, by bit loops;
     f3 is evaluated only where f1 or f2 has a pole, as in _states_by_orbit."""
-    tmask = _trace_mask(ext)
+    tmask = ext.trace_mask
     mul = ext.mul
     inv = ext.inv
     polys = [([embed(c) for c in f.num.coeffs],

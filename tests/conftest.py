@@ -32,6 +32,16 @@ def rand_cover(rng, field, max_deg=5):
             continue
 
 
+def squarings_trace(F, a):
+    """Reference absolute trace: a + a^2 + ... + a^(2^(m-1)) in F."""
+    acc = t = a
+    for _ in range(F.degree - 1):
+        t = F.mul(t, t)
+        acc ^= t
+    assert acc in (0, 1)
+    return acc
+
+
 @pytest.fixture
 def rng():
     return random.Random(0)

@@ -197,6 +197,28 @@ def test_from_form_rejects_constant():
         ASCurve.from_form(reduce_form(one))
 
 
+@pytest.mark.parametrize("text, field, constant",
+                         [("x^2+x", GF2, "0"), ("1", GF2, "1"),
+                          ("a+1", GF4, "a"), ("x^2+x+a", GF4, "a")],
+                         ids=str)
+def test_a_constant_curve_names_its_constant(text, field, constant,
+                                             monkeypatch):
+    # the constant is printed as a RatFun prints it, with none built
+    def no_ratfun(form):
+        raise AssertionError("to_ratfun called")
+
+    f = pr(text, field)
+    form = reduce_form(f)
+    monkeypatch.setattr(ReducedForm, "to_ratfun", no_ratfun)
+    tail = (f" reduces to the constant {constant}; the double cover is "
+            "split or a constant twist")
+    for make, arg, shown in ((ASCurve, f, str(f)),
+                             (ASCurve.from_form, form, constant)):
+        with pytest.raises(DegenerateCover) as err:
+            make(arg)
+        assert str(err.value) == f"y^2+y = {shown}{tail}"
+
+
 def test_invariants_examples():
     assert ASCurve(pr("x^3")).invariants == (1, 0)
     assert ASCurve(pr("1/x + 1/(x+1)")).invariants == (1, 1)

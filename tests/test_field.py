@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import squarings_trace
 from kleinfour import field as field_module
-from kleinfour.field import GF2, GF4, BinaryField, default_modulus
+from kleinfour.field import GF2, GF4, MAX_DEGREE, BinaryField, default_modulus
 
 
 def test_canonical_moduli():
@@ -50,6 +51,27 @@ def test_trace():
     assert GF4.trace(0b10) == 1
     assert GF4.trace(1) == 0
     assert GF2.trace(1) == 1
+
+
+@pytest.mark.parametrize(
+    "F", [BinaryField.default(m) for m in range(1, MAX_DEGREE + 1)]
+    + [BinaryField(3, 0b1101), BinaryField(4, 0b11001)], ids=repr)
+def test_trace_matches_the_sum_of_squarings(F, rng):
+    # every element up to m = 12, a sample above
+    m = F.degree
+    if m <= 12:
+        elements = range(F.order)
+    else:
+        elements = [1 << i for i in range(m)] + [
+            rng.randrange(F.order) for _ in range(200)]
+    for v in elements:
+        assert F.trace(v) == squarings_trace(F, v), (m, v)
+    # the smallest element of trace 1: every smaller one is a sum of lower
+    # basis elements, so all of those must have trace 0
+    t1 = F.trace_one_element()
+    assert squarings_trace(F, t1) == 1 and t1 & (t1 - 1) == 0
+    assert not any(squarings_trace(F, 1 << i)
+                   for i in range(t1.bit_length() - 1))
 
 
 def test_sqrt():

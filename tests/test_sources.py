@@ -51,7 +51,6 @@ def test_every_lru_cache_is_bounded():
             "zeta._orbit_reps", "zeta._planes", "zeta._dual",
             "zeta._trace_duals",
             "field.default_modulus",
-            "field.BinaryField.trace_one_element",
             "ascurve.reduce_standard",
             "poly._irreducibles_found"} <= set(caches)
     unbounded = [name for name, cache in caches.items()
