@@ -64,18 +64,6 @@ def _sqr_mod2(a, m):
     return _mod2(r, m)
 
 
-def _sqrt2(p):
-    # square root of a GF(2) polynomial all of whose exponents are even
-    r = 0
-    i = 0
-    while p:
-        if p & 1:
-            r |= 1 << (i >> 1)
-        p >>= 1
-        i += 1
-    return r
-
-
 def _prime_divisors(n):
     out = []
     d = 2
@@ -110,37 +98,6 @@ def _is_irreducible2(p):
         if _gcd2(powers[n // r] ^ x, p) != 1:
             return False
     return True
-
-
-def _irreducible_factor2(p):
-    """Some monic irreducible factor of p, or None if p is irreducible."""
-    if p == 0:
-        raise ValueError("zero polynomial")
-    if _deg2(p) <= 0:
-        return None
-    if _is_irreducible2(p):
-        return None
-    if p & 1 == 0:
-        return 0b10  # divisible by x
-    # derivative zero means p is a perfect square
-    deriv = 0
-    q = p >> 1
-    i = 1
-    while q:
-        if (q & 1) and (i & 1):
-            deriv |= 1 << (i - 1)
-        q >>= 1
-        i += 1
-    if deriv == 0:
-        root = _sqrt2(p)
-        f = _irreducible_factor2(root)
-        return root if f is None else f
-    # trial division by irreducibles of ascending degree
-    for d in range(1, _deg2(p) // 2 + 1):
-        for cand in range((1 << d) | 1, 1 << (d + 1), 2):
-            if _is_irreducible2(cand) and _mod2(p, cand) == 0:
-                return cand
-    return None
 
 
 def _poly2_text(p, var="a"):
@@ -193,8 +150,10 @@ class BinaryField:
             raise ValueError(
                 f"modulus {_poly2_text(self.modulus)} has degree "
                 f"{_deg2(self.modulus)}, expected {self.degree}")
-        factor = _irreducible_factor2(self.modulus)
-        if factor is not None:
+        if not _is_irreducible2(self.modulus):
+            # the smallest divisor of degree >= 1 is irreducible
+            factor = next(c for c in range(2, 1 << (self.degree // 2 + 1))
+                          if _mod2(self.modulus, c) == 0)
             raise ValueError(
                 f"modulus {_poly2_text(self.modulus)} is reducible: "
                 f"divisible by {_poly2_text(factor)}")

@@ -27,11 +27,12 @@ where D holds W[q^i] in every lane.  D is the only lane-by-lane lookup,
 and it is memoized per (field, place, order, d), so the curves that share
 a place share it; f is regular where no place vanishes, which is where D
 is nonzero.  Shifts fold each lane's parity into its bit 0.  Those bit
-planes are memoized per (curve, d), the tallies of states (bit counts of
-their ANDs) per (curves, d): a cover reads its three quotients' planes,
-and N_1..N_n share the tallies of the divisors of n.  Only infinity is
-read off the forms' constant digits.  Above 16 bits, every element of
-GF(q^n) is evaluated with the bit-loop arithmetic on the curves' RatFuns.
+planes are memoized per (curve, d), and one fibre rule, `_points`, counts
+points from bit counts of their ANDs: a cover reads its three quotients'
+planes, and N_1..N_n share the planes of the divisors of n.  Infinity is
+one more lane, read off the forms' constant digits.  Above 16 bits, every
+element of GF(q^n) is evaluated with the bit-loop arithmetic on the
+curves' RatFuns, and each is one lane for the same rule.
 
 For a quotient curve, counts N_1..N_g determine the L-polynomial through
 Newton's identities plus the functional equation, and the 2-rank is read
@@ -46,9 +47,7 @@ from __future__ import annotations
 import functools
 import struct
 import sys
-from collections import Counter
 from dataclasses import dataclass, field as dfield
-from itertools import product
 
 from .ascurve import ASCurve
 from .field import MAX_DEGREE, TABLE_MAX_DEGREE, BinaryField
@@ -80,26 +79,29 @@ def _eval(coeffs, x, mul):
     return acc
 
 
-def _fibre(states, odd):
-    """Points over one point of P^1, from each function's state there.
-
-    A state is None at a pole, else the trace bit of f_i(x) over the
-    residue field; odd is the parity of n/d, which carries that trace up
-    to GF(q^n).  Where every function is regular the fibre is the product
-    of the f1 and f2 Artin-Schreier fibres.  Where exactly one is regular
-    its trace decides a fibre of size 2 or 0, and where none is the fibre
-    is a single point.  A pole of exactly one of three functions cannot
-    occur since f3 = f1 + f2.
+def _points(planes, ones, odd):
+    """Points over the closed points in the lanes of ones, from each
+    function's (trace, regular) planes there: one curve, or a cover's three
+    quotients.  odd is the parity of n/d, which carries each trace bit up to
+    GF(q^n).  Where f is regular its fibre is 2 or 0 as that bit is 0 or 1,
+    and where f has a pole it is one point.  For a cover, f3 is read only
+    over a pole of f1 or f2: elsewhere the fibre is the product of the f1
+    and f2 fibres.  Over a pole exactly one function is regular, and its
+    bit decides a fibre of 2 or 0, or none is and the fibre is one point; a
+    pole of exactly one of three functions cannot occur since f3 = f1 + f2.
     """
-    bits = [s & odd for s in states if s is not None]
-    if len(bits) == 3:
-        return (2 - 2 * bits[0]) * (2 - 2 * bits[1])
-    if len(bits) == 1:
-        return 2 - 2 * bits[0]
-    if not bits:
-        return 1
-    raise AssertionError(
-        "a place supporting exactly one pole contradicts f3 = f1+f2")
+    even = [r ^ t if odd else r for t, r in planes]  # regular, trace 0
+    if len(planes) == 1:
+        return 2 * even[0].bit_count() + (ones ^ planes[0][1]).bit_count()
+    (_, r1), (_, r2), (_, r3) = planes
+    e1, e2, e3 = even
+    poles = ones ^ (r1 & r2)
+    if poles & r3 & (r1 | r2):
+        raise AssertionError(
+            "a place supporting exactly one pole contradicts f3 = f1+f2")
+    return (4 * (e1 & e2).bit_count()
+            + 2 * (poles & (e1 | e2 | e3)).bit_count()
+            + (ones ^ (r1 | r2 | r3)).bit_count())
 
 
 # Keys are (q, d) with q^d <= 2^TABLE_MAX_DEGREE, at most 50 of them; a key
@@ -229,7 +231,7 @@ def _dual(base, q, i, d):
 
 
 # Keys are (curve, d).  A verify call uses at most 3 * 16, its three
-# quotients at each d <= 16, and a cover's tally reuses its quotients'.
+# quotients at each d <= 16, and a cover's count reads its quotients'.
 @functools.lru_cache(maxsize=64)
 def _planes(curve, d):
     """(trace bits, regular bits) of a curve's reduced form over the closed
@@ -253,74 +255,37 @@ def _planes(curve, d):
     return _fold(t, 0, width, ones)[0] & regular, regular
 
 
-def _state_at_infinity(form):
-    """None at a pole, when the polynomial part is not constant, else the
-    trace bit of its constant: each r_i / q^i vanishes at infinity."""
+def _planes_at_infinity(form):
+    """One-lane planes at infinity: a pole when the polynomial part is not
+    constant, else the trace bit of its constant, since each r_i / q^i
+    vanishes there."""
     F = form.field
-    return None if form.poly >> F.degree else F.trace(form.poly)
+    return (0, 0) if form.poly >> F.degree else (F.trace(form.poly), 1)
 
 
-_STATES = (0, 1, None)  # in the order of a curve's lanes by state
-
-
-def _states_by_orbit(curves, d):
-    """Tally of state tuples over the closed points of degree d, as an
-    immutable tuple of (states, points) pairs, by bit counts of ANDs of the
-    curves' planes.  For a cover, f3's planes are read only on the lanes
-    where f1 or f2 has a pole: elsewhere f3 = f1 + f2 has trace bit
-    t1 XOR t2."""
-    ones = _lanes(curves[0].field, d)[3]
-    tally = Counter()
-    # the lanes where each curve's state is 0, 1 and None
-    by_state = [(r ^ t, t, ones ^ r)
-                for t, r in (_planes(c, d) for c in curves)]
-    if len(curves) == 1:
-        for k, plane in zip(_STATES, by_state[0]):
-            tally[k,] += plane.bit_count()
-    else:
-        p1, p2, p3 = by_state
-        for a, b in product((0, 1), repeat=2):
-            tally[a, b, a ^ b] += (p1[a] & p2[b]).bit_count()
-        poles = p1[2] | p2[2]
-        for a, pa in zip(_STATES, p1):
-            for b, pb in zip(_STATES, p2):
-                if both := poles & pa & pb:
-                    for c, pc in zip(_STATES, p3):
-                        tally[a, b, c] += (both & pc).bit_count()
-    return tuple((key, points) for key, points in tally.items() if points)
-
-
-# Keys are (curves, d): N_1..N_n share the tallies of the divisors of n.
-# One verify call uses at most 4 * 16 keys: a cover and its three quotients,
-# each with d <= 16 on the table path.
-@functools.lru_cache(maxsize=128)
-def _tally(curves, d):
-    return _states_by_orbit(curves, d)
-
-
-def _states_by_element(fns, ext, embed):
-    """Counter of state tuples over every element of ext, by bit loops;
-    f3 is evaluated only where f1 or f2 has a pole, as in _states_by_orbit."""
+def _element_points(fns, ext, embed):
+    """Points over every element of ext, by bit loops, one lane each; f3 is
+    evaluated only where f1 or f2 has a pole, as `_points` reads it."""
     tmask = ext.trace_mask
     mul = ext.mul
     inv = ext.inv
     polys = [([embed(c) for c in f.num.coeffs],
               [embed(c) for c in f.den.coeffs]) for f in fns]
-    tally = Counter()
+    total = 0
     for x in range(ext.order):
-        states = []
+        planes = []
         for num, den in polys:
-            if len(states) == 2 and None not in states:
-                states.append(states[0] ^ states[1])  # f3 = f1 + f2
+            if len(planes) == 2 and planes[0][1] & planes[1][1]:
+                planes.append((planes[0][0] ^ planes[1][0], 1))  # f1 + f2
                 break
             d = _eval(den, x, mul)
             if d == 0:
-                states.append(None)
+                planes.append((0, 0))
                 continue
             v = mul(_eval(num, x, mul), inv(d))
-            states.append((v & tmask).bit_count() & 1)
-        tally[tuple(states)] += 1
-    return tally
+            planes.append(((v & tmask).bit_count() & 1, 1))
+        total += _points(planes, 1, 1)
+    return total
 
 
 def _count(curves, n):
@@ -328,17 +293,14 @@ def _count(curves, n):
     (curve,) for a curve, its three quotients for a Klein-four cover."""
     base = curves[0].field
     ext, embed = _extension(base, n)
+    total = _points([_planes_at_infinity(c.form) for c in curves], 1, n & 1)
     if ext.log_tables() is None:
-        tally = _states_by_element([c.f for c in curves], ext, embed)
-        groups = [(1, 1, tally.items())]
-    else:
-        groups = [(d, (n // d) & 1, _tally(curves, d))
-                  for d in range(1, n + 1) if n % d == 0]
-    at_inf = tuple(_state_at_infinity(c.form) for c in curves)
-    groups.append((1, n & 1, ((at_inf, 1),)))
-    return sum(weight * points * _fibre(states, odd)
-               for weight, odd, tally in groups
-               for states, points in tally)
+        return total + _element_points([c.f for c in curves], ext, embed)
+    for d in range(1, n + 1):
+        if n % d == 0:
+            total += d * _points([_planes(c, d) for c in curves],
+                                 _lanes(base, d)[3], (n // d) & 1)
+    return total
 
 
 def count_points(curve, n):

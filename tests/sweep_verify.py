@@ -1,12 +1,19 @@
-"""Verify the witness of every realizable cell with g <= 16 by point counts.
+"""Verify the witness of every realizable cell with g <= 16 by point counts,
+then run the per-element count above the table cap.
 
 Each cell is constructed and verified as `k4 table --verify` does it, at
 depth equal to the largest quotient genus.  Every report must be confirmed
 and not truncated: at g <= 16 each count fits the table fields, so a
 truncated report means a witness left the oracle's reach.  Prints the row
 count and time per genus, and exits 1 on the first failing cell.  The
-sweep verifies 657 cells in about a second, and its name keeps pytest
-from collecting it:
+sweep verifies 657 cells in about a second.
+
+Counts over GF(2^17) are above TABLE_MAX_DEGREE, so they evaluate every
+element with the bit-loop arithmetic.  Two of them are checked exactly:
+N_17 of y^2 + y = x^3 over GF(2), which is 2^17 + 1 (about 2 s), and the
+count identity at n = 17 for (1/x + x^3, 1/x + x^5) over GF(2), whose
+shared pole at 0 is regular for f3 (about 20 s).  The script imports no
+test module, and its name keeps pytest from collecting it:
 
     PYTHONPATH=src python tests/sweep_verify.py
 """
@@ -14,12 +21,16 @@ from collecting it:
 import sys
 import time
 
+from kleinfour.ascurve import ASCurve
 from kleinfour.construct import construct
-from kleinfour.klein4 import partitions_of
+from kleinfour.field import GF2, TABLE_MAX_DEGREE
+from kleinfour.klein4 import KleinFourCover, partitions_of
+from kleinfour.ratfun import parse_ratfun
 from kleinfour.realize import realizable
-from kleinfour.zeta import verify
+from kleinfour.zeta import count_points, count_points_cover, verify
 
 MAX_G = 16
+N_ELEMENT = 17  # the smallest n over GF(2) above the table cap
 
 
 def main():
@@ -43,6 +54,34 @@ def main():
         print(f"g = {g}: {rows} cells confirmed, "
               f"{time.perf_counter() - start:.2f} s", flush=True)
     print(f"every realizable cell with g <= {MAX_G} ({total}) confirmed in "
+          f"{time.perf_counter() - start:.1f} s")
+    return per_element_counts()
+
+
+def per_element_counts():
+    n = N_ELEMENT
+    if n <= TABLE_MAX_DEGREE:
+        print(f"FAIL: GF(2^{n}) is within the table cap {TABLE_MAX_DEGREE}, "
+              f"so no count here takes the per-element path")
+        return 1
+    start = time.perf_counter()
+    N = count_points(ASCurve(parse_ratfun(GF2, "x^3")), n)
+    if N != 2**n + 1:
+        print(f"FAIL: N_{n} of y^2 + y = x^3 is {N}, not {2**n + 1}")
+        return 1
+    print(f"N_{n} of y^2 + y = x^3 is 2^{n} + 1, "
+          f"{time.perf_counter() - start:.1f} s", flush=True)
+    start = time.perf_counter()
+    cover = KleinFourCover(parse_ratfun(GF2, "1/x + x^3"),
+                           parse_ratfun(GF2, "1/x + x^5"))
+    direct = count_points_cover(cover, n)
+    from_quotients = (sum(count_points(sub, n) for sub in cover.quotients)
+                      - 2 * (2**n + 1))
+    if direct != from_quotients:
+        print(f"FAIL: count identity at n = {n} for {cover}: direct "
+              f"{direct}, from quotients {from_quotients}")
+        return 1
+    print(f"count identity at n = {n} holds for {cover} ({direct} points), "
           f"{time.perf_counter() - start:.1f} s")
     return 0
 

@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from conftest import squarings_trace
 from kleinfour import field as field_module
-from kleinfour.field import GF2, GF4, MAX_DEGREE, BinaryField, default_modulus
+from kleinfour.field import (GF2, GF4, MAX_DEGREE, BinaryField, _poly2_text,
+                             default_modulus)
+from kleinfour.poly import Poly, factor
 
 
 def test_canonical_moduli():
@@ -23,6 +25,26 @@ def test_make_rejects_reducible_with_factor():
         BinaryField(0, 0b1)
     with pytest.raises(ValueError):
         BinaryField(25, (1 << 25) | 0b101101)
+
+
+def test_a_reducible_modulus_names_its_smallest_factor():
+    # every reducible modulus of degree 2..14, against the factors that
+    # `factor` finds: the one named is the smallest by encoding
+    reducible = 0
+    for p in range(4, 1 << 15):
+        m = p.bit_length() - 1
+        codes = [sum(c << i for i, c in enumerate(q.coeffs))
+                 for q, _ in factor(Poly.make(GF2, [p >> i & 1
+                                                    for i in range(m + 1)]))]
+        if codes == [p]:
+            BinaryField(m, p)
+            continue
+        reducible += 1
+        with pytest.raises(ValueError) as info:
+            BinaryField(m, p)
+        assert str(info.value) == (f"modulus {_poly2_text(p)} is reducible: "
+                                   f"divisible by {_poly2_text(min(codes))}")
+    assert reducible == 30228
 
 
 def test_default_field_is_built_once():

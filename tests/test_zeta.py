@@ -1,5 +1,6 @@
 import random
 import struct
+import sys
 from collections import Counter
 from itertools import product
 
@@ -343,11 +344,11 @@ POLE_PATTERNS = (
 
 @pytest.fixture
 def fresh_zeta_caches():
-    """Empty the tally memo and the lane caches before and after the test,
-    so a run with the table cap patched recomputes every tally instead of
+    """Empty the plane memo and the lane caches before and after the test,
+    so a run with the table cap patched recomputes every plane instead of
     reading one memoized by an earlier run."""
     def clear():
-        for cache in (zeta._tally, zeta._planes, zeta._dual, zeta._lanes,
+        for cache in (zeta._planes, zeta._dual, zeta._lanes,
                       zeta._trace_duals):
             cache.cache_clear()
     clear()
@@ -474,6 +475,9 @@ def test_a_pole_of_f1_alone_is_still_caught(pole, table_max_degree,
 # One log-domain Horner evaluation per closed point, in bytecode.
 
 def scalar_states_by_orbit(fns, q, d, fld, embed):
+    """The state tuple of the functions at each lane of degree d, in lane
+    order: the points g^k of the orbit reps, then for d = 1 the point 0.
+    A state is None at a pole, else the trace bit of the value there."""
     log, exp = fld.log_tables()
     n1 = fld.order - 1
     tmask = seed_trace_mask(fld)
@@ -495,17 +499,62 @@ def scalar_states_by_orbit(fns, q, d, fld, embed):
             acc = exp[log[acc] + k] ^ c if acc else c
         return acc
 
-    tally = Counter()
-    # the points g^k of degree d, and for d = 1 the point 0
-    for k in zeta._orbit_reps(q, d) + ((None,) if d == 1 else ()):
-        states = []
-        for num, den in polys:
-            if len(states) == 2 and None not in states:
-                states.append(states[0] ^ states[1])  # f3 = f1 + f2
-                break
-            states.append(state(value(num, k), value(den, k)))
-        tally[tuple(states)] += 1
-    return tally
+    return [tuple(state(value(num, k), value(den, k)) for num, den in polys)
+            for k in zeta._orbit_reps(q, d) + ((None,) if d == 1 else ())]
+
+
+def reference_fibre(states, odd):
+    """Points over one point of P^1 from each function's state there; odd
+    carries each trace bit up to GF(q^n).  Where f1 and f2 are regular, so
+    is f3 = f1 + f2, and its state is not read.  Raises where exactly one
+    of three functions has a pole, as seed_count_points_cover's local rule
+    does."""
+    if len(states) == 3 and None not in states[:2]:
+        return (2 - 2 * (states[0] & odd)) * (2 - 2 * (states[1] & odd))
+    fibres = [2 - 2 * (s & odd) for s in states if s is not None]
+    if len(fibres) == 2:
+        raise AssertionError("exactly one pole")
+    return fibres[0] if fibres else 1
+
+
+def lane_planes(states):
+    """One-lane (trace, regular) planes of each function from its state."""
+    return [(0, 0) if s is None else (s, 1) for s in states]
+
+
+def reference_points(states_by_lane, odd):
+    """The reference fibre rule summed over lanes, or None where it raises."""
+    try:
+        return sum(reference_fibre(states, odd) for states in states_by_lane)
+    except AssertionError:
+        return None
+
+
+def assert_points_match(planes, ones, odd, expected):
+    """_points on the planes equals expected, or raises where it is None."""
+    if expected is None:
+        with pytest.raises(AssertionError, match="exactly one pole"):
+            zeta._points(planes, ones, odd)
+    else:
+        assert zeta._points(planes, ones, odd) == expected
+
+
+def test_points_match_the_reference_fibre_rule_on_one_lane():
+    # every state of each function, one curve or a triple whose f3 is
+    # f1 + f2 wherever f1 and f2 are regular, and both parities of n/d
+    states = (0, 1, None)
+    cases = [(s,) for s in states]
+    cases += [(a, b, c) for a in states for b in states
+              for c in ((a ^ b,) if None not in (a, b) else states)]
+    assert len(cases) == 22
+    raised = 0
+    for case in cases:
+        for odd in (0, 1):
+            expected = reference_points([case], odd)
+            raised += expected is None
+            assert_points_match(lane_planes(case), 1, odd, expected)
+    # the triples with one pole among f1, f2 and a regular f3
+    assert raised == 2 * 8
 
 
 GF8 = BinaryField.default(3)
@@ -520,7 +569,7 @@ def curve_or_none(f):
         return None
 
 
-def assert_tallies_match_the_scalar_loop(f1, f2, ds=None):
+def assert_planes_match_the_scalar_loop(f1, f2, ds=None):
     """Every d in ds, by default every d with m*d <= 12, for the curve of
     each function alone, the cover triple, and a triple whose third curve
     is not that of f1 + f2 (so a kernel that reads f3 off the pole lanes,
@@ -532,32 +581,50 @@ def assert_tallies_match_the_scalar_loop(f1, f2, ds=None):
     for curves in ((c1,), (c2,), (c1, c2, c3), (c1, c2, c2)):
         if None in curves:
             continue
-        assert_tallies_match(curves, ds or range(1, 12 // F.degree + 1))
+        assert_planes_match(curves, ds or range(1, 12 // F.degree + 1))
 
 
-def assert_tallies_match(curves, ds):
+def lanes_of(packed, count, width):
+    """Each width-bit lane of a packed int of count lanes, in lane order;
+    OverflowError if it holds bits beyond them."""
+    raw = packed.to_bytes(count * width // 8, sys.byteorder)
+    step = width // 8
+    return [int.from_bytes(raw[j * step:(j + 1) * step], sys.byteorder)
+            for j in range(count)]
+
+
+def assert_planes_match(curves, ds):
+    """Each curve's planes, lane by lane, against its states in the scalar
+    loop, and _points on the tuple, at both parities of n/d, against the
+    reference fibre rule over those states."""
     F = curves[0].field
     for d in ds:
         fld, embed = zeta._extension(F, d)
-        expected = scalar_states_by_orbit([c.f for c in curves], F.order, d,
-                                          fld, embed)
-        tally = zeta._states_by_orbit(curves, d)
-        assert Counter(dict(tally)) == expected, (curves, d)
-        assert len(tally) == len(expected)  # no key twice
+        by_lane = scalar_states_by_orbit([c.f for c in curves], F.order, d,
+                                         fld, embed)
+        *_, ones, width = zeta._lanes(F, d)
+        planes = [zeta._planes(c, d) for c in curves]
+        for i, (t, r) in enumerate(planes):
+            assert [lane_planes(states[i:i + 1])[0] for states in by_lane] \
+                == list(zip(*(lanes_of(plane, len(by_lane), width)
+                              for plane in (t, r)))), (curves[i], d)
+        for odd in (0, 1):
+            assert_points_match(planes, ones, odd,
+                                reference_points(by_lane, odd))
 
 
 @settings(max_examples=60, deadline=None)
 @given(raw_pairs(max_deg=3, fields=(GF2, GF4, GF8, GF8_ALT)))
 def test_lane_tallies_match_the_scalar_loop(pair):
-    assert_tallies_match_the_scalar_loop(*pair)
+    assert_planes_match_the_scalar_loop(*pair)
 
 
 @pytest.mark.parametrize("F", [GF2, GF4, GF8, GF8_ALT], ids=repr)
 def test_lane_tallies_match_the_scalar_loop_on_pole_patterns(F):
     # the first pattern has a pole at the point 0 shared by f1 and f2
     for a, b in POLE_PATTERNS + (("1/x^3 + x", "1/x"),):
-        assert_tallies_match_the_scalar_loop(parse_ratfun(F, a),
-                                             parse_ratfun(F, b))
+        assert_planes_match_the_scalar_loop(parse_ratfun(F, a),
+                                            parse_ratfun(F, b))
 
 
 def irreducible(F, d):
@@ -572,7 +639,7 @@ def test_16_bit_lanes_match_the_scalar_loop_at_finite_poles(pattern):
     # 14- and 16-bit lanes over GF(4) with denominators other than 1, so
     # every lane's trace bit reads W; the patterns' poles are rational
     # places, so no lane of degree 7 or 8 is a pole (see the next test)
-    assert_tallies_match_the_scalar_loop(
+    assert_planes_match_the_scalar_loop(
         *(pr4(t) for t in POLE_PATTERNS[pattern]), ds=(7, 8))
 
 
@@ -585,12 +652,14 @@ def test_16_bit_pole_lanes_match_the_scalar_loop(d):
     g = pr4("1/(x+1) + x^3")
     for f1, f2, pole_of in ((P + pr4("x"), P + g, (1, 1, 0)),
                             (P + pr4("a*x"), g, (1, 0, 1))):
-        assert_tallies_match_the_scalar_loop(f1, f2, ds=(d,))
+        assert_planes_match_the_scalar_loop(f1, f2, ds=(d,))
         # the orbit of P's roots is the one pole lane
         curves = KleinFourCover(f1, f2).quotients
-        assert [(tuple(s is None for s in states), n) for states, n
-                in zeta._states_by_orbit(curves, d)
-                if None in states] == [(pole_of, 1)]
+        ones = zeta._lanes(GF4, d)[3]
+        poles = [ones ^ zeta._planes(c, d)[1] for c in curves]
+        lane = poles[0] | poles[1] | poles[2]
+        assert lane.bit_count() == 1
+        assert poles == [lane if pole else 0 for pole in pole_of]
 
 
 def place_pool(F):
@@ -637,12 +706,12 @@ def test_form_tallies_match_the_scalar_loop(data):
     if not (v1 + v2).is_constant:
         curve_tuples.append((c1, c2, ASCurve.from_form(v1 + v2)))
     for curves in curve_tuples:
-        assert_tallies_match(curves, range(1, 12 // F.degree + 1))
-    # the state at infinity, from f's value there
+        assert_planes_match(curves, range(1, 12 // F.degree + 1))
+    # the planes at infinity, from f's value there
     for c in (c1, c2):
         v = c.f.infinity_value()
-        assert zeta._state_at_infinity(c.form) == (
-            None if v is None else F.trace(v))
+        assert zeta._planes_at_infinity(c.form) == (
+            (0, 0) if v is None else (F.trace(v), 1))
 
 
 def test_the_widest_lane_counts_exactly():
@@ -660,55 +729,21 @@ def test_the_widest_lane_counts_exactly():
     assert struct.calcsize(zeta._lane_code(16)) * 8 == 16
 
 
-def counted_kernel(monkeypatch):
-    """Record every (curves, d) the tally kernel computes."""
-    zeta._tally.cache_clear()
-    calls = Counter()
-    kernel = zeta._states_by_orbit
-
-    def counting(curves, d):
-        calls[curves, d] += 1
-        return kernel(curves, d)
-
-    monkeypatch.setattr(zeta, "_states_by_orbit", counting)
-    return calls
-
-
-def test_verify_computes_each_tally_once(monkeypatch, rng):
-    for cov in (KleinFourCover(pr2("1/x + x^3"), pr2("1/x + x^5")),
-                rand_cover(rng, GF4, max_deg=3)):
-        calls = counted_kernel(monkeypatch)
-        assert verify(cov).confirmed
-        depth = max(sub.genus for sub in cov.quotients) + 1
-        assert max(calls.values()) == 1
-        # the cover's own triple is tallied, never read off its quotients
-        assert set(calls) == {(curves, d)
-                              for curves in [(s,) for s in cov.quotients]
-                              + [cov.quotients]
-                              for d in range(1, depth + 1)}
-
-
-def test_the_tally_memo_keys_on_the_field(monkeypatch):
-    # the same coefficients over the two GF(8) moduli count differently
-    c1, c2 = (ASCurve(parse_ratfun(F, "x^3 + a*x")) for F in (GF8, GF8_ALT))
-    calls = counted_kernel(monkeypatch)
-    assert count_points(c1, 1) == seed_count_points(c1, 1) == 9
-    assert count_points(c2, 1) == seed_count_points(c2, 1) == 13
-    assert set(calls) == {((c1,), 1), ((c2,), 1)}
-
-
 def test_verify_computes_each_plane_once(rng, fresh_zeta_caches):
     for cov in (KleinFourCover(pr2("1/x + x^3"), pr2("1/x + x^5")),
                 rand_cover(rng, GF4, max_deg=3)):
-        for cache in (zeta._tally, zeta._planes, zeta._dual):
+        for cache in (zeta._planes, zeta._dual):
             cache.cache_clear()
         assert verify(cov).confirmed
         depth = max(sub.genus for sub in cov.quotients) + 1
-        # each quotient at each d once; the cover's tally reads the planes
-        # that its quotients made
+        # each quotient at each d once; every count N_n, of a quotient or
+        # of the cover, reads the three quotients' planes at each d | n
+        # from the memo, which computed them for N_d
         info = zeta._planes.cache_info()
         assert info.misses == info.currsize == 3 * depth
-        assert info.hits == 3 * depth
+        reads = sum(n % d == 0 for n in range(1, depth + 1)
+                    for d in range(1, n + 1))
+        assert info.hits == 2 * 3 * reads - 3 * depth
         # each (place, pole order, d) of the three forms once, and only
         # the orders whose digit is nonzero
         duals = {(q, i, d) for form in cov.forms
@@ -774,15 +809,3 @@ def test_fold_reads_each_lane_alone(width):
             sum((v.bit_count() & 1) << i * width
                 for i, v in enumerate(lanes[0])),
             sum((v != 0) << i * width for i, v in enumerate(lanes[1])))
-
-
-def test_a_memoized_tally_is_immutable():
-    c = ASCurve(pr2("x^3 + 1/x"))
-    tally = zeta._tally((c,), 2)
-    assert isinstance(tally, tuple)
-    with pytest.raises(TypeError):
-        tally[0] = ((0,), 1)
-    states, points = tally[0]
-    with pytest.raises(TypeError):
-        states[0] = 1
-    assert zeta._tally((c,), 2) is tally
