@@ -9,24 +9,28 @@ of first sight, a class that is the sum of a disjoint-pole pair comes after
 both summands (checked by the tests at every degree cap).
 
 The census runs on plain ints.  A numerator is its code sum c_i q^i, whose
-bit i*m + b is bit b of c_i (q = 2^m).  Each denominator's basis
-numerators 2^b x^i are reduced once, and the forms of all its numerators
-follow with one XOR each (`span`).  The numerators sharing a factor with
-the denominator are the multiples of its irreducible factors, and their
-codes are dropped with no gcd (`coprime_codes`).  Every form is packed into
-one int under a layout local to the call (`PackedLayout`), so a pair sum
-is an XOR, a constant sum is an int below 1 << m, and the lowest-pair test
-is a dict hit.  Genus and 2-rank add up over places, so a pair with no
-shared pole has a key fixed by its classes' invariants and is counted in
-bulk (`count_covers`), and a sum with a shared pole that is not itself a
-class takes its invariants from the pair's, corrected only at the shared
-places (`sum_invariants`, through the same per-place rule as
-`ReducedForm.invariants`).  Covers are counted under an int key and folded
-into (genus, 2-rank, type) cells afterwards (`fold_keys`); RatFuns are
-built only for each cell's example, its earliest pair, when printed.  A
-cover in a cell the decision procedure declares impossible would disprove
-the classification; the run asserts that never happens, checking the cells
-in the order of their earliest pairs.
+bit i*m + b is bit b of c_i (q = 2^m).  A sieve yields the monic
+denominators with their factors, so none is factored
+(`factored_denominators`).  Reduction is GF(2)-linear and acts place by
+place, so the forms of each denominator's basis numerators 2^b x^i are read
+off tables built once per place power met, as XORs of rows over the bits of
+a residue and of a quotient; only the rows are canonicalised
+(`BasisTables`).  The forms of all its numerators follow with one XOR each
+(`span`).  The numerators sharing a factor with the denominator are the
+multiples of its irreducible factors, and their codes are dropped with no
+gcd (`coprime_codes`).  Every form is packed into one int under a layout
+local to the call (`PackedLayout`), so a pair sum is an XOR, a constant sum
+is an int below 1 << m, and the lowest-pair test is a dict hit.  Genus and
+2-rank add up over places, so a pair with no shared pole has a key fixed by
+its classes' invariants and is counted in bulk (`count_covers`), and a sum
+with a shared pole that is not itself a class takes its invariants from the
+pair's, corrected only at the shared places (`sum_invariants`, through the
+same per-place rule as `ReducedForm.invariants`).  Covers are counted under
+an int key and folded into (genus, 2-rank, type) cells afterwards
+(`fold_keys`); RatFuns are built only for each cell's example, its earliest
+pair, when printed.  A cover in a cell the decision procedure declares
+impossible would disprove the classification; the run asserts that never
+happens, checking the cells in the order of their earliest pairs.
 The degree bound is capped per field (`max_census_degree`).
 """
 
@@ -37,10 +41,11 @@ from collections import Counter
 from itertools import compress
 
 from . import poly
-from .ascurve import PackedLayout, _pack, canonical_form, place_terms
+from .ascurve import (PackedLayout, ReducedForm, _pack, _poly_of,
+                      canonical_form, place_terms)
 from .klein4 import KleinFourCover, Partition
 from .poly import Poly
-from .ratfun import RatFun, partial_fractions, place_inverses
+from .ratfun import RatFun
 from .realize import realizable
 
 
@@ -72,13 +77,27 @@ def _digits(enc, order, n):
     return cs
 
 
-def _denominators(field, max_deg):
-    """Monic polynomials of degree <= max_deg, by degree, then by the
-    encoding sum c_i q^i of their lower coefficients."""
-    order = field.order
-    for deg in range(max_deg + 1):
-        for enc in range(order ** deg):
-            yield Poly.make(field, _digits(enc, order, deg) + [1])
+def factored_denominators(field, max_deg):
+    """Monic polynomials of degree <= max_deg in census order, by degree,
+    then by the encoding sum c_i q^i of their lower coefficients, each with
+    its monic irreducible factors and multiplicities, sorted as
+    `poly.factor` sorts them.
+
+    A sieve over codes, which for q = 2^m follow census order: a monic
+    polynomial not yet recorded as a product of earlier ones is
+    irreducible, and it is multiplied into every recorded product up to
+    degree max_deg.  Nothing is factored."""
+    m = field.degree
+    found = {1: (Poly.one(field), [])}  # code -> (polynomial, factors)
+    for d in range(max_deg + 1):
+        for code in range(1 << d * m, 2 << d * m):
+            if code not in found:  # irreducible: no smaller factor
+                p = _poly_of(field, code)
+                for q, factors in list(found.values()):
+                    for e in range(1, (max_deg - q.degree) // d + 1):
+                        q = q * p
+                        found[_pack(q.coeffs, m)] = q, factors + [(p, e)]
+            yield found[code]
 
 
 def span(vectors):
@@ -90,9 +109,20 @@ def span(vectors):
     return out
 
 
-def coprime_codes(den, n):
+def _xor_rows(rows, bits):
+    """The XOR of rows[j] over the set bits j of `bits`."""
+    out = j = 0
+    while bits:
+        if bits & 1:
+            out ^= rows[j]
+        bits >>= 1
+        j += 1
+    return out
+
+
+def coprime_codes(den, factors, n):
     """A flag per numerator code below q^n, set when that numerator is
-    nonzero and prime to den.
+    nonzero and prime to den, whose factors are `factors`.
 
     The code of c_0 + c_1 x + ... is sum c_i q^i; since q = 2^m its bit
     i*m + b is bit b of c_i.  A numerator of degree < n shares a factor with
@@ -101,7 +131,7 @@ def coprime_codes(den, n):
     m = den.field.degree
     keep = bytearray(b"\1") * (1 << (n * m))
     keep[0] = 0
-    for p, _ in poly.factor(den):
+    for p, _ in factors:
         multiples = [p.shift(k).scale(1 << b) for k in range(n - p.degree)
                      for b in range(m)]
         for code in span([_pack(h.coeffs, m) for h in multiples]):
@@ -118,44 +148,112 @@ def enumerate_functions(field, max_deg):
     kept (the reduced pair shows up under its own denominator)."""
     order, n = field.order, max_deg + 1
     return [RatFun(Poly.make(field, _digits(code, order, n)), den)
-            for den in _denominators(field, max_deg)
-            for code in compress(range(order ** n), coprime_codes(den, n))]
+            for den, factors in factored_denominators(field, max_deg)
+            for code in compress(range(order ** n),
+                                 coprime_codes(den, factors, n))]
 
 
-def basis_forms(den, n):
-    """reduce_form(2^b x^i / den) for i < n and every bit b of a field
-    element, at index i*m + b: the numerator code with only that bit set.
+class BasisTables:
+    """Reads off reduce_form(2^b x^i / den), for i < n and every bit b of
+    a field element, from tables built once per place power met.
 
-    den is factored once, with one CRT inverse per place, and x^i / den
-    split into partial fractions once per i.  Partial fractions are
-    F-linear, so 2^b x^i / den has those parts scaled by 2^b; only the
-    canonicalisation, which is not, runs per basis element."""
-    F = den.field
-    places = place_inverses(den)
-    forms = []
-    for i in range(n):
-        poly_part, parts = partial_fractions(Poly.monomial(F, i), den, places)
-        for b in range(F.degree):
-            c = 1 << b
-            forms.append(canonical_form(
-                F, poly_part.scale(c),
-                {q: [r.scale(c) for r in rs] for q, rs in parts.items()}))
-    return forms
+    Reduction is GF(2)-linear and acts place by place.  At a place p^e of
+    den, with u = (den / p^e)^-1 mod p^e, x^i / den has the principal part
+    of (x^i u mod p^e) / p^e, so its canonical digits are an XOR of rows,
+    one per bit of the residue x^i u mod p^e, which a times-x map steps
+    from u.  The polynomial part is read the same way from the bits of
+    x^i // den.  Only the rows are canonicalised, and den's factors come
+    from the caller."""
+
+    def __init__(self, field, n):
+        self.field = field
+        self.n = n
+        self._poly_rows = self._scaled(
+            [canonical_form(field, Poly.monomial(field, k, 1 << c), {}).poly
+             for k in range(n) for c in range(field.degree)])
+        self._places = {}  # (p, e) -> (p^e, digit rows, times-x rows)
+
+    def _scaled(self, rows):
+        """For each bit b of a field element, `rows` composed with scaling
+        by 2^b: row k*m + c of table b is the XOR of rows k*m + t over the
+        bits t of 2^b * 2^c."""
+        F = self.field
+        m = F.degree
+        return [[_xor_rows(rows, F.mul(1 << b, 1 << j % m) << (j - j % m))
+                 for j in range(len(rows))] for b in range(m)]
+
+    def _place(self, p, e):
+        """p^e; for each bit b, the canonical digits at p of 2^b times each
+        residue bit 2^c x^k / p^e, at row k*m + c; and x^N mod p^e times
+        each bit 2^c, N = deg p^e, which reduces a residue times x."""
+        tables = self._places.get((p, e))
+        if tables is None:
+            F = self.field
+            m = F.degree
+            qe = Poly.one(F)
+            for _ in range(e):
+                qe = qe * p
+            rows = []
+            for k in range(qe.degree):
+                for c in range(m):
+                    r, digits = Poly.monomial(F, k, 1 << c), []
+                    for _ in range(e):  # digits[j] = coefficient of p^j
+                        r, d = divmod(r, p)
+                        digits.append(d)
+                    form = canonical_form(F, Poly.zero(F), {p: digits[::-1]})
+                    rows.append(form.places.get(_pack(p.coeffs, m), 0))
+            low = qe.coeffs[:-1]
+            wrap = [_pack([F.mul(1 << c, a) for a in low], m)
+                    for c in range(m)]
+            tables = self._places[p, e] = qe, self._scaled(rows), wrap
+        return tables
+
+    def forms(self, den, factors):
+        """reduce_form(2^b x^i / den) at index i*m + b, for i < n and each
+        bit b, given den's factors."""
+        F = self.field
+        m = F.degree
+        quotients = [0] * min(self.n, den.degree) + [
+            _pack((Poly.monomial(F, i) // den).coeffs, m)
+            for i in range(den.degree, self.n)]
+        places = []
+        for p, e in factors:
+            qe, rows, wrap = self._place(p, e)
+            top = qe.degree * m
+            r = _pack(poly.invmod(den // qe, qe).coeffs, m)
+            residues = []  # x^i u mod p^e, packed
+            for _ in range(self.n):
+                residues.append(r)
+                r <<= m  # times x, then x^N is reduced mod p^e
+                r ^= (r >> top << top) ^ _xor_rows(wrap, r >> top)
+            places.append((_pack(p.coeffs, m), rows, residues))
+        forms = []
+        for i, quotient in enumerate(quotients):
+            for b, poly_rows in enumerate(self._poly_rows):
+                digits = {}
+                for pk, rows, residues in places:
+                    v = _xor_rows(rows[b], residues[i])
+                    if v:
+                        digits[pk] = v
+                forms.append(ReducedForm(F, _xor_rows(poly_rows, quotient),
+                                         digits))
+        return forms
 
 
 def _packed_functions(field, max_deg):
     """The packed reduced forms of `enumerate_functions`, in its order, and
-    their layout.  Each denominator's basis is reduced once, and reduction
-    is GF(2)-linear, so the span of the packed basis holds the form of
-    every numerator at its code."""
+    their layout.  Each denominator's basis is read off the per-place
+    tables, and reduction is GF(2)-linear, so the span of the packed basis
+    holds the form of every numerator at its code."""
     n = max_deg + 1
-    dens = list(_denominators(field, max_deg))
-    bases = [basis_forms(den, n) for den in dens]
+    tables = BasisTables(field, n)
+    dens = list(factored_denominators(field, max_deg))
+    bases = [tables.forms(den, factors) for den, factors in dens]
     layout = PackedLayout(field, [v for vs in bases for v in vs])
     packed = []
-    for den, vs in zip(dens, bases):
+    for (den, factors), vs in zip(dens, bases):
         forms = span([layout.pack(v) for v in vs])
-        packed += compress(forms, coprime_codes(den, n))
+        packed += compress(forms, coprime_codes(den, factors, n))
     return packed, layout
 
 
@@ -218,10 +316,21 @@ def count_covers(classes, layout):
     both summands: the disjoint pair is then its cover's lowest pair."""
     one = 1 << layout.field.degree  # a form is constant exactly when below
     index = {x: i for i, x in enumerate(classes)}
-    invariants = [layout.unpack(x).invariants() for x in classes]
+    invariants = []
+    poles = []  # each class's pole slots
+    for x in classes:  # `ReducedForm.invariants`, slot by slot
+        genus = k = -1
+        mask = 0
+        for offset, bits, width, degree in layout.slots:
+            digits = (x >> offset) & bits
+            if digits:
+                dg, dk = place_terms(digits, width, degree)
+                genus += dg
+                k += dk
+                mask |= bits << offset
+        invariants.append((genus, k))
+        poles.append(mask)
     apart = [(g << 16) + (g << 8) + 2 * s for g, s in invariants]
-    fields = [mask << offset for offset, mask, _, _ in layout.slots]
-    poles = [sum(f for f in fields if x & f) for x in classes]  # pole slots
     above = Counter(zip(poles, apart))
     disjoint = {m: [group for group in above if not group[0] & m]
                 for m in set(poles)}

@@ -389,9 +389,9 @@ def _edf(f, d, rng):
             return _edf(g, d, rng) + _edf(f // g, d, rng)
 
 
-# `k4 table -g 12 --verify` and the GF(2) degree-4 and GF(4) degree-2
-# censuses together factor 111 distinct polynomials; an entry holds a
-# polynomial and its factors, a few hundred bytes at these degrees.
+# `k4 table -g 12 --verify` factors 8 distinct polynomials and the census
+# none (its sieve yields the factors); an entry holds a polynomial and its
+# factors, a few hundred bytes at these degrees.
 @functools.lru_cache(maxsize=1 << 14)
 def _factor_cached(p):
     F = p.field

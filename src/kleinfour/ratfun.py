@@ -354,35 +354,6 @@ def parse_ratfun(field, text):
 # ---------------------------------------------------------------------------
 # Partial fractions, used by the standard-form reduction.
 
-def place_inverses(den):
-    """(q, e, q^e, (den / q^e)^-1 mod q^e) for each place q^e of den: the
-    factoring and CRT inverses that `partial_fractions` shares between
-    numerators over one denominator."""
-    out = []
-    for (q, e) in P.factor(den):
-        qe = q
-        for _ in range(e - 1):
-            qe = qe * q
-        out.append((q, e, qe, P.invmod(den // qe, qe)))
-    return out
-
-
-def partial_fractions(num, den, places):
-    """(poly_part, parts) of num/den as in `principal_parts`, given
-    `place_inverses(den)`.  num/den need not be in lowest terms; a place
-    it cancels gets all-zero digits."""
-    poly_part, rem = divmod(num, den)
-    parts = {}
-    for (q, e, qe, inv) in places:
-        c = (rem * inv) % qe
-        digits = []
-        for _ in range(e):
-            c, r = divmod(c, q)
-            digits.append(r)  # digits[j] = coefficient of q^j
-        parts[q] = digits[::-1]  # r_i = digit e-i
-    return poly_part, parts
-
-
 def principal_parts(f):
     """Polynomial part and per-place principal parts of f.
 
@@ -390,7 +361,19 @@ def principal_parts(f):
     divisor q of the denominator to the list [r_1, ..., r_e] with
     f = poly_part + sum over places of sum_i r_i / q^i and deg r_i < deg q.
     """
-    return partial_fractions(f.num, f.den, place_inverses(f.den))
+    poly_part, rem = divmod(f.num, f.den)
+    parts = {}
+    for (q, e) in P.factor(f.den):
+        qe = q
+        for _ in range(e - 1):
+            qe = qe * q
+        c = (rem * P.invmod(f.den // qe, qe)) % qe
+        digits = []
+        for _ in range(e):
+            c, r = divmod(c, q)
+            digits.append(r)  # digits[j] = coefficient of q^j
+        parts[q] = digits[::-1]  # r_i = digit e-i
+    return poly_part, parts
 
 
 def assemble(field, poly_part, parts):

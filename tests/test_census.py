@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import time
+from collections import Counter
 from itertools import compress
 
 import pytest
@@ -8,17 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import raw_pairs
-from kleinfour import census
-from kleinfour.ascurve import (ASCurve, PackedLayout, reduce_form,
-                               reduce_standard)
-from kleinfour.census import (CensusViolation, basis_forms, coprime_codes,
-                              count_covers, enumerate_functions, fold_keys,
+from kleinfour import census, poly
+from kleinfour.ascurve import (ASCurve, PackedLayout, canonical_form,
+                               reduce_form, reduce_standard)
+from kleinfour.census import (BasisTables, CensusViolation, coprime_codes,
+                              count_covers, enumerate_functions,
+                              factored_denominators, fold_keys,
                               max_census_degree, run_census, span,
                               sum_invariants)
 from kleinfour.cli import EXIT_BAD_INPUT, EXIT_MISMATCH, main
 from kleinfour.field import GF2, GF4, BinaryField
 from kleinfour.klein4 import Partition
-from kleinfour.poly import Poly, gcd
+from kleinfour.poly import Poly, factor, gcd
 from kleinfour.ratfun import RatFun, parse_ratfun
 from kleinfour.realize import Verdict
 
@@ -235,11 +237,18 @@ def code_of(num):
     return sum(c * num.field.order ** i for i, c in enumerate(num.coeffs))
 
 
+def basis_forms(den, n):
+    """The census's basis of den for numerators of degree < n, read off
+    the per-place tables with den factored by `factor`."""
+    return BasisTables(den.field, n).forms(den, factor(den))
+
+
 @settings(max_examples=200, deadline=None)
 @given(raw_pairs())
 def test_basis_forms_xor_to_the_reduced_form(pair):
-    # the census reduces each denominator's basis once and takes a
-    # function's form as the XOR of the basis forms at its numerator's bits
+    # the census reads each denominator's basis off per-place tables and
+    # takes a function's form as the XOR of the basis forms at its
+    # numerator's bits
     for f in pair:
         basis = basis_forms(f.den, f.num.degree + 1)
         layout = PackedLayout(f.field, basis)
@@ -264,7 +273,7 @@ def test_coprime_codes_and_the_form_table(case):
     # of the packed basis holds each one's reduced form at its code
     den, n = case
     F = den.field
-    keep = coprime_codes(den, n)
+    keep = coprime_codes(den, factor(den), n)
     nums = [Poly.make(F, census._digits(code, F.order, n))
             for code in range(F.order ** n)]
     assert list(compress(nums, keep)) == [
@@ -437,14 +446,115 @@ def test_census_json_is_unchanged(capsys, field, max_deg):
 
 # every monic denominator of degree up to 5 over GF(2), 3 over GF(4) and 2
 # over GF(8), multiples of x included
-BASIS_DENS = [den for F, d in ((GF2, 5), (GF4, 3), (BinaryField.default(3), 2))
-              for den in census._denominators(F, d)]
+BASIS_DENS = [case for F, d in ((GF2, 5), (GF4, 3), (GF8, 2))
+              for case in factored_denominators(F, d)]
 
 
 def test_basis_forms_match_reduce_form():
-    for den in BASIS_DENS:
+    for den, factors in BASIS_DENS:
         F = den.field
         n = den.degree + 2  # past den's degree, so poly parts show up too
-        assert basis_forms(den, n) == [
+        assert BasisTables(F, n).forms(den, factors) == [
             reduce_form(RatFun(Poly.monomial(F, i, 1 << b), den))
             for i in range(n) for b in range(F.degree)], den
+
+
+def test_the_sieve_factors_as_factor_does():
+    # census order, and the sorted factor list of each denominator
+    for F, max_deg in CAP_CASES:
+        dens = [Poly.make(F, census._digits(enc, F.order, d) + [1])
+                for d in range(max_deg + 1) for enc in range(F.order ** d)]
+        assert list(factored_denominators(F, max_deg)) == [
+            (den, factor(den)) for den in dens], (F, max_deg)
+
+
+# The census's basis as it was built before the per-place tables: each
+# denominator factored, with one CRT inverse per place, x^i / den split
+# into partial fractions once per i, and one canonical form per basis
+# numerator.
+
+def place_inverses(den):
+    """(q, e, q^e, (den / q^e)^-1 mod q^e) for each place q^e of den."""
+    out = []
+    for (q, e) in factor(den):
+        qe = q
+        for _ in range(e - 1):
+            qe = qe * q
+        out.append((q, e, qe, poly.invmod(den // qe, qe)))
+    return out
+
+
+def partial_fractions(num, den, places):
+    """(poly_part, parts) of num/den as in `principal_parts`, given
+    `place_inverses(den)`; a place num/den cancels gets all-zero digits."""
+    poly_part, rem = divmod(num, den)
+    parts = {}
+    for (q, e, qe, inv) in places:
+        c = (rem * inv) % qe
+        digits = []
+        for _ in range(e):
+            c, r = divmod(c, q)
+            digits.append(r)  # digits[j] = coefficient of q^j
+        parts[q] = digits[::-1]  # r_i = digit e-i
+    return poly_part, parts
+
+
+def reference_basis_forms(den, n):
+    """reduce_form(2^b x^i / den) at index i*m + b: partial fractions are
+    F-linear, so 2^b x^i / den has the parts of x^i / den scaled by 2^b."""
+    F = den.field
+    places = place_inverses(den)
+    forms = []
+    for i in range(n):
+        poly_part, parts = partial_fractions(Poly.monomial(F, i), den, places)
+        for b in range(F.degree):
+            c = 1 << b
+            forms.append(canonical_form(
+                F, poly_part.scale(c),
+                {q: [r.scale(c) for r in rs] for q, rs in parts.items()}))
+    return forms
+
+
+def reference_packed_functions(field, max_deg):
+    """`census._packed_functions` on the reference basis."""
+    n = max_deg + 1
+    dens = [Poly.make(field, census._digits(enc, field.order, d) + [1])
+            for d in range(max_deg + 1) for enc in range(field.order ** d)]
+    bases = [reference_basis_forms(den, n) for den in dens]
+    layout = PackedLayout(field, [v for vs in bases for v in vs])
+    packed = []
+    for den, vs in zip(dens, bases):
+        forms = span([layout.pack(v) for v in vs])
+        packed += compress(forms, coprime_codes(den, factor(den), n))
+    return packed, layout
+
+
+@pytest.mark.parametrize("field", [GF2, GF4, GF8, BinaryField(3, 0b1101)],
+                         ids=str)
+def test_packed_functions_match_the_reference_basis(field):
+    for max_deg in range(max_census_degree(field) + 1):
+        packed, layout = census._packed_functions(field, max_deg)
+        old_packed, old_layout = reference_packed_functions(field, max_deg)
+        assert packed == old_packed, max_deg
+        assert layout.slots == old_layout.slots, max_deg
+
+
+@pytest.mark.parametrize("field, max_deg, forms",
+                         [(GF2, 3, 24), (GF4, 2, 54)], ids=str)
+def test_the_basis_tables_canonicalise_once_per_row(monkeypatch, field,
+                                                    max_deg, forms):
+    # one canonical form per residue bit of each place power met and per
+    # polynomial-part bit, and no denominator factored
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(census, "canonical_form",
+                        counted("canonical_form", canonical_form))
+    monkeypatch.setattr(poly, "factor", counted("factor", poly.factor))
+    census._packed_functions(field, max_deg)
+    assert calls == {"canonical_form": forms}

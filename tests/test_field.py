@@ -6,7 +6,6 @@ from conftest import squarings_trace
 from kleinfour import field as field_module
 from kleinfour.field import (GF2, GF4, MAX_DEGREE, BinaryField, _poly2_text,
                              default_modulus)
-from kleinfour.poly import Poly, factor
 
 
 def test_canonical_moduli():
@@ -27,23 +26,45 @@ def test_make_rejects_reducible_with_factor():
         BinaryField(25, (1 << 25) | 0b101101)
 
 
+def smallest_factors(bits):
+    """smallest[p]: the smallest monic irreducible factor, by encoding, of
+    each polynomial p over GF(2) of degree < bits, encoded as an int (bit i
+    the coefficient of x^i; p >= 2).  A sieve: for each irreducible p in
+    ascending order, every product p * r with r >= p that is not yet marked
+    gets p.  A reducible polynomial's smallest factor p0 leaves a cofactor
+    r0 >= p0 (all of r0's factors are >= p0), so it is marked at p0 first,
+    and an unmarked p is irreducible."""
+    smallest = [0] * (1 << bits)
+    for p in range(2, 1 << bits):
+        if smallest[p]:
+            continue
+        smallest[p] = p
+        terms = [i for i in range(p.bit_length()) if p >> i & 1]
+        for r in range(p, 1 << (bits - p.bit_length() + 1)):
+            product = 0  # carry-less p * r
+            for i in terms:
+                product ^= r << i
+            if not smallest[product]:
+                smallest[product] = p
+    return smallest
+
+
 def test_a_reducible_modulus_names_its_smallest_factor():
-    # every reducible modulus of degree 2..14, against the factors that
-    # `factor` finds: the one named is the smallest by encoding
+    # every modulus of degree 2..14, against a smallest-factor sieve: an
+    # irreducible one is accepted, and a reducible one names the smallest
+    # factor by encoding
+    smallest = smallest_factors(15)
     reducible = 0
     for p in range(4, 1 << 15):
         m = p.bit_length() - 1
-        codes = [sum(c << i for i, c in enumerate(q.coeffs))
-                 for q, _ in factor(Poly.make(GF2, [p >> i & 1
-                                                    for i in range(m + 1)]))]
-        if codes == [p]:
+        if smallest[p] == p:
             BinaryField(m, p)
             continue
         reducible += 1
         with pytest.raises(ValueError) as info:
             BinaryField(m, p)
         assert str(info.value) == (f"modulus {_poly2_text(p)} is reducible: "
-                                   f"divisible by {_poly2_text(min(codes))}")
+                                   f"divisible by {_poly2_text(smallest[p])}")
     assert reducible == 30228
 
 
