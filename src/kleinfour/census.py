@@ -32,6 +32,19 @@ pair, when printed.  A cover in a cell the decision procedure declares
 impossible would disprove the classification; the run asserts that never
 happens, checking the cells in the order of their earliest pairs.
 The degree bound is capped per field (`max_census_degree`).
+
+Genus and 2-rank ignore the constant, and every non-constant form u comes
+as exactly two classes, u and u + c0 with c0 the canonical trace-one
+constant, so the census pairs parts, the classes with their constant
+digits cleared (`constant_free_parts`), a quarter of the class pairs.
+For parts u != v the four covers {u + c, v + c', u + v + c + c'}, c and
+c' in {0, c0}, are distinct and lie in one cell, and each is counted once
+among the classes exactly when {u, v, u + v} is counted once among the
+parts, so every cell's count is four times its parts' count.  Parts come
+in the order of their first classes, so a cell's earliest pair of classes
+is the first classes of its earliest pair of parts, and census order
+carries over: both classes of a disjoint sum come after the first classes
+of its summands.
 """
 
 from __future__ import annotations
@@ -283,7 +296,7 @@ def max_census_degree(field):
     """The largest degree bound the census accepts over `field`.
 
     The census pairs about q^(2D + 1) functions, so D is capped where that
-    reaches 2^14: 6 over GF(2) and 3 over GF(4), each about 3 s."""
+    reaches 2^14: 6 over GF(2) and 3 over GF(4), each about 1 s."""
     return (14 // field.degree - 1) // 2
 
 
@@ -335,6 +348,7 @@ def count_covers(classes, layout):
     disjoint = {m: [group for group in above if not group[0] & m]
                 for m in set(poles)}
     shares = {m: bytes(map(bool, map(m.__and__, poles))) for m in disjoint}
+    slot_bits = {m: layout.places_mask(m) for m in disjoint}
     shifts = {}
     counts = Counter()
     first = {}
@@ -342,6 +356,7 @@ def count_covers(classes, layout):
     for i, a in enumerate(classes):
         g1, s1 = invariants[i]
         mask1 = poles[i]
+        slots1 = slot_bits[mask1]
         above[mask1, apart[i]] -= 1
         own_apart = (g1 << 24) + (g1 << 8) + 2 * s1 + 257
         for j in compress(range(i + 1, n), shares[mask1][i + 1:]):
@@ -353,7 +368,7 @@ def count_covers(classes, layout):
             shift = shifts.get(digits)
             if shift is None:  # the shared places' part alone
                 dg, ds = sum_invariants(layout.slots, *digits,
-                                        layout.places_mask(digits[0]),
+                                        slots1 & slot_bits[poles[j]],
                                         (-1, -1), (0, 0))
                 shift = shifts[digits] = (dg << 8) + ds
             key = own_apart + apart[j] + shift
@@ -376,6 +391,25 @@ def count_covers(classes, layout):
     return counts, first
 
 
+def constant_free_parts(classes, m):
+    """The parts of the packed `classes` (each class with its constant
+    digits, the low m bits, cleared) in order of first sight, each mapped
+    to its first class.
+
+    A canonical constant is 0 or the trace-one element c0, so a part has
+    at most two classes, u and u + c0; the census needs exactly two, and
+    raises AssertionError otherwise."""
+    firsts = {}
+    sizes = Counter()
+    for x in classes:
+        part = x >> m << m
+        firsts.setdefault(part, x)
+        sizes[part] += 1
+    assert all(n == 2 for n in sizes.values()), \
+        "every part must have exactly two classes, u and u + c0"
+    return firsts
+
+
 def run_census(field, max_deg):
     """Census cells sorted by (g, sigma, type); raises CensusViolation if a
     cover contradicts the realizability decision."""
@@ -386,10 +420,14 @@ def run_census(field, max_deg):
         raise ValueError(f"census degree bound over {field} is {cap}, "
                          f"got {max_deg}")
     packed, layout = _packed_functions(field, max_deg)
-    # the distinct non-constant forms, in order of first sight
-    classes = list(dict.fromkeys(x for x in packed if x >> field.degree))
-    counts, first = count_covers(classes, layout)
+    # the distinct non-constant forms, in order of first sight, folded to
+    # their parts: the four class pairs over a part pair are four covers
+    # in the part pair's cell, and the first classes are the earliest
+    firsts = constant_free_parts(
+        dict.fromkeys(x for x in packed if x >> field.degree), field.degree)
+    counts, first = count_covers(list(firsts), layout)
     cells = fold_keys(counts, first)
+    classes = list(firsts.values())
     # check the cells in the order of their earliest pairs
     for cell_key, (count, (i, j)) in sorted(cells.items(),
                                             key=lambda c: c[1][1]):
@@ -403,5 +441,5 @@ def run_census(field, max_deg):
                 f"cover ({cover.f1}, {cover.f2}) lands in the "
                 f"impossible cell (g={g}, sigma={sigma}, "
                 f"type={p}): {verdict.citation}")
-        cells[cell_key] = CensusCell(g, sigma, entries, count, cover)
+        cells[cell_key] = CensusCell(g, sigma, entries, 4 * count, cover)
     return [cells[k] for k in sorted(cells)]

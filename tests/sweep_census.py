@@ -4,8 +4,10 @@ The sha256 of `k4 census --field F --max-deg D --json` must be
 CENSUS_JSON_SHA256[F, D] at GF(2) degrees 5 and 6 and GF(4) degree 3, the
 values printed by the census that visited every class pair one by one.
 At GF(2) degree 5, `count_covers` must also return exactly what the pair
-loop of test_census.py does.  Prints each check with its time and exits 1
-on the first mismatch.  The sweep takes about 6 s on one core, too long
+loop of test_census.py does, and `run_census`, which pairs the classes'
+constant-free parts, must give the cells of the census that pairs every
+class (`unfolded_census`).  Prints each check with its time and exits 1
+on the first mismatch.  The sweep takes about 4 s on one core, too long
 for the tier-1 suite, so its name keeps pytest from collecting it:
 
     PYTHONPATH=src python tests/sweep_census.py
@@ -18,9 +20,10 @@ import sys
 import time
 
 from kleinfour.cli import main as k4
-from kleinfour.census import count_covers
+from kleinfour.census import count_covers, run_census
 from kleinfour.field import GF2
-from test_census import census_classes, pair_loop_count_covers
+from test_census import (census_classes, pair_loop_count_covers,
+                         unfolded_census)
 
 CENSUS_JSON_SHA256 = {
     ("gf2", 5): "45fe3b882f30d4a168e8bf202526cf77"
@@ -55,6 +58,13 @@ def main():
         return 1
     print(f"bulk counts match the pair loop on the {len(classes)} GF(2) "
           f"degree-5 classes ({time.perf_counter() - start:.1f} s)")
+    start = time.perf_counter()
+    if [c.to_json() for c in run_census(GF2, 5)] != unfolded_census(GF2, 5):
+        print("FAIL: the census over parts differs from the census over "
+              "classes at GF(2) degree 5")
+        return 1
+    print(f"the census over parts matches the census over classes at "
+          f"GF(2) degree 5 ({time.perf_counter() - start:.1f} s)")
     return 0
 
 

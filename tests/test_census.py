@@ -12,14 +12,14 @@ from conftest import raw_pairs
 from kleinfour import census, poly
 from kleinfour.ascurve import (ASCurve, PackedLayout, canonical_form,
                                reduce_form, reduce_standard)
-from kleinfour.census import (BasisTables, CensusViolation, coprime_codes,
-                              count_covers, enumerate_functions,
+from kleinfour.census import (BasisTables, CensusCell, CensusViolation,
+                              coprime_codes, count_covers, enumerate_functions,
                               factored_denominators, fold_keys,
                               max_census_degree, run_census, span,
                               sum_invariants)
 from kleinfour.cli import EXIT_BAD_INPUT, EXIT_MISMATCH, main
 from kleinfour.field import GF2, GF4, BinaryField
-from kleinfour.klein4 import Partition
+from kleinfour.klein4 import KleinFourCover, Partition
 from kleinfour.poly import Poly, factor, gcd
 from kleinfour.ratfun import RatFun, parse_ratfun
 from kleinfour.realize import Verdict
@@ -110,7 +110,21 @@ def census_classes(field, max_deg):
     return list(dict.fromkeys(x for x in packed if x >= one)), layout
 
 
+def unfolded_census(field, max_deg):
+    """Reference for `run_census`: `count_covers` on every class, not on
+    the constant-free parts, so each cell's count is its own and its
+    example comes from its earliest pair of classes.  Returns the cells as
+    JSON, unchecked against `realizable`."""
+    classes, layout = census_classes(field, max_deg)
+    cells = fold_keys(*count_covers(classes, layout))
+    return [CensusCell(g, sigma, entries, count,
+                       KleinFourCover(layout.unpack(classes[i]),
+                                      layout.unpack(classes[j]))).to_json()
+            for (g, sigma, entries), (count, (i, j)) in sorted(cells.items())]
+
+
 GF8 = BinaryField.default(3)
+GF8_OTHER = BinaryField(3, 0b1101)
 
 
 @pytest.mark.parametrize("field, max_deg",
@@ -145,7 +159,7 @@ def skipped_pairs(classes, layout):
 
 
 CAP_CASES = [(F, d) for F in [BinaryField.default(m) for m in range(1, 15)]
-             + [BinaryField(3, 0b1101)]
+             + [GF8_OTHER]
              for d in range(max_census_degree(F) + 1)]
 
 
@@ -163,6 +177,49 @@ def test_census_order_never_skips_a_pair():
     assert skipped_pairs([layout.pack(v) for v in forms], layout) == {1: {2}}
     classes, layout = census_classes(GF2, 2)
     assert skipped_pairs(classes[::-1], layout)
+
+
+def test_the_fold_preconditions_hold_at_every_cap():
+    # run_census pairs the classes' constant-free parts and counts each
+    # part pair four times: that needs the classes closed under adding the
+    # trace-one constant c0, two per part, and parts in an order that
+    # never skips a pair
+    for field, max_deg in CAP_CASES:
+        classes, layout = census_classes(field, max_deg)
+        m, c0 = field.degree, field.trace_one_element()
+        assert {x ^ c0 for x in classes} == set(classes), (field, max_deg)
+        sizes = Counter(x >> m << m for x in classes)
+        assert set(sizes.values()) <= {2}, (field, max_deg)
+        parts = list(census.constant_free_parts(classes, m))
+        assert parts == list(sizes)
+        assert skipped_pairs(parts, layout) == {}, (field, max_deg)
+
+
+UNFOLDED_CASES = ([(GF2, d) for d in range(5)] + [(GF4, d) for d in range(3)]
+                  + [(F, d) for F in (GF8, GF8_OTHER) for d in (0, 1)])
+
+
+@pytest.mark.parametrize("field, max_deg", UNFOLDED_CASES,
+                         ids=[f"{F}-{F.modulus:#b}-{d}"
+                              for F, d in UNFOLDED_CASES])
+def test_census_matches_the_unfolded_census(field, max_deg):
+    # counts and example strings, cell by cell
+    assert [c.to_json() for c in run_census(field, max_deg)] == \
+        unfolded_census(field, max_deg)
+
+
+def test_a_part_without_its_twin_is_refused(monkeypatch):
+    # drop one class, every function that reduces to it, from the census
+    packed_functions = census._packed_functions
+
+    def drop_one(field, max_deg):
+        packed, layout = packed_functions(field, max_deg)
+        last = packed[-1]
+        return [x for x in packed if x != last], layout
+
+    monkeypatch.setattr(census, "_packed_functions", drop_one)
+    with pytest.raises(AssertionError, match="exactly two classes"):
+        run_census(GF2, 2)
 
 
 SUBLIST_CASES = st.sampled_from([(GF2, 4), (GF4, 2)])
@@ -529,7 +586,7 @@ def reference_packed_functions(field, max_deg):
     return packed, layout
 
 
-@pytest.mark.parametrize("field", [GF2, GF4, GF8, BinaryField(3, 0b1101)],
+@pytest.mark.parametrize("field", [GF2, GF4, GF8, GF8_OTHER],
                          ids=str)
 def test_packed_functions_match_the_reference_basis(field):
     for max_deg in range(max_census_degree(field) + 1):
