@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .poly import Poly
+from .poly import Poly, pack, poly_of, unpack
 from .ratfun import INFINITY, Place, RatFun, assemble, principal_parts
 
 
@@ -88,25 +88,6 @@ def reduce_standard(f):
     return reduce_form(f).to_ratfun()
 
 
-def _pack(coeffs, m):
-    """Field elements as one int, m bits each, lowest index lowest."""
-    v = 0
-    for i, c in enumerate(coeffs):
-        v |= c << (i * m)
-    return v
-
-
-def _unpack(v, m, n):
-    mask = (1 << m) - 1
-    return [(v >> (i * m)) & mask for i in range(n)]
-
-
-def _poly_of(F, v):
-    """The polynomial over F whose coefficients `_pack` packed into v."""
-    m = F.degree
-    return Poly.make(F, _unpack(v, m, -(-v.bit_length() // m)))
-
-
 class ReducedForm:
     """A canonical form as its principal-part vector.
 
@@ -136,11 +117,11 @@ class ReducedForm:
         places = {}
         for q, rs in parts.items():
             width = m * q.degree
-            v = sum(_pack(d.coeffs, m) << (i * width)
+            v = sum(pack(d.coeffs, m) << (i * width)
                     for i, d in enumerate(rs))
             if v:
-                places[_pack(q.coeffs, m)] = v
-        return cls(field, _pack(poly_coeffs, m), places)
+                places[pack(q.coeffs, m)] = v
+        return cls(field, pack(poly_coeffs, m), places)
 
     @classmethod
     def of(cls, r):
@@ -154,16 +135,16 @@ class ReducedForm:
         m = F.degree
         parts = {}
         for qv, v in self.places.items():
-            q = _poly_of(F, qv)
+            q = poly_of(F, qv)
             d = q.degree
             e = (v.bit_length() - 1) // (m * d) + 1
-            parts[q] = [Poly.make(F, _unpack(v >> (i * m * d), m, d))
+            parts[q] = [Poly.make(F, unpack(v >> (i * m * d), m, d))
                         for i in range(e)]
-        return assemble(F, _poly_of(F, self.poly), parts)
+        return assemble(F, poly_of(F, self.poly), parts)
 
     def pole_places(self):
         """The places where f has a pole, read from the vector."""
-        places = {Place(_poly_of(self.field, qv)) for qv in self.places}
+        places = {Place(poly_of(self.field, qv)) for qv in self.places}
         if self.poly >> self.field.degree:
             places.add(INFINITY)
         return places

@@ -9,14 +9,14 @@ of first sight, a class that is the sum of a disjoint-pole pair comes after
 both summands (checked by the tests at every degree cap).
 
 The census runs on plain ints.  A numerator is its code sum c_i q^i, whose
-bit i*m + b is bit b of c_i (q = 2^m).  A sieve yields the monic
-denominators with their factors, so none is factored
+bit i*m + b is bit b of c_i (q = 2^m), the codec of `poly.pack`.  A sieve
+yields the monic denominators with their factors, so none is factored
 (`factored_denominators`).  Reduction is GF(2)-linear and acts place by
 place, so the forms of each denominator's basis numerators 2^b x^i are read
 off tables built once per place power met, as XORs of rows over the bits of
 a residue and of a quotient; only the rows are canonicalised
 (`BasisTables`).  The forms of all its numerators follow with one XOR each
-(`span`).  The numerators sharing a factor with the denominator are the
+(`poly.span`).  The numerators sharing a factor with the denominator are the
 multiples of its irreducible factors, and their codes are dropped with no
 gcd (`coprime_codes`).  Every form is packed into one int under a layout
 local to the call (`PackedLayout`), so a pair sum is an XOR, a constant sum
@@ -54,10 +54,9 @@ from collections import Counter
 from itertools import compress
 
 from . import poly
-from .ascurve import (PackedLayout, ReducedForm, _pack, _poly_of,
-                      canonical_form, place_terms)
+from .ascurve import PackedLayout, ReducedForm, canonical_form, place_terms
 from .klein4 import KleinFourCover, Partition
-from .poly import Poly
+from .poly import Poly, pack, poly_of, span, xor_rows
 from .ratfun import RatFun
 from .realize import realizable
 
@@ -81,15 +80,6 @@ class CensusCell:
                             "f2": str(self.example.f2)}}
 
 
-def _digits(enc, order, n):
-    """The n base-`order` digits of enc, lowest first."""
-    cs = []
-    for _ in range(n):
-        cs.append(enc % order)
-        enc //= order
-    return cs
-
-
 def factored_denominators(field, max_deg):
     """Monic polynomials of degree <= max_deg in census order, by degree,
     then by the encoding sum c_i q^i of their lower coefficients, each with
@@ -105,32 +95,12 @@ def factored_denominators(field, max_deg):
     for d in range(max_deg + 1):
         for code in range(1 << d * m, 2 << d * m):
             if code not in found:  # irreducible: no smaller factor
-                p = _poly_of(field, code)
+                p = poly_of(field, code)
                 for q, factors in list(found.values()):
                     for e in range(1, (max_deg - q.degree) // d + 1):
                         q = q * p
-                        found[_pack(q.coeffs, m)] = q, factors + [(p, e)]
+                        found[pack(q.coeffs, m)] = q, factors + [(p, e)]
             yield found[code]
-
-
-def span(vectors):
-    """Every XOR of a subset of `vectors`, at the index whose set bits pick
-    the subset: one XOR per entry."""
-    out = [0]
-    for v in vectors:
-        out += [x ^ v for x in out]
-    return out
-
-
-def _xor_rows(rows, bits):
-    """The XOR of rows[j] over the set bits j of `bits`."""
-    out = j = 0
-    while bits:
-        if bits & 1:
-            out ^= rows[j]
-        bits >>= 1
-        j += 1
-    return out
 
 
 def coprime_codes(den, factors, n):
@@ -147,7 +117,7 @@ def coprime_codes(den, factors, n):
     for p, _ in factors:
         multiples = [p.shift(k).scale(1 << b) for k in range(n - p.degree)
                      for b in range(m)]
-        for code in span([_pack(h.coeffs, m) for h in multiples]):
+        for code in span([pack(h.coeffs, m) for h in multiples]):
             keep[code] = 0
     return keep
 
@@ -159,10 +129,10 @@ def enumerate_functions(field, max_deg):
     their lower coefficients; for each, every nonzero numerator comes once,
     in order of its encoding, and only pairs already in lowest terms are
     kept (the reduced pair shows up under its own denominator)."""
-    order, n = field.order, max_deg + 1
-    return [RatFun(Poly.make(field, _digits(code, order, n)), den)
+    n = max_deg + 1
+    return [RatFun(poly_of(field, code), den)
             for den, factors in factored_denominators(field, max_deg)
-            for code in compress(range(order ** n),
+            for code in compress(range(field.order ** n),
                                  coprime_codes(den, factors, n))]
 
 
@@ -192,7 +162,7 @@ class BasisTables:
         bits t of 2^b * 2^c."""
         F = self.field
         m = F.degree
-        return [[_xor_rows(rows, F.mul(1 << b, 1 << j % m) << (j - j % m))
+        return [[xor_rows(rows, F.mul(1 << b, 1 << j % m) << (j - j % m))
                  for j in range(len(rows))] for b in range(m)]
 
     def _place(self, p, e):
@@ -214,9 +184,9 @@ class BasisTables:
                         r, d = divmod(r, p)
                         digits.append(d)
                     form = canonical_form(F, Poly.zero(F), {p: digits[::-1]})
-                    rows.append(form.places.get(_pack(p.coeffs, m), 0))
+                    rows.append(form.places.get(pack(p.coeffs, m), 0))
             low = qe.coeffs[:-1]
-            wrap = [_pack([F.mul(1 << c, a) for a in low], m)
+            wrap = [pack([F.mul(1 << c, a) for a in low], m)
                     for c in range(m)]
             tables = self._places[p, e] = qe, self._scaled(rows), wrap
         return tables
@@ -227,28 +197,28 @@ class BasisTables:
         F = self.field
         m = F.degree
         quotients = [0] * min(self.n, den.degree) + [
-            _pack((Poly.monomial(F, i) // den).coeffs, m)
+            pack((Poly.monomial(F, i) // den).coeffs, m)
             for i in range(den.degree, self.n)]
         places = []
         for p, e in factors:
             qe, rows, wrap = self._place(p, e)
             top = qe.degree * m
-            r = _pack(poly.invmod(den // qe, qe).coeffs, m)
+            r = pack(poly.invmod(den // qe, qe).coeffs, m)
             residues = []  # x^i u mod p^e, packed
             for _ in range(self.n):
                 residues.append(r)
                 r <<= m  # times x, then x^N is reduced mod p^e
-                r ^= (r >> top << top) ^ _xor_rows(wrap, r >> top)
-            places.append((_pack(p.coeffs, m), rows, residues))
+                r ^= (r >> top << top) ^ xor_rows(wrap, r >> top)
+            places.append((pack(p.coeffs, m), rows, residues))
         forms = []
         for i, quotient in enumerate(quotients):
             for b, poly_rows in enumerate(self._poly_rows):
                 digits = {}
                 for pk, rows, residues in places:
-                    v = _xor_rows(rows[b], residues[i])
+                    v = xor_rows(rows[b], residues[i])
                     if v:
                         digits[pk] = v
-                forms.append(ReducedForm(F, _xor_rows(poly_rows, quotient),
+                forms.append(ReducedForm(F, xor_rows(poly_rows, quotient),
                                          digits))
         return forms
 

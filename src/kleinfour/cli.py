@@ -19,8 +19,8 @@ from .construct import NotRealizable, construct
 from .field import GF2, GF4
 from .klein4 import MAX_GENUS, InvalidCover, InvalidPartition, partitions_of
 from .ratfun import parse_ratfun
-from .realize import (hyperelliptic_extra_involution, partition_validate,
-                      realizable, realizable_any)
+from .realize import (RANK_ONLY_CITATION, hyperelliptic_extra_involution,
+                      partition_validate, realizable, realizable_any)
 from .zeta import verify
 
 SCHEMA = "k4/1"
@@ -62,8 +62,7 @@ def cmd_check(args):
         ok = realizable_any(args.g, args.s)
         _emit({"g": args.g, "sigma": args.s, "exists": ok,
                "clause": "none" if ok else "rank-only",
-               "citation": "some type works unless 2-rank is g-1, or g is "
-                           "even with 2-rank 1"})
+               "citation": RANK_ONLY_CITATION})
         return EXIT_OK if ok else EXIT_IMPOSSIBLE
     p = partition_validate(args.g, _parse_partition(args.partition))
     verdict = realizable(args.g, args.s, p)

@@ -11,6 +11,10 @@ field: polynomial arithmetic in `poly` and the point counts in `zeta`.
 The absolute trace is GF(2)-linear: it is the parity of an element's bits
 under `trace_mask`, built once per field as sums of squarings.
 
+One trial division, `_smallest_factor2`, is the only irreducibility test
+on moduli: `default_modulus` takes the first candidate with no factor, and
+a field is refused on a reducible modulus, its smallest factor named.
+
 The canonical GF(4) modulus is a^2+a+1, so the cube root of unity used by
 the witness constructions prints as `a`.
 """
@@ -46,24 +50,6 @@ def _mod2(a, b):
     return a
 
 
-def _gcd2(a, b):
-    while b:
-        a, b = b, _mod2(a, b)
-    return a
-
-
-def _sqr_mod2(a, m):
-    # square by bit spreading, then reduce
-    r = 0
-    i = 0
-    while a:
-        if a & 1:
-            r |= 1 << (2 * i)
-        a >>= 1
-        i += 1
-    return _mod2(r, m)
-
-
 def _prime_divisors(n):
     out = []
     d = 2
@@ -78,26 +64,12 @@ def _prime_divisors(n):
     return out
 
 
-def _is_irreducible2(p):
-    """Rabin irreducibility test for a GF(2) polynomial given as an int."""
-    n = _deg2(p)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    # x^(2^i) mod p for i = 0..n
-    x = 0b10
-    powers = [x]
-    h = x
-    for _ in range(n):
-        h = _sqr_mod2(h, p)
-        powers.append(h)
-    if powers[n] != x:
-        return False
-    for r in _prime_divisors(n):
-        if _gcd2(powers[n // r] ^ x, p) != 1:
-            return False
-    return True
+def _smallest_factor2(p):
+    """The smallest divisor of degree >= 1 of a GF(2) polynomial p of degree
+    >= 1 given as an int, by trial division up to degree deg p / 2, or None
+    exactly when p is irreducible.  The smallest divisor is irreducible."""
+    return next((c for c in range(2, 1 << (_deg2(p) // 2 + 1))
+                 if _mod2(p, c) == 0), None)
 
 
 def _poly2_text(p, var="a"):
@@ -123,7 +95,7 @@ def default_modulus(m):
     if m == 1:
         return 0b10
     for cand in range((1 << m) | 1, 1 << (m + 1), 2):
-        if _is_irreducible2(cand):
+        if _smallest_factor2(cand) is None:
             return cand
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
@@ -150,10 +122,8 @@ class BinaryField:
             raise ValueError(
                 f"modulus {_poly2_text(self.modulus)} has degree "
                 f"{_deg2(self.modulus)}, expected {self.degree}")
-        if not _is_irreducible2(self.modulus):
-            # the smallest divisor of degree >= 1 is irreducible
-            factor = next(c for c in range(2, 1 << (self.degree // 2 + 1))
-                          if _mod2(self.modulus, c) == 0)
+        factor = _smallest_factor2(self.modulus)
+        if factor is not None:
             raise ValueError(
                 f"modulus {_poly2_text(self.modulus)} is reducible: "
                 f"divisible by {_poly2_text(factor)}")

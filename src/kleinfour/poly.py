@@ -15,6 +15,13 @@ equal-degree splitting in characteristic 2 uses the absolute trace map; its
 internal randomness is drawn from a Random seeded by the polynomial itself,
 so results never depend on call order.  The sorted factor list is unique
 whatever the random stream.
+
+It also holds the bit-level primitives that `ascurve`, the census and
+`zeta` share.  `pack`, `unpack` and `poly_of` store a polynomial as one
+int, m bits per coefficient (the code sum c_i q^i for q = 2^m).  `span`
+lists every subset XOR of some ints, and `xor_rows` applies a GF(2)-linear
+map, given by its rows, to a bit vector; `field_embedding` is `xor_rows`
+over the powers of a root.
 """
 
 from __future__ import annotations
@@ -289,6 +296,48 @@ def _bit_loop(F, a, b, divide):
     return quo, rem
 
 
+def pack(coeffs, m):
+    """Field elements as one int, m bits each, lowest index lowest: for
+    q = 2^m this is the code sum c_i q^i."""
+    v = 0
+    for i, c in enumerate(coeffs):
+        v |= c << (i * m)
+    return v
+
+
+def unpack(v, m, n):
+    """The n field elements, m bits each, that `pack` packed into v."""
+    mask = (1 << m) - 1
+    return [(v >> (i * m)) & mask for i in range(n)]
+
+
+def poly_of(F, v):
+    """The polynomial over F whose coefficients `pack` packed into v."""
+    m = F.degree
+    return Poly.make(F, unpack(v, m, -(-v.bit_length() // m)))
+
+
+def span(vectors):
+    """Every XOR of a subset of `vectors`, at the index whose set bits pick
+    the subset: one XOR per entry."""
+    out = [0]
+    for v in vectors:
+        out += [x ^ v for x in out]
+    return out
+
+
+def xor_rows(rows, bits):
+    """The XOR of rows[j] over the set bits j of `bits`: the GF(2)-linear
+    map with those rows applied to `bits`."""
+    out = j = 0
+    while bits:
+        if bits & 1:
+            out ^= rows[j]
+        bits >>= 1
+        j += 1
+    return out
+
+
 def gcd(a, b):
     while b.coeffs:
         a, b = b, a % b
@@ -439,13 +488,8 @@ def is_irreducible(p):
 def _irreducibles(field):
     """Every monic irreducible, in ascending (degree, coefficient) order."""
     for d in itertools.count(1):
-        for enc in range(field.order ** d):
-            cs = []
-            v = enc
-            for _ in range(d):
-                cs.append(v % field.order)
-                v //= field.order
-            p = Poly.make(field, cs + [1])
+        for code in range(1 << d * field.degree, 2 << d * field.degree):
+            p = poly_of(field, code)
             if is_irreducible(p):
                 yield p
 
@@ -495,15 +539,4 @@ def field_embedding(sub, sup):
     powers = [1]
     for _ in range(sub.degree - 1):
         powers.append(sup.mul(powers[-1], root))
-
-    def embed(v):
-        acc = 0
-        i = 0
-        while v:
-            if v & 1:
-                acc ^= powers[i]
-            v >>= 1
-            i += 1
-        return acc
-
-    return embed
+    return functools.partial(xor_rows, powers)

@@ -27,8 +27,9 @@ _CITATIONS = {
     "iv": "2-rank g-1 (almost ordinary) never occurs",
     "v": "an unbalanced type forces 2-rank = genus (mod 2)",
     "none": "realizable: no exclusion rule applies",
-    "any": "some type works unless 2-rank is g-1, or g is even with 2-rank 1",
 }
+RANK_ONLY_CITATION = ("some type works unless 2-rank is g-1, or g is even "
+                      "with 2-rank 1")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ at every lane are the XOR of cached term vectors, the lanes of b*x^i for
 each power i and basis element b of GF(q) set in its coefficients' bits.
 A curve is read from its reduced form, the polynomial part plus r_i / q^i
 over its places q, never from a num/den RatFun.  With W the per-field
-table of trace duals, Tr(u/v) is the parity of u & W[v], so the trace bit
+table of trace duals, spanned by `poly.span` from its values at a basis,
+Tr(u/v) is the parity of u & W[v], so the trace bit
 of f is the parity of the XOR of values(poly) & W[1] and values(r_i) & D,
 where D holds W[q^i] in every lane.  D is the only lane-by-lane lookup,
 and it is memoized per (field, place, order, d), so the curves that share
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field as dfield
 from .ascurve import ASCurve
 from .field import MAX_DEGREE, TABLE_MAX_DEGREE, BinaryField
 from .klein4 import KleinFourCover
-from .poly import field_embedding
+from .poly import field_embedding, span
 
 
 class InconsistentCounts(ValueError):
@@ -104,9 +105,6 @@ def _points(planes, ones, odd):
             + (ones ^ (r1 | r2 | r3)).bit_count())
 
 
-# Keys are (q, d) with q^d <= 2^TABLE_MAX_DEGREE, at most 50 of them; a key
-# holds about q^d/d exponents.
-@functools.lru_cache(maxsize=64)
 def _orbit_reps(q, d):
     """Smallest exponent of each q-cyclotomic coset mod q^d - 1 of size d."""
     n1 = q**d - 1
@@ -140,11 +138,8 @@ def _trace_duals(fld):
     Tr(2^i c), so that Tr(u/v) = |u & W[v]| mod 2 for every v != 0.  w is
     GF(2)-linear, so it is spanned from its values at the basis 2^j."""
     log, exp = fld.log_tables()
-    w = [0]
-    for j in range(fld.degree):
-        wj = sum(fld.trace(fld.mul(1 << i, 1 << j)) << i
-                 for i in range(fld.degree))
-        w += [c ^ wj for c in w]
+    w = span([sum(fld.trace(fld.mul(1 << i, 1 << j)) << i
+                  for i in range(fld.degree)) for j in range(fld.degree)])
     by_log = list(map(w.__getitem__, exp[fld.order - 1:0:-1]))  # w(g^-k)
     code = _lane_code(fld.degree)
     return memoryview(struct.pack(f"{fld.order}{code}", 0, *map(

@@ -15,12 +15,12 @@ from kleinfour.ascurve import (ASCurve, PackedLayout, canonical_form,
 from kleinfour.census import (BasisTables, CensusCell, CensusViolation,
                               coprime_codes, count_covers, enumerate_functions,
                               factored_denominators, fold_keys,
-                              max_census_degree, run_census, span,
+                              max_census_degree, run_census,
                               sum_invariants)
 from kleinfour.cli import EXIT_BAD_INPUT, EXIT_MISMATCH, main
 from kleinfour.field import GF2, GF4, BinaryField
 from kleinfour.klein4 import KleinFourCover, Partition
-from kleinfour.poly import Poly, factor, gcd
+from kleinfour.poly import Poly, factor, gcd, span, unpack
 from kleinfour.ratfun import RatFun, parse_ratfun
 from kleinfour.realize import Verdict
 
@@ -331,7 +331,7 @@ def test_coprime_codes_and_the_form_table(case):
     den, n = case
     F = den.field
     keep = coprime_codes(den, factor(den), n)
-    nums = [Poly.make(F, census._digits(code, F.order, n))
+    nums = [Poly.make(F, unpack(code, F.degree, n))
             for code in range(F.order ** n)]
     assert list(compress(nums, keep)) == [
         num for num in nums if num.coeffs and gcd(num, den).degree == 0]
@@ -519,7 +519,7 @@ def test_basis_forms_match_reduce_form():
 def test_the_sieve_factors_as_factor_does():
     # census order, and the sorted factor list of each denominator
     for F, max_deg in CAP_CASES:
-        dens = [Poly.make(F, census._digits(enc, F.order, d) + [1])
+        dens = [Poly.make(F, unpack(enc, F.degree, d) + [1])
                 for d in range(max_deg + 1) for enc in range(F.order ** d)]
         assert list(factored_denominators(F, max_deg)) == [
             (den, factor(den)) for den in dens], (F, max_deg)
@@ -575,7 +575,7 @@ def reference_basis_forms(den, n):
 def reference_packed_functions(field, max_deg):
     """`census._packed_functions` on the reference basis."""
     n = max_deg + 1
-    dens = [Poly.make(field, census._digits(enc, field.order, d) + [1])
+    dens = [Poly.make(field, unpack(enc, field.degree, d) + [1])
             for d in range(max_deg + 1) for enc in range(field.order ** d)]
     bases = [reference_basis_forms(den, n) for den in dens]
     layout = PackedLayout(field, [v for vs in bases for v in vs])

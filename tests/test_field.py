@@ -15,6 +15,14 @@ def test_canonical_moduli():
     assert GF4.modulus == 0b111
 
 
+def test_default_moduli_are_pinned():
+    # every field, log table and embedding is built on these
+    assert [default_modulus(m) for m in range(1, MAX_DEGREE + 1)] == [
+        2, 7, 11, 19, 37, 67, 131, 283, 515, 1033, 2053, 4105, 8219, 16417,
+        32771, 65579, 131081, 262153, 524327, 1048585, 2097157, 4194307,
+        8388641, 16777243]
+
+
 def test_make_rejects_reducible_with_factor():
     with pytest.raises(ValueError, match=r"a\+1"):
         BinaryField(2, 0b101)  # a^2+1 = (a+1)^2

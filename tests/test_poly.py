@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from kleinfour.field import GF2, GF4, BinaryField, _is_irreducible2
+from kleinfour.field import (GF2, GF4, MAX_DEGREE, BinaryField,
+                             _smallest_factor2)
 from kleinfour.poly import (Poly, _edf, ext_gcd, factor, field_embedding,
                             gcd, invmod, is_irreducible, monic_irreducibles,
                             roots)
@@ -44,7 +45,7 @@ def test_factor_roundtrip_exhaustive_gf2_deg8():
             continue
         prod = Poly.one(GF2)
         for q, m in factor(p):
-            assert _is_irreducible2(_poly_to_int(q))
+            assert _smallest_factor2(_poly_to_int(q)) is None
             for _ in range(m):
                 prod = prod * q
         assert prod == p
@@ -147,6 +148,45 @@ def test_embedding_gf4_into_gf16_and_gf64(rng):
             assert emb(GF4.mul(u, v)) == big.mul(emb(u), emb(v))
             assert emb(u ^ v) == emb(u) ^ emb(v)
         assert emb(0) == 0 and emb(1) == 1
+
+
+def embedding_by_bit_loop(sub, sup):
+    """Reference: the embedding as a bit loop over the powers of the
+    smallest root of sub's modulus in sup."""
+    root = roots(Poly.make(sup, [(sub.modulus >> i) & 1
+                                 for i in range(sub.degree + 1)]))[0]
+    powers = [sup.pow(root, i) for i in range(sub.degree)]
+
+    def embed(v):
+        acc = 0
+        i = 0
+        while v:
+            if v & 1:
+                acc ^= powers[i]
+            v >>= 1
+            i += 1
+        return acc
+
+    return embed
+
+
+def test_embedding_matches_the_bit_loop_on_every_default_pair():
+    # every proper subfield of degree >= 2 of a default field; GF(2) and
+    # the field itself embed as the identity
+    for n in range(2, MAX_DEGREE + 1):
+        sup = BinaryField.default(n)
+        for d in range(1, n + 1):
+            if n % d:
+                continue
+            sub = BinaryField.default(d)
+            emb = field_embedding(sub, sup)
+            if d == 1 or d == n:
+                assert [emb(v) for v in (0, 1, sub.order - 1)] == [
+                    0, 1, sub.order - 1]
+                continue
+            ref = embedding_by_bit_loop(sub, sup)
+            assert [emb(v) for v in range(sub.order)] == [
+                ref(v) for v in range(sub.order)], (sub, sup)
 
 
 def test_embedding_rejects_bad_degrees():

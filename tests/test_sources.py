@@ -1,6 +1,7 @@
 """Static checks on the sources: the oldest supported Python parses them,
 every lru_cache in the package is bounded, every function in it is used
-somewhere, and no module rebinds its own state at run time."""
+somewhere, no module rebinds its own state at run time, and no module
+imports another's private names."""
 
 import ast
 import importlib
@@ -48,7 +49,7 @@ def lru_caches():
 def test_every_lru_cache_is_bounded():
     caches = dict(lru_caches())
     assert {"poly._factor_cached", "poly.field_embedding",
-            "zeta._orbit_reps", "zeta._planes", "zeta._dual",
+            "zeta._planes", "zeta._dual",
             "zeta._trace_duals",
             "field.default_modulus",
             "ascurve.reduce_standard",
@@ -94,3 +95,15 @@ def test_no_global_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Global)]
     assert not found, f"global statements: {found}"
+
+
+def test_no_private_imports_across_modules():
+    # a name a module shares is public; an underscore name stays in its
+    # module, so each primitive has one home and one spelling
+    found = [f"{path.name}:{node.lineno} {alias.name}"
+             for path in sorted((ROOT / "src" / "kleinfour").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").startswith("kleinfour"))
+             for alias in node.names if alias.name.startswith("_")]
+    assert not found, f"private names imported: {found}"
