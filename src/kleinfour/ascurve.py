@@ -16,7 +16,7 @@ has genus -1 + sum_j deg(P_j) * (n_j + 1) / 2 and 2-rank (sum_j deg P_j) - 1
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from collections import namedtuple
 
 from .poly import Poly, pack, poly_of, unpack
 from .ratfun import INFINITY, Place, RatFun, assemble, principal_parts
@@ -26,9 +26,7 @@ class DegenerateCover(ValueError):
     """The double cover splits: reduced right-hand side is constant."""
 
 
-class Invariants(NamedTuple):
-    genus: int
-    two_rank: int
+Invariants = namedtuple("Invariants", "genus two_rank")
 
 
 def _sqrt_mod(u, q):
@@ -150,7 +148,7 @@ class ReducedForm:
         return places
 
     def __add__(self, other):
-        if other.field is not self.field and other.field != self.field:
+        if other.field is not self.field:
             raise ValueError("reduced forms over different fields")
         places = dict(self.places)
         for q, v in other.places.items():

@@ -16,7 +16,7 @@ place, so the forms of each denominator's basis numerators 2^b x^i are read
 off tables built once per place power met, as XORs of rows over the bits of
 a residue and of a quotient; only the rows are canonicalised
 (`BasisTables`).  The forms of all its numerators follow with one XOR each
-(`poly.span`).  The numerators sharing a factor with the denominator are the
+(`field.span`).  The numerators sharing a factor with the denominator are the
 multiples of its irreducible factors, and their codes are dropped with no
 gcd (`coprime_codes`).  Every form is packed into one int under a layout
 local to the call (`PackedLayout`), so a pair sum is an XOR, a constant sum
@@ -49,14 +49,14 @@ of its summands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import compress
 
 from . import poly
 from .ascurve import PackedLayout, ReducedForm, canonical_form, place_terms
 from .klein4 import KleinFourCover, Partition
-from .poly import Poly, pack, poly_of, span, xor_rows
+from .field import span
+from .poly import Poly, pack, poly_of, xor_rows
 from .ratfun import RatFun
 from .realize import realizable
 
@@ -65,13 +65,12 @@ class CensusViolation(AssertionError):
     """A concrete cover exists in a cell declared impossible."""
 
 
-@dataclass
-class CensusCell:
-    g: int
-    sigma: int
-    type: tuple
-    witness_count: int
-    example: KleinFourCover
+class CensusCell(namedtuple("CensusCell",
+                             "g sigma type witness_count example")):
+    """A populated cell: its covers counted, one of them (a KleinFourCover)
+    as the example."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {"g": self.g, "sigma": self.sigma, "type": list(self.type),

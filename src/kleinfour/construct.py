@@ -17,10 +17,8 @@ and the step's places, so a derivation can be replayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
-
 from .ascurve import ReducedForm, reduce_form
-from .field import GF2, GF4, BinaryField
+from .field import GF2, GF4, BinaryField, Frozen
 from .klein4 import MAX_GENUS, KleinFourCover, Partition
 from .poly import Poly, field_embedding, monic_irreducibles
 from .ratfun import INFINITY, Place, RatFun
@@ -41,13 +39,27 @@ class InternalMismatch(RuntimeError):
     """A constructed witness missed its target invariants (a bug)."""
 
 
-@dataclass(frozen=True)
-class Recipe:
-    """Derivation record: scheme tag, integer parameters, nested base."""
+class Recipe(Frozen):
+    """Derivation record: scheme tag, integer parameters, nested base.
+    Immutable (see `Frozen`), and unhashable, as params is a dict."""
 
-    lemma: str
-    params: dict = dfield(default_factory=dict)
-    base: "Recipe | None" = None
+    __slots__ = ("lemma", "params", "base")
+    __hash__ = None
+
+    def __init__(self, lemma, params=None, base=None):
+        object.__setattr__(self, "lemma", lemma)
+        object.__setattr__(self, "params", {} if params is None else params)
+        object.__setattr__(self, "base", base)
+
+    def __eq__(self, other):
+        if other.__class__ is not Recipe:
+            return NotImplemented
+        return ((self.lemma, self.params, self.base)
+                == (other.lemma, other.params, other.base))
+
+    def __repr__(self):
+        return (f"Recipe(lemma={self.lemma!r}, params={self.params!r}, "
+                f"base={self.base!r})")
 
     def to_json(self):
         out = {"lemma": self.lemma, "params": dict(self.params)}

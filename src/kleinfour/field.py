@@ -11,9 +11,20 @@ field: polynomial arithmetic in `poly` and the point counts in `zeta`.
 The absolute trace is GF(2)-linear: it is the parity of an element's bits
 under `trace_mask`, built once per field as sums of squarings.
 
+There is one instance per field.  A registry maps (degree, modulus) to the
+live field, so building a field that exists returns it, and fields compare
+and hash by identity.  The registry holds only live fields: an entry goes
+with the last reference to its field, and building that field again makes
+a fresh instance.
+
 One trial division, `_smallest_factor2`, is the only irreducibility test
 on moduli: `default_modulus` takes the first candidate with no factor, and
-a field is refused on a reducible modulus, its smallest factor named.
+`BinaryField(m, p)` refuses a reducible modulus, its smallest factor named.
+`BinaryField.default(m)` registers the default modulus without testing it
+again.  `span`, every subset XOR of some ints, is the one GF(2) span.
+
+`Frozen` is the base of the package's immutable value types: fields,
+polynomials, places, pole divisors and construction recipes.
 
 The canonical GF(4) modulus is a^2+a+1, so the cube root of unity used by
 the witness constructions prints as `a`.
@@ -22,7 +33,7 @@ the witness constructions prints as `a`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import weakref
 
 MAX_DEGREE = 24  # desk-scale bound: no field larger than GF(2^24)
 # Largest degree with log/antilog tables, which serve `Poly` arithmetic and
@@ -72,6 +83,15 @@ def _smallest_factor2(p):
                  if _mod2(p, c) == 0), None)
 
 
+def span(vectors):
+    """Every XOR of a subset of `vectors`, at the index whose set bits pick
+    the subset: one XOR per entry."""
+    out = [0]
+    for v in vectors:
+        out += [x ^ v for x in out]
+    return out
+
+
 def _poly2_text(p, var="a"):
     if p == 0:
         return "0"
@@ -103,35 +123,73 @@ def default_modulus(m):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinaryField:
+class Frozen:
+    """Base of the immutable value types.  Assigning or deleting an
+    attribute raises AttributeError, as on a frozen dataclass: a subclass
+    sets its attributes once, when it is built, past __setattr__, through
+    object.__setattr__, its slots' descriptors or its instance dict.  A
+    copy or a pickle rebuilds a value by calling its class on its slots,
+    in order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+
+# (degree, modulus) -> the live field with them; see the module docstring.
+_FIELDS = weakref.WeakValueDictionary()
+
+
+class BinaryField(Frozen):
     """GF(2^m) given by an irreducible monic modulus over GF(2).
 
-    Two fields are interchangeable only if degree and modulus are
-    bit-identical.  All element-level methods take and return raw ints.
+    One instance per (degree, modulus), so two fields are interchangeable
+    exactly when they are the same object (see the module docstring).  Its
+    instance dict holds the cached tables.  All element-level methods take
+    and return raw ints.
     """
 
-    degree: int
-    modulus: int
-
-    def __post_init__(self):
-        if not 1 <= self.degree <= MAX_DEGREE:
+    def __new__(cls, degree, modulus):
+        field = _FIELDS.get((degree, modulus))
+        if field is not None:
+            return field
+        if not 1 <= degree <= MAX_DEGREE:
             raise ValueError(
-                f"field degree must be in 1..{MAX_DEGREE}, got {self.degree}")
-        if _deg2(self.modulus) != self.degree:
+                f"field degree must be in 1..{MAX_DEGREE}, got {degree}")
+        if _deg2(modulus) != degree:
             raise ValueError(
-                f"modulus {_poly2_text(self.modulus)} has degree "
-                f"{_deg2(self.modulus)}, expected {self.degree}")
-        factor = _smallest_factor2(self.modulus)
+                f"modulus {_poly2_text(modulus)} has degree "
+                f"{_deg2(modulus)}, expected {degree}")
+        factor = _smallest_factor2(modulus)
         if factor is not None:
             raise ValueError(
-                f"modulus {_poly2_text(self.modulus)} is reducible: "
+                f"modulus {_poly2_text(modulus)} is reducible: "
                 f"divisible by {_poly2_text(factor)}")
+        return cls._register(degree, modulus)
+
+    @classmethod
+    def _register(cls, degree, modulus):
+        """The new field for a modulus known to be irreducible."""
+        field = _FIELDS[degree, modulus] = object.__new__(cls)
+        field.__dict__.update(degree=degree, modulus=modulus)
+        return field
 
     @classmethod
     def default(cls, m):
-        """The field with the default modulus; one shared instance per m."""
-        return _default_field(m)
+        """The field with the default modulus, which its search has
+        already shown irreducible."""
+        modulus = default_modulus(m)
+        return _FIELDS.get((m, modulus)) or cls._register(m, modulus)
+
+    def __reduce__(self):
+        return BinaryField, (self.degree, self.modulus)
 
     @property
     def order(self):
@@ -219,8 +277,8 @@ class BinaryField:
 
         exp has 2(2^m - 1) entries, so a sum of two logs indexes it without
         reduction; log[v] is the k < 2^m - 1 with g^k = v (log[0] is
-        unused).  None for degrees above TABLE_MAX_DEGREE.  Built with the
-        bit-loop mul on first use and kept on the field instance.
+        unused).  None for degrees above TABLE_MAX_DEGREE.  Built on first
+        use and kept on the field instance.
         """
         if self.degree > TABLE_MAX_DEGREE:
             return None
@@ -232,9 +290,17 @@ class BinaryField:
         primes = _prime_divisors(n1)
         g = next(v for v in range(1, self.order)
                  if all(self.pow(v, n1 // p) != 1 for p in primes))
+        # times g is GF(2)-linear: the XOR of its values on the low h bits
+        # and on the high bits of an element, one lookup each
+        h = (self.degree + 1) // 2
+        low = span([self.mul(1 << i, g) for i in range(h)])
+        high = span([self.mul(1 << i, g) for i in range(h, self.degree)])
+        mask = (1 << h) - 1
         exp = [1] * n1
+        v = 1
         for k in range(1, n1):
-            exp[k] = self.mul(exp[k - 1], g)
+            v = low[v & mask] ^ high[v >> h]
+            exp[k] = v
         log = [0] * self.order
         for k, v in enumerate(exp):
             log[v] = k
@@ -276,12 +342,6 @@ class BinaryField:
     def to_json(self):
         return {"degree": self.degree, "modulus": self.modulus,
                 "text": _poly2_text(self.modulus)}
-
-
-@functools.lru_cache(maxsize=MAX_DEGREE)
-def _default_field(m):
-    # building a field reruns the irreducibility test on its modulus
-    return BinaryField(m, default_modulus(m))
 
 
 GF2 = BinaryField.default(1)

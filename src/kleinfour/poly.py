@@ -18,10 +18,9 @@ whatever the random stream.
 
 It also holds the bit-level primitives that `ascurve`, the census and
 `zeta` share.  `pack`, `unpack` and `poly_of` store a polynomial as one
-int, m bits per coefficient (the code sum c_i q^i for q = 2^m).  `span`
-lists every subset XOR of some ints, and `xor_rows` applies a GF(2)-linear
-map, given by its rows, to a bit vector; `field_embedding` is `xor_rows`
-over the powers of a root.
+int, m bits per coefficient (the code sum c_i q^i for q = 2^m), and
+`xor_rows` applies a GF(2)-linear map, given by its rows, to a bit vector;
+`field_embedding` is `xor_rows` over the powers of a root.
 """
 
 from __future__ import annotations
@@ -30,22 +29,35 @@ import copy
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from operator import xor
 
-from .field import BinaryField
+from .field import Frozen
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Dense polynomial over a binary field; immutable."""
+class Poly(Frozen):
+    """Dense polynomial over a binary field; immutable.
 
-    field: BinaryField
-    coeffs: tuple
+    `field` and `coeffs` are slots, set once through their descriptors by
+    `__init__` and by `_poly`, the arithmetic's unchecked constructor; any
+    later assignment raises AttributeError (see `Frozen`).  Polynomials
+    are equal when their fields are the same object and their coefficient
+    tuples are equal."""
 
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        if coeffs and coeffs[-1] == 0:
             raise ValueError("trailing zero coefficient")
+        _set_field(self, field)
+        _set_coeffs(self, coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return self.field is other.field and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @classmethod
     def make(cls, field, coeffs):
@@ -93,7 +105,7 @@ class Poly:
     def _same(self, other):
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {type(other).__name__}")
-        if other.field is not self.field and other.field != self.field:
+        if other.field is not self.field:
             raise ValueError("polynomials over different fields")
 
     def __add__(self, other):
@@ -250,15 +262,16 @@ class Poly:
 
 
 _new = object.__new__
+_set_field = Poly.field.__set__
+_set_coeffs = Poly.coeffs.__set__
 
 
 def _poly(field, coeffs):
     """The Poly with a coefficient tuple already known to have no trailing
     zero: the arithmetic's results, built without a check."""
     p = _new(Poly)
-    d = p.__dict__
-    d["field"] = field
-    d["coeffs"] = coeffs
+    _set_field(p, field)
+    _set_coeffs(p, coeffs)
     return p
 
 
@@ -315,15 +328,6 @@ def poly_of(F, v):
     """The polynomial over F whose coefficients `pack` packed into v."""
     m = F.degree
     return Poly.make(F, unpack(v, m, -(-v.bit_length() // m)))
-
-
-def span(vectors):
-    """Every XOR of a subset of `vectors`, at the index whose set bits pick
-    the subset: one XOR per entry."""
-    out = [0]
-    for v in vectors:
-        out += [x ^ v for x in out]
-    return out
 
 
 def xor_rows(rows, bits):

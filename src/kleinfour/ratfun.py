@@ -8,17 +8,26 @@ finite place of degree d stands for d conjugate geometric points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import poly as P
+from .field import Frozen
 from .poly import Poly
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Frozen):
     """A closed point of P^1: None for infinity, else a monic irreducible."""
 
-    poly: Poly | None = None
+    __slots__ = ("poly",)
+
+    def __init__(self, poly=None):
+        object.__setattr__(self, "poly", poly)
+
+    def __eq__(self, other):
+        if other.__class__ is not Place:
+            return NotImplemented
+        return self.poly == other.poly
+
+    def __hash__(self):
+        return hash(self.poly)
 
     @property
     def is_infinity(self):
@@ -43,11 +52,21 @@ class Place:
 INFINITY = Place(None)
 
 
-@dataclass(frozen=True)
-class PoleDivisor:
+class PoleDivisor(Frozen):
     """Distinct places with positive pole orders, sorted."""
 
-    entries: tuple  # of (Place, order)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        object.__setattr__(self, "entries", entries)  # (Place, order) pairs
+
+    def __eq__(self, other):
+        if other.__class__ is not PoleDivisor:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -63,6 +82,9 @@ class PoleDivisor:
             return "(none)"
         return ", ".join(f"{pl}^{n}" if n > 1 else str(pl)
                          for (pl, n) in self.entries)
+
+    def __repr__(self):
+        return f"PoleDivisor(entries={self.entries!r})"
 
 
 class RatFun:

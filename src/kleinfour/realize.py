@@ -16,7 +16,7 @@ sigma = g-1, or g is even and sigma = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .klein4 import InvalidPartition, Partition, check_genus
 
@@ -32,11 +32,11 @@ RANK_ONLY_CITATION = ("some type works unless 2-rank is g-1, or g is even "
                       "with 2-rank 1")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    exists: bool
-    clause: str  # "i".."v" or "none"
-    citation: str
+class Verdict(namedtuple("Verdict", "exists clause citation")):
+    """Whether a cell exists, the clause deciding it ("i".."v" or "none")
+    and that clause's citation."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {"exists": self.exists, "clause": self.clause,

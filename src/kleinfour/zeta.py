@@ -21,7 +21,7 @@ at every lane are the XOR of cached term vectors, the lanes of b*x^i for
 each power i and basis element b of GF(q) set in its coefficients' bits.
 A curve is read from its reduced form, the polynomial part plus r_i / q^i
 over its places q, never from a num/den RatFun.  With W the per-field
-table of trace duals, spanned by `poly.span` from its values at a basis,
+table of trace duals, spanned by `field.span` from its values at a basis,
 Tr(u/v) is the parity of u & W[v], so the trace bit
 of f is the parity of the XOR of values(poly) & W[1] and values(r_i) & D,
 where D holds W[q^i] in every lane.  D is the only lane-by-lane lookup,
@@ -48,12 +48,12 @@ from __future__ import annotations
 import functools
 import struct
 import sys
-from dataclasses import dataclass, field as dfield
+from collections import namedtuple
 
 from .ascurve import ASCurve
-from .field import MAX_DEGREE, TABLE_MAX_DEGREE, BinaryField
+from .field import MAX_DEGREE, TABLE_MAX_DEGREE, BinaryField, span
 from .klein4 import KleinFourCover
-from .poly import field_embedding, span
+from .poly import field_embedding
 
 
 class InconsistentCounts(ValueError):
@@ -332,12 +332,10 @@ def weil_ok(counts, genus, q):
     return True
 
 
-@dataclass(frozen=True)
-class LPoly:
+class LPoly(namedtuple("LPoly", "coeffs q")):
     """Numerator of the zeta function: integer coefficients b_0..b_2g."""
 
-    coeffs: tuple
-    q: int
+    __slots__ = ()
 
     @property
     def genus(self):
@@ -418,22 +416,22 @@ def lpoly_from_counts(counts, genus, q=2):
     return L
 
 
-@dataclass
 class Report:
     """Outcome of comparing formula invariants against the count oracle.
 
     target is the ASCurve or KleinFourCover checked, and a cover's report
     holds one subreport per quotient; both are rendered only by to_json,
-    so verify itself builds no RatFun."""
+    so verify itself builds no RatFun.  verify fills it in as it goes."""
 
-    target: object
-    formula: dict
-    oracle: dict
-    identity_checks: list = dfield(default_factory=list)
-    status: str = "confirmed"
-    truncated: bool = False
-    detail: str = ""
-    quotients: list = dfield(default_factory=list)
+    def __init__(self, target, formula, oracle):
+        self.target = target
+        self.formula = formula
+        self.oracle = oracle
+        self.identity_checks = []
+        self.status = "confirmed"
+        self.truncated = False
+        self.detail = ""
+        self.quotients = []
 
     @property
     def confirmed(self):

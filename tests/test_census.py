@@ -18,9 +18,9 @@ from kleinfour.census import (BasisTables, CensusCell, CensusViolation,
                               max_census_degree, run_census,
                               sum_invariants)
 from kleinfour.cli import EXIT_BAD_INPUT, EXIT_MISMATCH, main
-from kleinfour.field import GF2, GF4, BinaryField
+from kleinfour.field import GF2, GF4, BinaryField, span
 from kleinfour.klein4 import KleinFourCover, Partition
-from kleinfour.poly import Poly, factor, gcd, span, unpack
+from kleinfour.poly import Poly, factor, gcd, unpack
 from kleinfour.ratfun import RatFun, parse_ratfun
 from kleinfour.realize import Verdict
 
