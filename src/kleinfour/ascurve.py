@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-from .poly import Poly, pack, poly_of, unpack
+from .poly import Poly, poly_of
 from .ratfun import INFINITY, Place, RatFun, assemble, principal_parts
 
 
@@ -58,7 +58,7 @@ def canonical_form(F, poly_part, parts):
     for q, rs in parts.items():
         r = [None] + list(rs)  # 1-indexed pole orders
         for i in range(len(rs), 1, -1):
-            if i % 2 == 0 and r[i].coeffs:
+            if i % 2 == 0 and r[i].code:
                 s = _sqrt_mod(r[i], q)
                 ss = s * s
                 hi, lo = divmod(ss, q)
@@ -68,16 +68,16 @@ def canonical_form(F, poly_part, parts):
                 r[i // 2] = r[i // 2] + s
         new_parts[q] = r[1:]
 
-    cs = list(poly_part.coeffs)
-    for i in range(len(cs) - 1, 1, -1):
-        if i % 2 == 0 and cs[i]:
-            s = F.sqrt(cs[i])
-            cs[i] = 0
-            cs[i // 2] ^= s
-    if cs:
-        cs[0] = 0 if F.trace(cs[0]) == 0 else F.trace_one_element()
+    m = F.degree
+    mask = F.order - 1
+    v = poly_part.code
+    for i in range(poly_part.degree & ~1, 1, -2):  # even degrees, top down
+        if c := v >> i * m & mask:
+            v ^= (c << i * m) ^ (F.sqrt(c) << i // 2 * m)
+    c = v & mask
+    v ^= c ^ (0 if F.trace(c) == 0 else F.trace_one_element())
 
-    return ReducedForm.from_parts(F, cs, new_parts)
+    return ReducedForm.from_parts(F, v, new_parts)
 
 
 @functools.lru_cache(maxsize=1 << 18)
@@ -107,37 +107,33 @@ class ReducedForm:
         self.places = places
 
     @classmethod
-    def from_parts(cls, field, poly_coeffs, parts):
+    def from_parts(cls, field, poly, parts):
         """The vector of poly + sum over places q of sum_i r_i / q^i, from
-        the polynomial part's coefficients and {q: [r_1, ..., r_e]}.  A
-        place whose digits are all 0 is left out."""
-        m = field.degree
+        the polynomial part's code and {q: [r_1, ..., r_e]}.  A place whose
+        digits are all 0 is left out."""
         places = {}
         for q, rs in parts.items():
-            width = m * q.degree
-            v = sum(pack(d.coeffs, m) << (i * width)
-                    for i, d in enumerate(rs))
+            width = field.degree * q.degree
+            v = sum(d.code << (i * width) for i, d in enumerate(rs))
             if v:
-                places[pack(q.coeffs, m)] = v
-        return cls(field, pack(poly_coeffs, m), places)
+                places[q.code] = v
+        return cls(field, poly, places)
 
     @classmethod
     def of(cls, r):
         """The vector of an r already in canonical form."""
         poly_part, parts = principal_parts(r)
-        return cls.from_parts(r.field, poly_part.coeffs, parts)
+        return cls.from_parts(r.field, poly_part.code, parts)
 
     def to_ratfun(self):
         """The canonical form as a RatFun, inverse of `of`."""
         F = self.field
-        m = F.degree
         parts = {}
         for qv, v in self.places.items():
-            q = poly_of(F, qv)
-            d = q.degree
-            e = (v.bit_length() - 1) // (m * d) + 1
-            parts[q] = [Poly.make(F, unpack(v >> (i * m * d), m, d))
-                        for i in range(e)]
+            width = qv.bit_length() - 1  # m * deg q: q is monic
+            parts[poly_of(F, qv)] = [
+                poly_of(F, v >> i * width & (1 << width) - 1)
+                for i in range(-(-v.bit_length() // width))]
         return assemble(F, poly_of(F, self.poly), parts)
 
     def pole_places(self):

@@ -9,7 +9,8 @@ of first sight, a class that is the sum of a disjoint-pole pair comes after
 both summands (checked by the tests at every degree cap).
 
 The census runs on plain ints.  A numerator is its code sum c_i q^i, whose
-bit i*m + b is bit b of c_i (q = 2^m), the codec of `poly.pack`.  A sieve
+bit i*m + b is bit b of c_i (q = 2^m): the int a `Poly` holds, so every
+code is read straight off `Poly.code` and none is packed.  A sieve
 yields the monic denominators with their factors, so none is factored
 (`factored_denominators`).  Reduction is GF(2)-linear and acts place by
 place, so the forms of each denominator's basis numerators 2^b x^i are read
@@ -56,7 +57,7 @@ from . import poly
 from .ascurve import PackedLayout, ReducedForm, canonical_form, place_terms
 from .klein4 import KleinFourCover, Partition
 from .field import span
-from .poly import Poly, pack, poly_of, xor_rows
+from .poly import Poly, images, poly_of, xor_rows
 from .ratfun import RatFun
 from .realize import realizable
 
@@ -98,7 +99,7 @@ def factored_denominators(field, max_deg):
                 for q, factors in list(found.values()):
                     for e in range(1, (max_deg - q.degree) // d + 1):
                         q = q * p
-                        found[pack(q.coeffs, m)] = q, factors + [(p, e)]
+                        found[q.code] = q, factors + [(p, e)]
             yield found[code]
 
 
@@ -110,13 +111,14 @@ def coprime_codes(den, factors, n):
     i*m + b is bit b of c_i.  A numerator of degree < n shares a factor with
     den exactly when it is a multiple p*h of a monic irreducible factor p,
     and those multiples are the span of the codes of 2^b x^k p."""
-    m = den.field.degree
+    F = den.field
+    m = F.degree
     keep = bytearray(b"\1") * (1 << (n * m))
     keep[0] = 0
     for p, _ in factors:
-        multiples = [p.shift(k).scale(1 << b) for k in range(n - p.degree)
-                     for b in range(m)]
-        for code in span([pack(h.coeffs, m) for h in multiples]):
+        multiples = [h << k * m for k in range(n - p.degree)
+                     for h in images(F, p.code)]
+        for code in span(multiples):
             keep[code] = 0
     return keep
 
@@ -150,12 +152,12 @@ class BasisTables:
     def __init__(self, field, n):
         self.field = field
         self.n = n
-        self._poly_rows = self._scaled(
+        self._poly_rows = self._per_bit(
             [canonical_form(field, Poly.monomial(field, k, 1 << c), {}).poly
              for k in range(n) for c in range(field.degree)])
         self._places = {}  # (p, e) -> (p^e, digit rows, times-x rows)
 
-    def _scaled(self, rows):
+    def _per_bit(self, rows):
         """For each bit b of a field element, `rows` composed with scaling
         by 2^b: row k*m + c of table b is the XOR of rows k*m + t over the
         bits t of 2^b * 2^c."""
@@ -183,11 +185,9 @@ class BasisTables:
                         r, d = divmod(r, p)
                         digits.append(d)
                     form = canonical_form(F, Poly.zero(F), {p: digits[::-1]})
-                    rows.append(form.places.get(pack(p.coeffs, m), 0))
-            low = qe.coeffs[:-1]
-            wrap = [pack([F.mul(1 << c, a) for a in low], m)
-                    for c in range(m)]
-            tables = self._places[p, e] = qe, self._scaled(rows), wrap
+                    rows.append(form.places.get(p.code, 0))
+            wrap = images(F, qe.code ^ 1 << qe.degree * m)  # 2^c x^N mod p^e
+            tables = self._places[p, e] = qe, self._per_bit(rows), wrap
         return tables
 
     def forms(self, den, factors):
@@ -196,19 +196,19 @@ class BasisTables:
         F = self.field
         m = F.degree
         quotients = [0] * min(self.n, den.degree) + [
-            pack((Poly.monomial(F, i) // den).coeffs, m)
+            (Poly.monomial(F, i) // den).code
             for i in range(den.degree, self.n)]
         places = []
         for p, e in factors:
             qe, rows, wrap = self._place(p, e)
             top = qe.degree * m
-            r = pack(poly.invmod(den // qe, qe).coeffs, m)
+            r = poly.invmod(den // qe, qe).code
             residues = []  # x^i u mod p^e, packed
             for _ in range(self.n):
                 residues.append(r)
                 r <<= m  # times x, then x^N is reduced mod p^e
                 r ^= (r >> top << top) ^ xor_rows(wrap, r >> top)
-            places.append((pack(p.coeffs, m), rows, residues))
+            places.append((p.code, rows, residues))
         forms = []
         for i, quotient in enumerate(quotients):
             for b, poly_rows in enumerate(self._poly_rows):

@@ -75,14 +75,14 @@ class Recipe(Frozen):
 
 def _xk(F, k, c=1):
     """c * x^k, k odd, as a reduced form."""
-    return ReducedForm.from_parts(F, [0] * k + [c], {})
+    return ReducedForm.from_parts(F, Poly.monomial(F, k, c).code, {})
 
 
 def _pole(q, e=1, r=None):
     """r / q^e, e odd, as a reduced form; r is a residue mod q, 1 if None."""
     F = q.field
     digits = [Poly.zero(F)] * (e - 1) + [Poly.one(F) if r is None else r]
-    return ReducedForm.from_parts(F, (), {q: digits})
+    return ReducedForm.from_parts(F, 0, {q: digits})
 
 
 def _inv_xk(F, k, c=1):

@@ -6,8 +6,9 @@ field's defining polynomial.  Zero and one are the ints 0 and 1 in every
 field.  A BinaryField carries degree and modulus, and its element methods
 (`mul`, `inv`, ...) work on raw ints with bit loops.  Fields of degree at
 most TABLE_MAX_DEGREE also offer log/antilog tables, built on first use and
-kept on the field instance, for loops that multiply many elements of one
-field: polynomial arithmetic in `poly` and the point counts in `zeta`.
+kept on the field instance, for the one loop that multiplies many elements
+of one field: the point counts in `zeta`.  Polynomial arithmetic in `poly`
+runs on packed codes and reads no tables.
 The absolute trace is GF(2)-linear: it is the parity of an element's bits
 under `trace_mask`, built once per field as sums of squarings.
 
@@ -36,10 +37,10 @@ import functools
 import weakref
 
 MAX_DEGREE = 24  # desk-scale bound: no field larger than GF(2^24)
-# Largest degree with log/antilog tables, which serve `Poly` arithmetic and
-# the point counts in `zeta`: at 16 they are int lists of 2^16 and 2^17
-# entries, about 6 MB, built in about 0.06 s.  Above it both fall back to
-# the bit-loop `mul`.
+# Largest degree with log/antilog tables, which serve only the point counts
+# in `zeta`: at 16 they are int lists of 2^16 and 2^17 entries, about 6 MB,
+# built in about 0.015 s.  Above it `zeta` counts element by element on the
+# bit-loop `mul`.
 TABLE_MAX_DEGREE = 16
 
 

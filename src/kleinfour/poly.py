@@ -1,14 +1,21 @@
 """Univariate polynomials over GF(2^m).
 
-Coefficients are stored low-to-high as raw element ints (see field.py), with
-no trailing zeros; the empty tuple is the zero polynomial, whose degree is -1.
+A polynomial is its code: the int sum c_i q^i for q = 2^m, so coefficient i
+sits at bits i*m .. i*m + m - 1 (`pack`, `unpack`).  The zero polynomial is
+0, and the degree is read off the bit length.  `Poly` holds its field and
+its code; its `coeffs` tuple, low to high with no trailing zeros, is
+derived on demand for printing and JSON.  `poly_of` wraps a code as a Poly,
+and every other module reads `Poly.code` directly.
 
-Arithmetic (`+`, `*`, `divmod`, `scale`, `monic`) multiplies coefficients in
-the log domain on the field's log/antilog tables, fetched once per call;
-fields above TABLE_MAX_DEGREE have none and take the bit-loop `mul` in
-`_bit_loop`.  Results are built without the trailing-zero check: a product
-or quotient ends in lc(a) * lc(b) or lc(a) / lc(b), never 0, and only sums
-of equal length and remainders are trimmed.
+Arithmetic has one kernel, on codes.  `images` lists a^j b for j < m, a
+the field's generator: each is the last with every coefficient multiplied
+by a at once, one masked shift.  Scaling b by c is then `xor_rows` over
+those images, a product is their XOR over the set bits of the other
+factor, each shifted to its coefficient, and long division clears the
+remainder's top bit at each step with one image of the monic divisor.
+Over GF(2) there is one image, so the kernel reduces to carry-less shifts
+and XORs.  It reads no field tables; the bit-loop `mul` and `inv` serve
+only single elements.
 
 Factorization runs squarefree / distinct-degree / equal-degree stages.  The
 equal-degree splitting in characteristic 2 uses the absolute trace map; its
@@ -16,10 +23,8 @@ internal randomness is drawn from a Random seeded by the polynomial itself,
 so results never depend on call order.  The sorted factor list is unique
 whatever the random stream.
 
-It also holds the bit-level primitives that `ascurve`, the census and
-`zeta` share.  `pack`, `unpack` and `poly_of` store a polynomial as one
-int, m bits per coefficient (the code sum c_i q^i for q = 2^m), and
-`xor_rows` applies a GF(2)-linear map, given by its rows, to a bit vector;
+`xor_rows` applies a GF(2)-linear map, given by its rows, to a bit vector:
+the kernel scales with it, the census reads its tables with it, and
 `field_embedding` is `xor_rows` over the powers of a root.
 """
 
@@ -29,7 +34,6 @@ import copy
 import functools
 import itertools
 import random
-from operator import xor
 
 from .field import Frozen
 
@@ -37,43 +41,42 @@ from .field import Frozen
 class Poly(Frozen):
     """Dense polynomial over a binary field; immutable.
 
-    `field` and `coeffs` are slots, set once through their descriptors by
-    `__init__` and by `_poly`, the arithmetic's unchecked constructor; any
-    later assignment raises AttributeError (see `Frozen`).  Polynomials
-    are equal when their fields are the same object and their coefficient
-    tuples are equal."""
+    `field` and `code` are slots, set once through their descriptors by
+    `__init__` and by `poly_of`; any later assignment raises AttributeError
+    (see `Frozen`).  Polynomials are equal when their fields are the same
+    object and their codes are equal."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "code")
 
     def __init__(self, field, coeffs):
         if coeffs and coeffs[-1] == 0:
             raise ValueError("trailing zero coefficient")
         _set_field(self, field)
-        _set_coeffs(self, coeffs)
+        _set_code(self, _checked_code(field, coeffs))
 
     def __eq__(self, other):
         if other.__class__ is not Poly:
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return self.field is other.field and self.code == other.code
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.code)
+
+    def __reduce__(self):
+        return poly_of, (self.field, self.code)
 
     @classmethod
     def make(cls, field, coeffs):
-        """Build from any iterable of coefficient ints, normalizing."""
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(field, tuple(cs))
+        """Build from any iterable of coefficient ints; trailing zeros go."""
+        return poly_of(field, _checked_code(field, coeffs))
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return poly_of(field, 0)
 
     @classmethod
     def one(cls, field):
-        return cls(field, (1,))
+        return poly_of(field, 1)
 
     @classmethod
     def const(cls, field, bits):
@@ -81,26 +84,33 @@ class Poly(Frozen):
 
     @classmethod
     def x(cls, field):
-        return cls(field, (0, 1))
+        return poly_of(field, 1 << field.degree)
 
     @classmethod
     def monomial(cls, field, k, c=1):
-        return cls.make(field, (0,) * k + (c,))
+        return poly_of(field, _checked_code(field, (c,)) << k * field.degree)
+
+    @property
+    def coeffs(self):
+        """The coefficients low to high, with no trailing zeros."""
+        m = self.field.degree
+        return tuple(unpack(self.code, m, -(-self.code.bit_length() // m)))
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return (self.code.bit_length() - 1) // self.field.degree
 
     @property
     def lc(self):
-        return self.coeffs[-1] if self.coeffs else 0
+        return self.code >> self.degree * self.field.degree if self.code else 0
 
     @property
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return self.lc == 1
 
     def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        m = self.field.degree
+        return self.code >> i * m & (1 << m) - 1 if i >= 0 else 0
 
     def _same(self, other):
         if not isinstance(other, Poly):
@@ -110,94 +120,27 @@ class Poly(Frozen):
 
     def __add__(self, other):
         self._same(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = tuple(map(xor, a, b))
-        if len(a) > len(b):
-            return _poly(self.field, out + a[len(b):])
-        # equal lengths: the top coefficients may cancel
-        n = len(out)
-        while n and not out[n - 1]:
-            n -= 1
-        return _poly(self.field, out[:n])
+        return poly_of(self.field, self.code ^ other.code)
 
     __sub__ = __add__
 
     def __mul__(self, other):
         self._same(other)
-        a, b = self.coeffs, other.coeffs
-        F = self.field
-        if not a or not b:
-            return _poly(F, ())
-        tables = F.log_tables()
-        if tables is None:
-            return _poly(F, _bit_loop(F, a, b, False))
-        log, exp = tables
-        lb = [(j, log[c]) for j, c in enumerate(b) if c]
-        out = [0] * (len(a) + len(b) - 1)
-        i = 0
-        for c in a:
-            if c:
-                lc = log[c]
-                for j, l in lb:
-                    out[i + j] ^= exp[lc + l]
-            i += 1
-        # the top coefficient is lc(a) * lc(b), never 0
-        return _poly(F, tuple(out))
+        return poly_of(self.field, _mul(self.field, self.code, other.code))
 
     def scale(self, c):
         """Multiply by the field element with bits c."""
-        if c == 0:
-            return _poly(self.field, ())
-        if c == 1:
-            return self
-        F = self.field
-        tables = F.log_tables()
-        if tables is None:
-            return _poly(F, _bit_loop(F, self.coeffs, (c,), False))
-        log, exp = tables
-        return _poly(F, _scaled(self.coeffs, log[c], log, exp))
+        return poly_of(self.field, xor_rows(images(self.field, self.code), c))
 
     def shift(self, k):
         """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return Poly(self.field, (0,) * k + self.coeffs)
+        return poly_of(self.field, self.code << k * self.field.degree)
 
     def __divmod__(self, other):
         self._same(other)
         F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        db = len(b) - 1
-        if len(a) <= db:
-            return _poly(F, ()), self
-        tables = F.log_tables()
-        if tables is None:
-            quo, rem = _bit_loop(F, a, b, True)
-        else:
-            log, exp = tables
-            n1 = len(exp) >> 1
-            inv_lc = n1 - log[b[-1]]  # log of 1/lc(b), in 1..n1
-            lb = [(j, log[c]) for j, c in enumerate(b[:db]) if c]
-            rem = list(a)
-            quo = [0] * (len(a) - db)
-            for k in range(len(a) - db - 1, -1, -1):
-                c = rem[db + k]
-                if c:
-                    lq = log[c] + inv_lc
-                    if lq >= n1:
-                        lq -= n1
-                    quo[k] = exp[lq]
-                    for j, l in lb:
-                        rem[j + k] ^= exp[lq + l]
-        # the top quotient coefficient is lc(a) / lc(b), never 0
-        n = db
-        while n and not rem[n - 1]:
-            n -= 1
-        return _poly(F, tuple(quo)), _poly(F, tuple(rem[:n]))
+        quo, rem = _divmod(F, self.code, other.code)
+        return poly_of(F, quo), poly_of(F, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -207,15 +150,8 @@ class Poly(Frozen):
 
     def monic(self):
         """Monic associate (self scaled by 1/lc); zero stays zero."""
-        a = self.coeffs
-        if not a or a[-1] == 1:
-            return self
-        F = self.field
-        tables = F.log_tables()
-        if tables is None:
-            return self.scale(F.inv(a[-1]))
-        log, exp = tables
-        return _poly(F, _scaled(a, (len(exp) >> 1) - log[a[-1]], log, exp))
+        lc = self.lc
+        return self if lc <= 1 else self.scale(self.field.inv(lc))
 
     def derivative(self):
         # (i+1) * c_{i+1} survives mod 2 exactly when i is even
@@ -233,10 +169,12 @@ class Poly(Frozen):
         return Poly.make(target, (embed(c) for c in self.coeffs))
 
     def sort_key(self):
-        return (self.degree, self.coeffs[::-1])
+        """The code: codes order polynomials over one field by degree, then
+        by their coefficients from the top."""
+        return self.code
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.code:
             return "0"
         F = self.field
         terms = []
@@ -263,50 +201,27 @@ class Poly(Frozen):
 
 _new = object.__new__
 _set_field = Poly.field.__set__
-_set_coeffs = Poly.coeffs.__set__
+_set_code = Poly.code.__set__
 
 
-def _poly(field, coeffs):
-    """The Poly with a coefficient tuple already known to have no trailing
-    zero: the arithmetic's results, built without a check."""
+def poly_of(F, v):
+    """The polynomial over F with code v: any int v >= 0 is one."""
+    if v < 0:
+        raise ValueError(f"a polynomial code is >= 0, got {v}")
     p = _new(Poly)
-    _set_field(p, field)
-    _set_coeffs(p, coeffs)
+    _set_field(p, F)
+    _set_code(p, v)
     return p
 
 
-def _scaled(coeffs, lc, log, exp):
-    """coeffs times the element of log lc (0 <= lc <= n1), on the tables."""
-    return tuple(exp[lc + log[v]] if v else 0 for v in coeffs)
-
-
-def _bit_loop(F, a, b, divide):
-    """The coefficient tuple of a * b, or with `divide` the (quotient,
-    remainder) lists of a divided by b, on the bit-loop `F.mul`: the kernel
-    for fields above TABLE_MAX_DEGREE, which have no log tables.  Only the
-    remainder may end in zeros."""
-    mul = F.mul
-    if not divide:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, v in enumerate(b):
-                    if v:
-                        out[i + j] ^= mul(c, v)
-        return tuple(out)
-    db = len(b) - 1
-    inv_lc = F.inv(b[-1])
-    rem = list(a)
-    quo = [0] * (len(a) - db)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = rem[db + k]
-        if c:
-            q = mul(c, inv_lc)
-            quo[k] = q
-            for j, v in enumerate(b):
-                if v:
-                    rem[j + k] ^= mul(q, v)
-    return quo, rem
+def _checked_code(field, coeffs):
+    """`pack` of the coefficients, refusing any outside 0..q-1: packed, it
+    would spill into its neighbours."""
+    coeffs = tuple(coeffs)
+    for c in coeffs:
+        if not 0 <= c < field.order:
+            raise ValueError(f"coefficient {c} is not an element of {field}")
+    return pack(coeffs, field.degree)
 
 
 def pack(coeffs, m):
@@ -324,12 +239,6 @@ def unpack(v, m, n):
     return [(v >> (i * m)) & mask for i in range(n)]
 
 
-def poly_of(F, v):
-    """The polynomial over F whose coefficients `pack` packed into v."""
-    m = F.degree
-    return Poly.make(F, unpack(v, m, -(-v.bit_length() // m)))
-
-
 def xor_rows(rows, bits):
     """The XOR of rows[j] over the set bits j of `bits`: the GF(2)-linear
     map with those rows applied to `bits`."""
@@ -342,27 +251,100 @@ def xor_rows(rows, bits):
     return out
 
 
+# -- the kernel, on codes ------------------------------------------------------
+
+def images(field, code):
+    """[b, a b, ..., a^(m-1) b] for the polynomial b with this code over
+    field = GF(2^m), a the generator.  Multiplying by a shifts every
+    coefficient up one bit at once; those whose top bit was set (the bits
+    of `tops`) then wrap around through the modulus, within their own m
+    bits.  These are the rows of "times c": c b is
+    xor_rows(images(field, b), c)."""
+    m = field.degree
+    rows = [code]
+    if m > 1:  # over GF(2) b is the one image, and the mask is not built
+        slots = -(-code.bit_length() // m)
+        tops = ((1 << slots * m) - 1) // ((1 << m) - 1) << (m - 1)
+        low = field.modulus ^ (1 << m)  # a^m, m bits
+        for _ in range(m - 1):
+            hi = code & tops
+            # the carries sit m bits apart, so their products with low
+            # cannot overlap: the int product is carry-less
+            code = (code ^ hi) << 1 ^ (hi >> (m - 1)) * low
+            rows.append(code)
+    return rows
+
+
+def _mul(field, a, b):
+    """The code of a * b: over the set bits k of a, the XOR of b's image
+    for bit j = k mod m of a coefficient, shifted by k - j to its place."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a  # fewer steps
+    m = field.degree
+    rows = images(field, b)
+    out = 0
+    while a:
+        k = a.bit_length() - 1
+        j = k % m
+        out ^= rows[j] << (k - j)
+        a ^= 1 << k
+    return out
+
+
+def _divmod(field, a, b):
+    """The codes of the quotient and remainder of a by b.  Each step clears
+    the remainder's top bit k, bit j of its top coefficient, with the image
+    a^j (b / lc b), whose top coefficient is exactly that bit, and adds
+    a^j / lc b to the quotient at the same place."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    m = field.degree
+    top = (b.bit_length() - 1) // m * m  # the place of b's top coefficient
+    if a.bit_length() <= top:
+        return 0, a
+    lc = inv = b >> top
+    if lc != 1:
+        inv = field.inv(lc)
+        b = xor_rows(images(field, b), inv)
+    rows = images(field, b)
+    quos = images(field, inv)
+    quo = 0
+    k = a.bit_length() - 1
+    while k >= top:
+        j = k % m
+        s = k - j - top
+        a ^= rows[j] << s
+        quo ^= quos[j] << s
+        k = a.bit_length() - 1
+    return quo, a
+
+
 def gcd(a, b):
-    while b.coeffs:
-        a, b = b, a % b
-    return a.monic()
+    a._same(b)
+    F = a.field
+    x, y = a.code, b.code
+    while y:
+        x, y = y, _divmod(F, x, y)[1]
+    return poly_of(F, x).monic()
 
 
 def ext_gcd(a, b):
     """(g, u, v) with u*a + v*b = g, g monic."""
+    a._same(b)
     F = a.field
-    r0, r1 = a, b
-    u0, u1 = Poly.one(F), Poly.zero(F)
-    v0, v1 = Poly.zero(F), Poly.one(F)
-    while r1.coeffs:
-        q, r = divmod(r0, r1)
+    r0, r1 = a.code, b.code
+    u0, u1 = 1, 0
+    v0, v1 = 0, 1
+    while r1:
+        q, r = _divmod(F, r0, r1)
         r0, r1 = r1, r
-        u0, u1 = u1, u0 + q * u1
-        v0, v1 = v1, v0 + q * v1
-    if r0.coeffs and r0.lc != 1:
-        c = F.inv(r0.lc)
-        r0, u0, v0 = r0.scale(c), u0.scale(c), v0.scale(c)
-    return r0, u0, v0
+        u0, u1 = u1, u0 ^ _mul(F, q, u1)
+        v0, v1 = v1, v0 ^ _mul(F, q, v1)
+    g, u, v = poly_of(F, r0), poly_of(F, u0), poly_of(F, v0)
+    if g.lc > 1:
+        c = F.inv(g.lc)
+        g, u, v = g.scale(c), u.scale(c), v.scale(c)
+    return g, u, v
 
 
 def invmod(a, m):
@@ -378,7 +360,7 @@ def _sqf_decompose(f):
         return []
     out = []
     fp = f.derivative()
-    if not fp.coeffs:
+    if not fp.code:
         for (p, k) in _sqf_decompose(f.even_part_sqrt().monic()):
             out.append((p, 2 * k))
         return out
@@ -428,7 +410,7 @@ def _edf(f, d, rng):
     F = f.field
     nbits = F.degree * d
     while True:
-        u = Poly.make(F, [rng.randrange(F.order) for _ in range(f.degree)])
+        u = poly_of(F, rng.getrandbits(F.degree * f.degree))
         if u.degree < 1:
             continue
         # absolute trace of u in each residue field of degree d
@@ -450,7 +432,7 @@ def _factor_cached(p):
     F = p.field
     # tuples of ints hash reproducibly, so the stream depends only on the
     # polynomial, never on call order
-    rng = random.Random(hash((F.degree, F.modulus, p.coeffs)))
+    rng = random.Random(hash((F.degree, F.modulus, p.code)))
     out = []
     for (sq, mult) in _sqf_decompose(p.monic()):
         for (block, d) in _ddf(sq):
@@ -465,7 +447,7 @@ def factor(p):
 
     The product of the factors equals p up to the leading coefficient.
     """
-    if not p.coeffs:
+    if not p.code:
         raise ValueError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
@@ -511,15 +493,6 @@ def monic_irreducibles(field, max_degree):
                                copy.copy(_irreducibles_found(field)))
 
 
-def roots(p):
-    """Roots of p in its own coefficient field, sorted by bit encoding."""
-    out = []
-    for (q, _) in factor(p):
-        if q.degree == 1:
-            out.append(q.coeff(0))  # monic x + c has root c
-    return sorted(out)
-
-
 # Keys are field pairs with deg sub | deg sup: 84 pairs of default fields
 # up to GF(2^24), so 256 entries leave room for fields with other moduli.
 @functools.lru_cache(maxsize=256)
@@ -527,19 +500,28 @@ def field_embedding(sub, sup):
     """Embedding GF(2^d) -> GF(2^n) for d | n, as a bits -> bits callable.
 
     Determined by mapping the generator to the smallest root (by bit
-    encoding) of the subfield modulus in the big field.
+    encoding) of the subfield modulus in the big field.  For c = 2, 3, ...
+    the power z = c^((2^n - 1)/(2^d - 1)) lies in the subfield, and the
+    first z that is a root gives all d of them as its conjugates z^(2^i),
+    the modulus being irreducible.  Only the bit-loop `mul` runs: nothing
+    is factored over the big field.
     """
     if sup.degree % sub.degree != 0:
         raise ValueError(f"{sub} does not embed in {sup}")
-    if sub == sup:
+    if sub == sup or sub.degree == 1:
         return lambda v: v
-    if sub.degree == 1:
-        return lambda v: v
-    mod_poly = Poly.make(sup, [(sub.modulus >> i) & 1
-                               for i in range(sub.degree + 1)])
-    rs = roots(mod_poly)
-    assert rs, "subfield modulus must split in the big field"
-    root = rs[0]
+    e = (sup.order - 1) // (sub.order - 1)
+    for c in itertools.count(2):
+        z = sup.pow(c, e)
+        value = 0  # the modulus at z, by Horner's rule over its bits
+        for i in range(sub.degree, -1, -1):
+            value = sup.mul(value, z) ^ (sub.modulus >> i & 1)
+        if not value:
+            break
+    conjugates = [z]
+    for _ in range(sub.degree - 1):
+        conjugates.append(sup.sqr(conjugates[-1]))
+    root = min(conjugates)
     powers = [1]
     for _ in range(sub.degree - 1):
         powers.append(sup.mul(powers[-1], root))

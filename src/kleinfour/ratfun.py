@@ -39,8 +39,8 @@ class Place(Frozen):
 
     def sort_key(self):
         if self.poly is None:
-            return (0, ())
-        return (1,) + self.poly.sort_key()
+            return (0, 0)
+        return (1, self.poly.sort_key())
 
     def __str__(self):
         return "infinity" if self.poly is None else str(self.poly)
@@ -97,7 +97,7 @@ class RatFun:
             raise TypeError("RatFun takes two Poly arguments")
         if num.field != den.field:
             raise ValueError("numerator and denominator over different fields")
-        if not den.coeffs:
+        if not den.code:
             raise ZeroDivisionError("zero denominator")
         g = P.gcd(num, den)
         if g.degree > 0:
@@ -134,7 +134,7 @@ class RatFun:
 
     @property
     def is_zero(self):
-        return not self.num.coeffs
+        return not self.num.code
 
     @property
     def is_constant(self):
@@ -167,10 +167,10 @@ class RatFun:
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.field, self.num.coeffs, self.den.coeffs))
+        return hash((self.field, self.num.code, self.den.code))
 
     def key(self):
-        return (self.num.coeffs, self.den.coeffs)
+        return (self.num.code, self.den.code)
 
     def pole_divisor(self):
         """Finite poles from the factored denominator, plus infinity."""
@@ -216,7 +216,7 @@ class RatFun:
 
         new_num = subst(self.num)
         new_den = subst(self.den)
-        if not new_den.coeffs:
+        if not new_den.code:
             raise ZeroDivisionError("coordinate change maps denominator to zero")
         return RatFun(new_num, new_den)
 
@@ -361,7 +361,7 @@ def parse_ratfun(field, text):
         elif len(pieces) == 2:
             num = _parse_poly(field, pieces[0])
             den = _parse_poly(field, pieces[1])
-            if not den.coeffs:
+            if not den.code:
                 raise ZeroDivisionError("zero denominator in input")
             total = total + RatFun(num, den)
         else:
@@ -410,7 +410,7 @@ def assemble(field, poly_part, parts):
     places = []
     for q, rs in parts.items():
         e = len(rs)
-        while e and not rs[e - 1].coeffs:
+        while e and not rs[e - 1].code:
             e -= 1
         if not e:
             continue

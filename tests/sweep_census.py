@@ -6,9 +6,13 @@ values printed by the census that visited every class pair one by one.
 At GF(2) degree 5, `count_covers` must also return exactly what the pair
 loop of test_census.py does, and `run_census`, which pairs the classes'
 constant-free parts, must give the cells of the census that pairs every
-class (`unfolded_census`).  Prints each check with its time and exits 1
-on the first mismatch.  The sweep takes about 4 s on one core, too long
-for the tier-1 suite, so its name keeps pytest from collecting it:
+class (`unfolded_census`).  The census stands on the polynomial kernel,
+so the sweep also checks `*`, `divmod` and `gcd` against test_kernel.py's
+bit-loop reference on every pair of polynomials of degree <= 6 over GF(2)
+and <= 3 over GF(4), which adds about 3.5 s.  Prints each check with its
+time and exits 1 on the first mismatch.  The sweep takes about 6 s on
+one core, too long for the tier-1 suite, so its name keeps pytest from
+collecting it:
 
     PYTHONPATH=src python tests/sweep_census.py
 """
@@ -21,9 +25,11 @@ import time
 
 from kleinfour.cli import main as k4
 from kleinfour.census import count_covers, run_census
-from kleinfour.field import GF2
+from kleinfour.field import GF2, GF4
+from kleinfour.poly import gcd, poly_of
 from test_census import (census_classes, pair_loop_count_covers,
                          unfolded_census)
+from test_kernel import ref_divmod, ref_gcd, ref_mul
 
 CENSUS_JSON_SHA256 = {
     ("gf2", 5): "45fe3b882f30d4a168e8bf202526cf77"
@@ -35,7 +41,33 @@ CENSUS_JSON_SHA256 = {
 }
 
 
+def kernel_mismatch(F, max_deg):
+    """The first pair (a, b) of polynomials of degree <= max_deg over F on
+    which `*`, `divmod` or `gcd` differs from the bit-loop reference, or
+    None."""
+    ps = [poly_of(F, code) for code in range(F.order ** (max_deg + 1))]
+    for a in ps:
+        for b in ps:
+            ca, cb = a.coeffs, b.coeffs
+            if ((a * b).coeffs != ref_mul(F, ca, cb)
+                    or gcd(a, b).coeffs != ref_gcd(F, ca, cb)
+                    or cb and tuple(p.coeffs for p in divmod(a, b))
+                    != ref_divmod(F, ca, cb)):
+                return a, b
+    return None
+
+
 def main():
+    for F, max_deg in ((GF2, 6), (GF4, 3)):
+        start = time.perf_counter()
+        bad = kernel_mismatch(F, max_deg)
+        if bad:
+            print(f"FAIL: the kernel differs from the bit loop over {F} "
+                  f"on ({bad[0]}, {bad[1]})")
+            return 1
+        print(f"the kernel matches the bit loop on every pair of degree "
+              f"<= {max_deg} over {F} ({time.perf_counter() - start:.1f} s)",
+              flush=True)
     for (field, max_deg), expected in CENSUS_JSON_SHA256.items():
         start = time.perf_counter()
         out = io.StringIO()

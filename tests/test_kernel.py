@@ -1,10 +1,12 @@
-"""The table-driven polynomial kernel against the bit-loop arithmetic it
+"""The packed-code polynomial kernel against the bit-loop arithmetic it
 replaced.
 
-`Poly` multiplies, divides, adds and scales on the field's log/antilog
-tables, and on the bit-loop `BinaryField.mul` only above TABLE_MAX_DEGREE.
-The reference below is the schoolbook code that ran on `mul` for every
-field, kept here so both kernel paths are checked against it.
+`Poly` adds, multiplies, divides, scales and shifts on its code through
+one kernel (`poly.images`, with `_mul` and `_divmod` over it), in every
+field.  The reference below is the schoolbook code that ran on the
+bit-loop `BinaryField.mul` coefficient by coefficient, kept here to check
+the kernel in fields on both sides of TABLE_MAX_DEGREE, which the kernel
+never reads, and under two GF(8) moduli.
 """
 
 import pytest
@@ -12,16 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kleinfour import field as field_module
-from kleinfour.field import BinaryField
-from kleinfour.poly import Poly
+from kleinfour.field import BinaryField, default_modulus
+from kleinfour.poly import Poly, ext_gcd, gcd, invmod
 
-FIELDS = [BinaryField.default(m) for m in (1, 2, 3, 12, 16, 17)]
+FIELDS = [BinaryField.default(m) for m in (1, 2, 3, 12, 16, 17)] + [
+    BinaryField(3, 0b1101)]  # GF(8) under its other modulus
 
 
-def test_the_fields_cover_both_paths():
-    assert all(F.log_tables() is not None for F in FIELDS[:-1])
-    assert FIELDS[-1].degree > field_module.TABLE_MAX_DEGREE
-    assert FIELDS[-1].log_tables() is None
+def field_id(F):
+    """GF(q), with the modulus appended when it is not the default."""
+    if F.modulus == default_modulus(F.degree):
+        return str(F)
+    return f"{F}-{F.modulus:#b}"
 
 
 # -- reference: the bit-loop arithmetic ----------------------------------------
@@ -56,6 +60,14 @@ def ref_scale(F, a, c):
     return trim(F.mul(x, c) for x in a)
 
 
+def ref_monic(F, a):
+    return ref_scale(F, a, F.inv(a[-1])) if a else ()
+
+
+def ref_shift(F, a, k):
+    return (0,) * k + a if a else ()
+
+
 def ref_divmod(F, a, b):
     inv_lc = F.inv(b[-1])
     rem = list(a)
@@ -75,6 +87,12 @@ def ref_divmod(F, a, b):
     return trim(quo), trim(rem)
 
 
+def ref_gcd(F, a, b):
+    while b:
+        a, b = b, ref_divmod(F, a, b)[1]
+    return ref_monic(F, a)
+
+
 # -- strategies -----------------------------------------------------------------
 
 @st.composite
@@ -90,8 +108,26 @@ def polys(draw, count, max_deg=8):
 
 
 def no_trailing_zero(*ps):
-    """The invariant the arithmetic's unchecked constructor relies on."""
+    """Every coefficient tuple the kernel's codes read back as is trimmed."""
     return all(not p.coeffs or p.coeffs[-1] != 0 for p in ps)
+
+
+def test_the_kernel_reads_no_tables(monkeypatch):
+    # the fields straddle the table cap, and no field's tables are read
+    assert FIELDS[4].degree <= field_module.TABLE_MAX_DEGREE < FIELDS[5].degree
+    assert FIELDS[5].log_tables() is None
+
+    def no_tables(self):
+        raise AssertionError("the polynomial kernel read the log tables")
+
+    monkeypatch.setattr(BinaryField, "log_tables", no_tables)
+    for F in FIELDS:
+        a = Poly.make(F, [F.order - 1, 1, 2 % F.order, F.order - 1])
+        b = Poly.make(F, [1, F.order - 1, F.order - 1])
+        q, r = divmod(a * b + a, b)
+        assert q * b + r == a * b + a
+        assert a.scale(F.order - 1).monic() == a.monic()
+        assert gcd(a * b, b) == b.monic()
 
 
 @settings(max_examples=300, deadline=None)
@@ -99,17 +135,39 @@ def no_trailing_zero(*ps):
 def test_kernel_matches_the_bit_loop(case, data):
     F, (a, b) = case
     c = data.draw(st.integers(0, F.order - 1))
-    s, p, sc = a + b, a * b, a.scale(c)
-    assert no_trailing_zero(s, p, sc, a.monic())
+    k = data.draw(st.integers(0, 5))
+    s, p, sc, sh = a + b, a * b, a.scale(c), a.shift(k)
+    assert no_trailing_zero(s, p, sc, sh, a.monic())
     assert s.coeffs == ref_add(F, a.coeffs, b.coeffs)
     assert p.coeffs == ref_mul(F, a.coeffs, b.coeffs)
     assert sc.coeffs == ref_scale(F, a.coeffs, c)
-    if a.coeffs:
-        assert a.monic().coeffs == ref_scale(F, a.coeffs, F.inv(a.lc))
+    assert sh.coeffs == ref_shift(F, a.coeffs, k)
+    assert a.monic().coeffs == ref_monic(F, a.coeffs)
     if b.coeffs:
         q, r = divmod(a, b)
         assert no_trailing_zero(q, r)
         assert (q.coeffs, r.coeffs) == ref_divmod(F, a.coeffs, b.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(2, max_deg=6))
+def test_ext_gcd_and_invmod_match_the_bit_loop(case):
+    F, (a, b) = case
+    g, u, v = ext_gcd(a, b)
+    assert no_trailing_zero(g, u, v)
+    assert g.coeffs == ref_gcd(F, a.coeffs, b.coeffs) == gcd(a, b).coeffs
+    assert ref_add(F, ref_mul(F, u.coeffs, a.coeffs),
+                   ref_mul(F, v.coeffs, b.coeffs)) == g.coeffs
+    if b.degree < 1:
+        return
+    if g.degree == 0:
+        inv = invmod(a, b)
+        assert inv.degree < b.degree
+        assert ref_divmod(F, ref_mul(F, inv.coeffs, a.coeffs),
+                          b.coeffs)[1] == (1,)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            invmod(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,7 +185,7 @@ def test_ring_laws(case):
         assert no_trailing_zero(q, r)
 
 
-@pytest.mark.parametrize("F", FIELDS, ids=str)
+@pytest.mark.parametrize("F", FIELDS, ids=field_id)
 def test_cancelling_tops_are_trimmed(F):
     # equal tops cancel in a sum; an exact division leaves remainder 0
     top = F.order - 1
@@ -138,3 +196,19 @@ def test_cancelling_tops_are_trimmed(F):
     q, r = divmod(a * b, b)
     assert q == a and r.coeffs == ()
     assert divmod(Poly.one(F), b) == (Poly.zero(F), Poly.one(F))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=field_id)
+def test_zero_and_constant_divisors(F):
+    a = Poly.make(F, [F.order - 1, 0, 1, 2 % F.order, F.order - 1])
+    zero = Poly.zero(F)
+    for op in (divmod, lambda a, b: a // b, lambda a, b: a % b, invmod):
+        with pytest.raises(ZeroDivisionError):
+            op(a, zero)
+    with pytest.raises(ZeroDivisionError):
+        divmod(zero, zero)
+    for c in sorted({1, min(2, F.order - 1), F.order - 1}):
+        q, r = divmod(a, Poly.const(F, c))
+        assert (q.coeffs, r.coeffs) == ref_divmod(F, a.coeffs, (c,))
+        assert q == a.scale(F.inv(c)) and r == zero
+        assert divmod(zero, Poly.const(F, c)) == (zero, zero)

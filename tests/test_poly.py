@@ -6,8 +6,7 @@ import pytest
 from kleinfour.field import (GF2, GF4, MAX_DEGREE, BinaryField,
                              _smallest_factor2)
 from kleinfour.poly import (Poly, _edf, ext_gcd, factor, field_embedding,
-                            gcd, invmod, is_irreducible, monic_irreducibles,
-                            roots)
+                            gcd, invmod, is_irreducible, monic_irreducibles)
 
 x2 = Poly.x(GF2)
 one2 = Poly.one(GF2)
@@ -131,6 +130,12 @@ def test_is_irreducible_agrees_with_factor(F, max_degree):
                 assert is_irreducible(p) == expected, p
 
 
+def roots(p):
+    """Reference: the roots of p in its own coefficient field, sorted by
+    bit encoding, from its linear factors."""
+    return sorted(q.coeff(0) for q, _ in factor(p) if q.degree == 1)
+
+
 def test_roots():
     # x^2 + x = x(x+1) has roots 0 and 1
     assert roots(x2 * x2 + x2) == [0, 1]
@@ -189,6 +194,23 @@ def test_embedding_matches_the_bit_loop_on_every_default_pair():
                 ref(v) for v in range(sub.order)], (sub, sup)
 
 
+@pytest.mark.parametrize("sub, n", [(BinaryField(3, 0b1101), 6),
+                                    (BinaryField(3, 0b1101), 12),
+                                    (BinaryField(4, 0b11001), 8),
+                                    (BinaryField(4, 0b11001), 12),
+                                    (BinaryField(4, 0b11111), 16)],
+                         ids=repr)
+def test_embedding_of_a_subfield_under_another_modulus(sub, n):
+    sup = BinaryField.default(n)
+    emb = field_embedding(sub, sup)
+    ref = embedding_by_bit_loop(sub, sup)
+    assert [emb(v) for v in range(sub.order)] == [
+        ref(v) for v in range(sub.order)]
+    for u in range(sub.order):
+        for v in range(sub.order):
+            assert emb(sub.mul(u, v)) == sup.mul(emb(u), emb(v))
+
+
 def test_embedding_rejects_bad_degrees():
     with pytest.raises(ValueError):
         field_embedding(GF4, BinaryField.default(3))
@@ -198,3 +220,33 @@ def test_poly_str():
     p = Poly.make(GF4, [1, 3, 0, 2])
     assert str(p) == "a*x^3 + (a+1)*x + 1"
     assert str(Poly.zero(GF4)) == "0"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poly(GF2, (2,)),
+    lambda: Poly(GF4, (1, 4)),
+    lambda: Poly(GF4, (-1, 1)),
+    lambda: Poly.make(GF2, [2]),
+    lambda: Poly.make(GF4, [0, 7, 0]),
+    lambda: Poly.const(GF4, 4),
+    lambda: Poly.const(GF2, -1),
+    lambda: Poly.monomial(GF2, 3, 2),
+    lambda: Poly.monomial(GF4, 1, 16),
+], ids=["Poly-2", "Poly-4", "Poly-neg", "make-2", "make-7", "const-4",
+        "const-neg", "monomial-2", "monomial-16"])
+def test_coefficients_outside_the_field_are_refused(build):
+    # packed m bits each, such a value would spill into the next
+    # coefficient: over GF(2) the constant 2 would read as x
+    with pytest.raises(ValueError, match="not an element"):
+        build()
+
+
+def test_coefficients_pack_into_the_code():
+    p = Poly.make(GF4, [1, 0, 3, 2, 0, 0])
+    assert p.code == 1 | 3 << 4 | 2 << 6
+    assert p.coeffs == (1, 0, 3, 2) and p.degree == 3 and p.lc == 2
+    assert Poly(GF4, (1, 0, 3, 2)) == p
+    assert Poly.monomial(GF4, 3, 2).code == 2 << 6
+    assert Poly.make(GF2, [0, 0]).code == 0 and Poly.zero(GF2).degree == -1
+    with pytest.raises(ValueError, match="trailing zero"):
+        Poly(GF4, (1, 0))

@@ -4,6 +4,7 @@ is a value, and the repr text."""
 
 import copy
 import gc
+import pickle
 
 import pytest
 
@@ -69,6 +70,21 @@ def test_values_compare_by_value_and_refuse_assignment(name):
         setattr(a, attribute, getattr(b, attribute))
     assert getattr(a, attribute) == getattr(b, attribute)
     assert repr(a) == text
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_survive_a_pickle_round_trip(name):
+    a = VALUES[name][0]()
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and repr(b) == repr(a)
+
+
+def test_a_pickled_poly_keeps_its_code_and_field():
+    F = BinaryField(*OTHER_GF32)
+    for p in (Poly(GF4, (1, 2)), Poly(F, (0, 31, 1)), Poly.zero(GF2)):
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and q.field is p.field
+        assert q.code == p.code and q.coeffs == p.coeffs
 
 
 def test_one_field_per_modulus():

@@ -690,7 +690,7 @@ def reduced_forms(draw, F):
     poly = [draw(st.sampled_from((0, F.trace_one_element())))]
     for i in range(1, 8):
         poly.append(draw(st.integers(0, F.order - 1)) if i % 2 else 0)
-    return ReducedForm.from_parts(F, poly, parts)
+    return ReducedForm.from_parts(F, Poly.make(F, poly).code, parts)
 
 
 @settings(max_examples=40, deadline=None)
