@@ -1,4 +1,5 @@
-"""Artin-Schreier curves y^2 + y = f(x) over GF(2^m).
+"""Artin-Schreier curves y^2 + y = f(x) over GF(2^m), and the partial
+fractions of f, whose one format is the packed vector `ReducedForm`.
 
 Adding h^2 + h to f gives the same curve, so every right-hand side can be
 pushed into a standard form in which all pole orders are odd.  We go
@@ -18,8 +19,9 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
+from . import poly
 from .poly import Poly, poly_of
-from .ratfun import INFINITY, Place, RatFun, assemble, principal_parts
+from .ratfun import INFINITY, Place, RatFun
 
 
 class DegenerateCover(ValueError):
@@ -27,6 +29,33 @@ class DegenerateCover(ValueError):
 
 
 Invariants = namedtuple("Invariants", "genus two_rank")
+
+
+def base_digits(c, q, e):
+    """The digits r_1..r_e of c = sum_i r_i q^(e-i), deg c < e deg q, packed
+    as `ReducedForm` packs a place's digits: r_i at bit (i - 1) * m * deg q.
+    This is the one base-q expansion."""
+    width = q.field.degree * q.degree
+    v = 0
+    for i in range(e - 1, -1, -1):  # r_e = c mod q first
+        c, r = divmod(c, q)
+        v |= r.code << i * width
+    return v
+
+
+def principal_parts(f):
+    """The partial-fraction vector of f, not yet canonical: its polynomial
+    part, and at each monic irreducible q^e dividing the denominator the
+    digits of f = ... + sum_i r_i / q^i, deg r_i < deg q."""
+    poly_part, rem = divmod(f.num, f.den)
+    places = {}
+    for (q, e) in poly.factor(f.den):
+        qe = q
+        for _ in range(e - 1):
+            qe = qe * q
+        c = (rem * poly.invmod(f.den // qe, qe)) % qe
+        places[q.code] = base_digits(c, q, e)
+    return ReducedForm(f.field, poly_part.code, places)
 
 
 def _sqrt_mod(u, q):
@@ -44,40 +73,39 @@ def reduce_form(f):
     polynomial part carry no even-order terms, and the constant is trace
     normalized.  May be constant; callers decide what that means.
     """
-    poly_part, parts = principal_parts(f)
-    return canonical_form(f.field, poly_part, parts)
+    return canonical_form(principal_parts(f))
 
 
-def canonical_form(F, poly_part, parts):
-    """The canonical form (see `reduce_form`) of the function with
-    polynomial part `poly_part` and principal parts `parts`, as
-    `principal_parts` returns them: each even-order term is traded for
-    odd-order ones by an h^2 + h shift, and the constant is trace
-    normalized."""
-    new_parts = {}
-    for q, rs in parts.items():
-        r = [None] + list(rs)  # 1-indexed pole orders
-        for i in range(len(rs), 1, -1):
-            if i % 2 == 0 and r[i].code:
-                s = _sqrt_mod(r[i], q)
-                ss = s * s
-                hi, lo = divmod(ss, q)
-                assert lo == r[i], "square root must cancel the leading term"
-                r[i] = Poly.zero(F)
-                r[i - 1] = r[i - 1] + hi
-                r[i // 2] = r[i // 2] + s
-        new_parts[q] = r[1:]
+def canonical_form(v):
+    """The canonical form (see `reduce_form`) of the partial-fraction
+    vector v: each even-order digit, top down, is traded for odd-order ones
+    by an h^2 + h shift, and the constant is trace normalized."""
+    F = v.field
+    places = {}
+    for qv, d in v.places.items():
+        q = poly_of(F, qv)
+        width = qv.bit_length() - 1  # m * deg q: q is monic
+        mask = (1 << width) - 1
+        for i in range(-(-d.bit_length() // width) & ~1, 1, -2):
+            if r := d >> (i - 1) * width & mask:
+                s = _sqrt_mod(poly_of(F, r), q)
+                hi, lo = divmod(s * s, q)
+                assert lo.code == r, "square root must cancel the leading term"
+                d ^= (r << (i - 1) * width ^ hi.code << (i - 2) * width
+                      ^ s.code << (i // 2 - 1) * width)
+        if d:
+            places[qv] = d
 
     m = F.degree
     mask = F.order - 1
-    v = poly_part.code
-    for i in range(poly_part.degree & ~1, 1, -2):  # even degrees, top down
-        if c := v >> i * m & mask:
-            v ^= (c << i * m) ^ (F.sqrt(c) << i // 2 * m)
-    c = v & mask
-    v ^= c ^ (0 if F.trace(c) == 0 else F.trace_one_element())
+    p = v.poly
+    for i in range((p.bit_length() - 1) // m & ~1, 1, -2):  # even degrees
+        if c := p >> i * m & mask:
+            p ^= (c << i * m) ^ (F.sqrt(c) << i // 2 * m)
+    c = p & mask
+    p ^= c ^ (0 if F.trace(c) == 0 else F.trace_one_element())
 
-    return ReducedForm.from_parts(F, v, new_parts)
+    return ReducedForm(F, p, places)
 
 
 @functools.lru_cache(maxsize=1 << 18)
@@ -87,16 +115,17 @@ def reduce_standard(f):
 
 
 class ReducedForm:
-    """A canonical form as its principal-part vector.
+    """A partial-fraction expansion as a vector: `principal_parts` returns
+    it raw and `canonical_form` canonical.
 
     `poly` packs the polynomial part, constant included, m bits per
     coefficient.  `places` maps each finite pole, a monic irreducible q
-    packed the same way, to its digits r_1..r_e (f has the term r_i / q^i,
-    deg r_i < deg q), digit r_i packed at bit (i - 1) * m * deg q.  Partial
-    fractions are unique, so two canonical forms are equal exactly when
-    their vectors are, and because reduction is GF(2)-linear the sum of two
-    canonical forms is the XOR of their vectors.  A pole order is the index
-    of the top digit, so invariants need no factoring.
+    packed the same way, to its digits r_1..r_e, not all 0 (f has the term
+    r_i / q^i, deg r_i < deg q), r_i packed at bit (i - 1) * m * deg q.
+    Partial fractions are unique and GF(2)-linear, so functions are equal
+    exactly when their vectors are and a sum is the XOR of their vectors;
+    reduction is GF(2)-linear too.  A pole order is the index of the top
+    digit, so invariants need no factoring.
     """
 
     __slots__ = ("field", "poly", "places")
@@ -106,35 +135,22 @@ class ReducedForm:
         self.poly = poly
         self.places = places
 
-    @classmethod
-    def from_parts(cls, field, poly, parts):
-        """The vector of poly + sum over places q of sum_i r_i / q^i, from
-        the polynomial part's code and {q: [r_1, ..., r_e]}.  A place whose
-        digits are all 0 is left out."""
-        places = {}
-        for q, rs in parts.items():
-            width = field.degree * q.degree
-            v = sum(d.code << (i * width) for i, d in enumerate(rs))
-            if v:
-                places[q.code] = v
-        return cls(field, poly, places)
-
-    @classmethod
-    def of(cls, r):
-        """The vector of an r already in canonical form."""
-        poly_part, parts = principal_parts(r)
-        return cls.from_parts(r.field, poly_part.code, parts)
-
     def to_ratfun(self):
-        """The canonical form as a RatFun, inverse of `of`."""
+        """The function the vector stands for.  A place q with top digit r_e
+        adds H / q^e, H = sum_i r_i q^(e-i) by Horner from r_1, and H is r_e
+        mod q, a nonzero residue: the sum is in lowest terms with no gcd."""
         F = self.field
-        parts = {}
+        num, den = poly_of(F, self.poly), Poly.one(F)
         for qv, v in self.places.items():
+            q = poly_of(F, qv)
             width = qv.bit_length() - 1  # m * deg q: q is monic
-            parts[poly_of(F, qv)] = [
-                poly_of(F, v >> i * width & (1 << width) - 1)
-                for i in range(-(-v.bit_length() // width))]
-        return assemble(F, poly_of(F, self.poly), parts)
+            mask = (1 << width) - 1
+            h, qe = poly_of(F, v & mask), q
+            for i in range(1, -(-v.bit_length() // width)):
+                h = h * q + poly_of(F, v >> i * width & mask)
+                qe = qe * q
+            num, den = num * qe + h * den, den * qe
+        return RatFun.lowest_terms(num, den)
 
     def pole_places(self):
         """The places where f has a pole, read from the vector."""

@@ -54,7 +54,8 @@ from collections import Counter, namedtuple
 from itertools import compress
 
 from . import poly
-from .ascurve import PackedLayout, ReducedForm, canonical_form, place_terms
+from .ascurve import (PackedLayout, ReducedForm, base_digits, canonical_form,
+                      place_terms)
 from .klein4 import KleinFourCover, Partition
 from .field import span
 from .poly import Poly, images, poly_of, xor_rows
@@ -152,9 +153,10 @@ class BasisTables:
     def __init__(self, field, n):
         self.field = field
         self.n = n
+        m = field.degree  # bit k*m + c is the code of 2^c x^k
         self._poly_rows = self._per_bit(
-            [canonical_form(field, Poly.monomial(field, k, 1 << c), {}).poly
-             for k in range(n) for c in range(field.degree)])
+            [canonical_form(ReducedForm(field, 1 << k * m + c, {})).poly
+             for k in range(n) for c in range(m)])
         self._places = {}  # (p, e) -> (p^e, digit rows, times-x rows)
 
     def _per_bit(self, rows):
@@ -180,11 +182,8 @@ class BasisTables:
             rows = []
             for k in range(qe.degree):
                 for c in range(m):
-                    r, digits = Poly.monomial(F, k, 1 << c), []
-                    for _ in range(e):  # digits[j] = coefficient of p^j
-                        r, d = divmod(r, p)
-                        digits.append(d)
-                    form = canonical_form(F, Poly.zero(F), {p: digits[::-1]})
+                    digits = base_digits(Poly.monomial(F, k, 1 << c), p, e)
+                    form = canonical_form(ReducedForm(F, 0, {p.code: digits}))
                     rows.append(form.places.get(p.code, 0))
             wrap = images(F, qe.code ^ 1 << qe.degree * m)  # 2^c x^N mod p^e
             tables = self._places[p, e] = qe, self._per_bit(rows), wrap

@@ -75,14 +75,15 @@ class Recipe(Frozen):
 
 def _xk(F, k, c=1):
     """c * x^k, k odd, as a reduced form."""
-    return ReducedForm.from_parts(F, Poly.monomial(F, k, c).code, {})
+    return ReducedForm(F, Poly.monomial(F, k, c).code, {})
 
 
 def _pole(q, e=1, r=None):
-    """r / q^e, e odd, as a reduced form; r is a residue mod q, 1 if None."""
-    F = q.field
-    digits = [Poly.zero(F)] * (e - 1) + [Poly.one(F) if r is None else r]
-    return ReducedForm.from_parts(F, 0, {q: digits})
+    """r / q^e, e odd, as a reduced form; r is a nonzero residue mod q, 1
+    if None, and the one digit r_e, at bit (e - 1) * m * deg q."""
+    top = 1 if r is None else r.code
+    width = q.field.degree * q.degree
+    return ReducedForm(q.field, 0, {q.code: top << (e - 1) * width})
 
 
 def _inv_xk(F, k, c=1):

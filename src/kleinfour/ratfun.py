@@ -1,9 +1,12 @@
-"""Rational functions over GF(2^m), with their pole structure on P^1.
+"""Rational functions over GF(2^m), their pole structure on P^1, and the
+text grammar they are parsed from.
 
 A RatFun is a reduced fraction num/den with monic denominator and
 gcd(num, den) = 1.  Places of the projective line are the closed points:
 either the degree-1 place at infinity or a monic irreducible polynomial; a
-finite place of degree d stands for d conjugate geometric points.
+finite place of degree d stands for d conjugate geometric points.  Partial
+fractions are not kept here: `ascurve.principal_parts` expands a RatFun
+into a packed vector, `ascurve.ReducedForm`, and `to_ratfun` rebuilds it.
 """
 
 from __future__ import annotations
@@ -140,10 +143,6 @@ class RatFun:
     def is_constant(self):
         return self.den.degree == 0 and self.num.degree <= 0
 
-    def constant_bits(self):
-        assert self.is_constant
-        return self.num.coeff(0)
-
     def __add__(self, other):
         if not isinstance(other, RatFun):
             return NotImplemented
@@ -182,43 +181,6 @@ class RatFun:
                 entries.append((Place(q), e))
         entries.sort(key=lambda t: t[0].sort_key())
         return PoleDivisor(tuple(entries))
-
-    def infinity_value(self):
-        """Value at infinity as raw bits, or None if infinity is a pole."""
-        dn, dd = self.num.degree, self.den.degree
-        if dn > dd:
-            return None
-        if dn < dd:
-            return 0
-        return self.field.mul(self.num.lc, self.field.inv(self.den.lc))
-
-    def mobius(self, a, b, c, d):
-        """Substitute x -> (a*x + b)/(c*x + d); coefficients are raw bits."""
-        F = self.field
-        det = F.mul(a, d) ^ F.mul(b, c)
-        if det == 0:
-            raise ValueError("singular coordinate change")
-        lin_num = Poly.make(F, (b, a))
-        lin_den = Poly.make(F, (d, c))
-        n = max(self.num.degree, self.den.degree, 0)
-        pn = [Poly.one(F)]
-        pd = [Poly.one(F)]
-        for _ in range(n):
-            pn.append(pn[-1] * lin_num)
-            pd.append(pd[-1] * lin_den)
-
-        def subst(p):
-            out = Poly.zero(F)
-            for i, cf in enumerate(p.coeffs):
-                if cf:
-                    out = out + (pn[i] * pd[n - i]).scale(cf)
-            return out
-
-        new_num = subst(self.num)
-        new_den = subst(self.den)
-        if not new_den.code:
-            raise ZeroDivisionError("coordinate change maps denominator to zero")
-        return RatFun(new_num, new_den)
 
     def __str__(self):
         if self.den.degree == 0:
@@ -371,58 +333,3 @@ def parse_ratfun(field, text):
                              f"{total.den.degree}, above the cap of "
                              f"{MAX_EXPONENT}")
     return total
-
-
-# ---------------------------------------------------------------------------
-# Partial fractions, used by the standard-form reduction.
-
-def principal_parts(f):
-    """Polynomial part and per-place principal parts of f.
-
-    Returns (poly_part, parts) where parts maps each monic irreducible
-    divisor q of the denominator to the list [r_1, ..., r_e] with
-    f = poly_part + sum over places of sum_i r_i / q^i and deg r_i < deg q.
-    """
-    poly_part, rem = divmod(f.num, f.den)
-    parts = {}
-    for (q, e) in P.factor(f.den):
-        qe = q
-        for _ in range(e - 1):
-            qe = qe * q
-        c = (rem * P.invmod(f.den // qe, qe)) % qe
-        digits = []
-        for _ in range(e):
-            c, r = divmod(c, q)
-            digits.append(r)  # digits[j] = coefficient of q^j
-        parts[q] = digits[::-1]  # r_i = digit e-i
-    return poly_part, parts
-
-
-def assemble(field, poly_part, parts):
-    """Inverse of principal_parts: rebuild the rational function.
-
-    Trailing zero digits are dropped, so each place q left has a nonzero
-    top digit r_e and contributes H_q / q^e with H_q = sum_i r_i q^(e-i),
-    which is r_e, a nonzero residue, mod q.  So the sum over the common
-    denominator, the product of the q^e, is already in lowest terms, and
-    monic: it is built with no gcd.
-    """
-    places = []
-    for q, rs in parts.items():
-        e = len(rs)
-        while e and not rs[e - 1].code:
-            e -= 1
-        if not e:
-            continue
-        h, qe = rs[0], q
-        for r in rs[1:e]:
-            h = h * q + r
-            qe = qe * q
-        places.append((qe, h))
-    den = Poly.one(field)
-    for qe, _ in places:
-        den = den * qe
-    num = poly_part * den
-    for qe, h in places:
-        num = num + (den // qe) * h
-    return RatFun.lowest_terms(num, den)

@@ -42,6 +42,52 @@ def squarings_trace(F, a):
     return acc
 
 
+def constant_bits(f):
+    """The value of a constant function, as raw bits."""
+    assert f.is_constant
+    return f.num.coeff(0)
+
+
+def infinity_value(f):
+    """Value of f at infinity as raw bits, or None if infinity is a pole."""
+    dn, dd = f.num.degree, f.den.degree
+    if dn > dd:
+        return None
+    if dn < dd:
+        return 0
+    return f.field.mul(f.num.lc, f.field.inv(f.den.lc))
+
+
+def mobius(f, a, b, c, d):
+    """f with x -> (a*x + b)/(c*x + d) substituted; coefficients are raw
+    bits."""
+    F = f.field
+    det = F.mul(a, d) ^ F.mul(b, c)
+    if det == 0:
+        raise ValueError("singular coordinate change")
+    lin_num = Poly.make(F, (b, a))
+    lin_den = Poly.make(F, (d, c))
+    n = max(f.num.degree, f.den.degree, 0)
+    pn = [Poly.one(F)]
+    pd = [Poly.one(F)]
+    for _ in range(n):
+        pn.append(pn[-1] * lin_num)
+        pd.append(pd[-1] * lin_den)
+
+    def subst(p):
+        out = Poly.zero(F)
+        for i, cf in enumerate(p.coeffs):
+            if cf:
+                out = out + (pn[i] * pd[n - i]).scale(cf)
+        return out
+
+    new_num = subst(f.num)
+    new_den = subst(f.den)
+    if not new_den.code:
+        raise ZeroDivisionError("coordinate change maps denominator to zero")
+    return RatFun(new_num, new_den)
+
+
 @pytest.fixture
 def rng():
     return random.Random(0)

@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import rand_ratfun, raw_pairs
+from conftest import constant_bits, mobius, rand_ratfun, raw_pairs
 from kleinfour.ascurve import (ASCurve, DegenerateCover, Invariants,
-                               PackedLayout, ReducedForm, reduce_form,
-                               reduce_standard)
+                               PackedLayout, ReducedForm, canonical_form,
+                               principal_parts, reduce_form, reduce_standard)
 from kleinfour.field import GF2, GF4
-from kleinfour.poly import Poly
+from kleinfour.poly import Poly, factor
 from kleinfour.ratfun import RatFun, parse_ratfun
 
 
@@ -30,9 +30,9 @@ def test_reduce_constant_normalization():
     # trace-0 constants vanish; trace-1 constants become the canonical one
     assert reduce_standard(pr("1", GF4)).is_zero  # trace(1) = 0 in GF(4)
     one_f2 = reduce_standard(pr("1", GF2))
-    assert one_f2.is_constant and one_f2.constant_bits() == 1
+    assert one_f2.is_constant and constant_bits(one_f2) == 1
     f = reduce_standard(parse_ratfun(GF4, "a+1"))  # trace 1, canonical is a
-    assert f.is_constant and f.constant_bits() == 2
+    assert f.is_constant and constant_bits(f) == 2
 
 
 def test_reduce_finite_even_order():
@@ -85,7 +85,7 @@ def test_invariants_of_reduced_sum_match_curve(pair):
     f1, f2 = pair
     r3 = reduce_standard(f1) + reduce_standard(f2)
     assume(not r3.is_constant)
-    assert ReducedForm.of(r3).invariants() == ASCurve(f1 + f2).invariants
+    assert principal_parts(r3).invariants() == ASCurve(f1 + f2).invariants
     curve = ASCurve.from_form(reduce_form(f1) + reduce_form(f2))
     assert curve.f == r3
     assert curve == ASCurve(f1 + f2)
@@ -99,8 +99,54 @@ def test_reduce_form_is_the_vector_of_reduce_standard(pair):
     # to a RatFun and reading its vector back
     for f in pair:
         v = reduce_form(f)
-        assert v == ReducedForm.of(reduce_standard(f))
+        assert v == principal_parts(reduce_standard(f))
         assert v.to_ratfun() == reduce_standard(f)
+
+
+# -- laws of the partial-fraction vectors ------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs())
+def test_principal_parts_are_linear(pair):
+    # partial fractions are unique, so a sum's are the XOR of the summands'
+    f1, f2 = pair
+    assert principal_parts(f1 + f2) == \
+        principal_parts(f1) + principal_parts(f2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs())
+def test_canonical_form_is_idempotent_and_linear(pair):
+    f1, f2 = pair
+    v1, v2 = principal_parts(f1), principal_parts(f2)
+    c1, c2 = canonical_form(v1), canonical_form(v2)
+    for c in (c1, c2):
+        assert canonical_form(c) == c
+        assert principal_parts(c.to_ratfun()) == c
+    assert canonical_form(v1 + v2) == c1 + c2
+    assert canonical_form(principal_parts(f1 + f2)) == c1 + c2
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs())
+def test_principal_parts_round_trip(pair):
+    for f in pair:
+        assert principal_parts(f).to_ratfun() == f
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs())
+def test_principal_parts_digits_are_residues(pair):
+    # at a pole q^e the digits r_1..r_e, each of degree below deg q, fill
+    # exactly e slots: none spills above r_e's, and r_e is nonzero
+    for f in pair:
+        v = principal_parts(f)
+        poles = factor(f.den)
+        assert sorted(v.places) == sorted(q.code for q, _ in poles)
+        for q, e in poles:
+            width = f.field.degree * q.degree
+            d = v.places[q.code]
+            assert d >> (e - 1) * width and not d >> e * width, (f, q)
 
 
 @settings(max_examples=300, deadline=None)
@@ -129,11 +175,11 @@ def test_reduced_form_laws(pair):
     # the XOR of vectors, and bit lengths give the invariants
     f1, f2 = pair
     r1, r2 = reduce_standard(f1), reduce_standard(f2)
-    v1, v2 = ReducedForm.of(r1), ReducedForm.of(r2)
+    v1, v2 = principal_parts(r1), principal_parts(r2)
     assert v1.to_ratfun() == r1 and v2.to_ratfun() == r2
     v3 = v1 + v2
-    assert v3 == ReducedForm.of(r1 + r2)
-    assert v3.key() == ReducedForm.of(reduce_standard(f1 + f2)).key()
+    assert v3 == principal_parts(r1 + r2)
+    assert v3.key() == principal_parts(reduce_standard(f1 + f2)).key()
     assert v3.is_constant == (r1 + r2).is_constant
     assert (v1 + v1).key() == (0, frozenset())
     for f, v, r in ((f1, v1, r1), (f1 + f2, v3, r1 + r2)):
@@ -175,17 +221,17 @@ def test_packed_layout_refuses_what_does_not_fit():
 def test_reduced_form_layout():
     # x^3 + 1/x over GF(4): x^3 at 2 bits per coefficient, the place x
     # packed as 0b0100, its digit r_1 = 1
-    v = ReducedForm.of(reduce_standard(parse_ratfun(GF4, "x^3 + 1/x")))
+    v = principal_parts(reduce_standard(parse_ratfun(GF4, "x^3 + 1/x")))
     assert v.poly == 1 << 6 and v.places == {0b0100: 1}
     assert v.invariants() == (2, 1)
     # 1/(x^2+x+1)^3 over GF(2): digits r_1, r_2, r_3 at 2 bits each
-    v = ReducedForm.of(reduce_standard(pr("1/(x^2+x+1)^3")))
+    v = principal_parts(reduce_standard(pr("1/(x^2+x+1)^3")))
     assert v.poly == 0 and list(v.places) == [0b111]
     assert v.places[0b111].bit_length() in (5, 6)
     assert v.invariants() == (3, 1)
-    assert ReducedForm.of(reduce_standard(pr("1"))).is_constant
+    assert principal_parts(reduce_standard(pr("1"))).is_constant
     with pytest.raises(ValueError):
-        v + ReducedForm.of(reduce_standard(parse_ratfun(GF4, "x")))
+        v + principal_parts(reduce_standard(parse_ratfun(GF4, "x")))
 
 
 def test_from_form_rejects_constant():
@@ -254,7 +300,7 @@ def test_invariants_invariance(rng):
             a, b, c_, d = (rng.randrange(4) for _ in range(4))
             if F.mul(a, d) ^ F.mul(b, c_):
                 break
-        assert ASCurve(f.mobius(a, b, c_, d)).invariants == base
+        assert ASCurve(mobius(f, a, b, c_, d)).invariants == base
 
 
 def test_two_rank_at_most_genus(rng):

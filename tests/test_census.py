@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import raw_pairs
 from kleinfour import census, poly
-from kleinfour.ascurve import (ASCurve, PackedLayout, canonical_form,
-                               reduce_form, reduce_standard)
+from kleinfour.ascurve import (ASCurve, PackedLayout, ReducedForm,
+                               base_digits, canonical_form, reduce_form,
+                               reduce_standard)
 from kleinfour.census import (BasisTables, CensusCell, CensusViolation,
                               coprime_codes, count_covers, enumerate_functions,
                               factored_denominators, fold_keys,
@@ -20,7 +21,7 @@ from kleinfour.census import (BasisTables, CensusCell, CensusViolation,
 from kleinfour.cli import EXIT_BAD_INPUT, EXIT_MISMATCH, main
 from kleinfour.field import GF2, GF4, BinaryField, span
 from kleinfour.klein4 import KleinFourCover, Partition
-from kleinfour.poly import Poly, factor, gcd, unpack
+from kleinfour.poly import Poly, factor, gcd, poly_of, unpack
 from kleinfour.ratfun import RatFun, parse_ratfun
 from kleinfour.realize import Verdict
 
@@ -542,18 +543,12 @@ def place_inverses(den):
 
 
 def partial_fractions(num, den, places):
-    """(poly_part, parts) of num/den as in `principal_parts`, given
+    """The vector of num/den as `principal_parts` builds it, given
     `place_inverses(den)`; a place num/den cancels gets all-zero digits."""
     poly_part, rem = divmod(num, den)
-    parts = {}
-    for (q, e, qe, inv) in places:
-        c = (rem * inv) % qe
-        digits = []
-        for _ in range(e):
-            c, r = divmod(c, q)
-            digits.append(r)  # digits[j] = coefficient of q^j
-        parts[q] = digits[::-1]  # r_i = digit e-i
-    return poly_part, parts
+    return ReducedForm(num.field, poly_part.code, {
+        q.code: base_digits((rem * inv) % qe, q, e)
+        for (q, e, qe, inv) in places})
 
 
 def reference_basis_forms(den, n):
@@ -563,12 +558,14 @@ def reference_basis_forms(den, n):
     places = place_inverses(den)
     forms = []
     for i in range(n):
-        poly_part, parts = partial_fractions(Poly.monomial(F, i), den, places)
+        v = partial_fractions(Poly.monomial(F, i), den, places)
         for b in range(F.degree):
-            c = 1 << b
-            forms.append(canonical_form(
-                F, poly_part.scale(c),
-                {q: [r.scale(c) for r in rs] for q, rs in parts.items()}))
+            # packed digits are m-bit coefficients, as in a Poly's code
+            def scaled(code):
+                return poly_of(F, code).scale(1 << b).code
+            forms.append(canonical_form(ReducedForm(
+                F, scaled(v.poly),
+                {q: scaled(d) for q, d in v.places.items()})))
     return forms
 
 

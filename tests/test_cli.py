@@ -284,3 +284,39 @@ def test_verify_output_is_unchanged(capsys, argv):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         VERIFY_OUTPUT_SHA256[argv]
+
+
+# sha256 of outputs with no oracle in them: the full g = 20 table, and
+# canonical forms of inputs with even-order poles at several places,
+# degree-2 places of order 4 and 6 among them, as printed when
+# partial fractions were still lists of digit polynomials.
+OUTPUT_SHA256 = {
+    "table -g 20 --json":
+        "4330db43ef45898cfa6408f510d199bc"
+        "0fa9a2595052479d84db6a3dfb3c977b",
+    "invariants --field gf2 -f x^4+1/x^2+1/(x+1)^4":
+        "c1a8d7c26506e21dcb3c49c747000c9e"
+        "92a6ab46240f68d326757d91009212b5",
+    "invariants --field gf2 -f 1/(x^2+x+1)^4+x^6+1/x^2":
+        "e6c41293d6957867400fbd3dd1e81122"
+        "379547e52cdca5e3dcf519e2a98a3bc4",
+    "invariants --field gf2 -f x/(x^2+x+1)^6+1/(x+1)^2+x^2":
+        "a27fe48b1174d8ed91c1e501fd1a6c26"
+        "975557f2ec6a09f473203b8177c609be",
+    "invariants --field gf4 -f a/(x^2+x+a)^4+x^2+(a+1)/x^4":
+        "ef95faf6f9c74fd404df59aa1b609357"
+        "284522f91dc87566d63a488cf285db3b",
+    "invariants --field gf4 -f 1/(x^2+x+a)^6+a*x^4+1/(x+a)^2":
+        "2783ba91c440cb5ded13f9f9c7801589"
+        "c895bce211546598444095290b7b1d47",
+    "invariants --field gf4 -f (a*x+1)/(x^3+x+1)^2+1/(x+1)^4+x^8":
+        "12644df04d3fd9b69cc54f6c2f7d9886"
+        "d9f5cba3f65e2285fcf8a84423f4c5da",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(OUTPUT_SHA256))
+def test_output_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[argv]

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 
 from conftest import rand_cover, raw_pairs
 from kleinfour.ascurve import (ASCurve, DegenerateCover, ReducedForm,
-                               reduce_form, reduce_standard)
+                               principal_parts, reduce_form, reduce_standard)
 from kleinfour.field import GF2, GF4
 from kleinfour.klein4 import (InvalidCover, InvalidPartition, KleinFourCover,
                               Partition, partitions_of)
@@ -99,7 +99,7 @@ def test_f3_is_the_reduced_sum(pair):
             == [ASCurve(f).invariants for f in (f1, f2, f1 + f2)])
     # the quotients carry the reduced forms the cover was checked on
     assert c.forms == tuple(reduce_form(f) for f in (f1, f2, f1 + f2))
-    assert [q.form for q in c.quotients] == [ReducedForm.of(f) for f in
+    assert [q.form for q in c.quotients] == [principal_parts(f) for f in
                                              (c.f1, c.f2, c.f3)]
     assert KleinFourCover(*c.forms[:2]) == c
 

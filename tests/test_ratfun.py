@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_ratfun
+from conftest import infinity_value, mobius, rand_ratfun
+from kleinfour.ascurve import ReducedForm, principal_parts
 from kleinfour.field import GF2, GF4, BinaryField
-from kleinfour.poly import Poly, gcd, monic_irreducibles
-from kleinfour.ratfun import (INFINITY, Place, RatFun, assemble, parse_ratfun,
-                              principal_parts)
+from kleinfour.poly import (Poly, factor, gcd, monic_irreducibles, pack,
+                            poly_of)
+from kleinfour.ratfun import INFINITY, Place, RatFun, parse_ratfun
 
 
 def pr(text, field=GF2):
@@ -43,16 +44,16 @@ def test_pole_divisor_degree_identity(rng):
 
 def test_mobius_examples():
     f = pr("x")
-    assert str(f.mobius(0, 1, 1, 0)) == "(1) / (x)"  # x -> 1/x
+    assert str(mobius(f, 0, 1, 1, 0)) == "(1) / (x)"  # x -> 1/x
     g = pr("x + 1/x")
-    assert g.mobius(1, 0, 0, 1) == g  # identity
-    shifted = g.mobius(1, 1, 0, 1)  # x -> x+1
+    assert mobius(g, 1, 0, 0, 1) == g  # identity
+    shifted = mobius(g, 1, 1, 0, 1)  # x -> x+1
     assert shifted == pr("x + 1 + 1/(x+1)")
 
 
 def test_mobius_rejects_singular():
     with pytest.raises(ValueError):
-        pr("x").mobius(1, 1, 1, 1)
+        mobius(pr("x"), 1, 1, 1, 1)
 
 
 def test_mobius_roundtrip(rng):
@@ -65,17 +66,17 @@ def test_mobius_roundtrip(rng):
             if det:
                 break
         # inverse transformation, up to the determinant unit
-        g = f.mobius(a, b, c, d).mobius(d, b, c, a)
+        g = mobius(mobius(f, a, b, c, d), d, b, c, a)
         assert g == f
 
 
 def test_infinity_value():
-    assert pr("1/x").infinity_value() == 0
-    assert pr("x").infinity_value() is None
+    assert infinity_value(pr("1/x")) == 0
+    assert infinity_value(pr("x")) is None
     f = pr("(x^2 + 1) / (x^2 + x)", GF2)
-    assert f.infinity_value() == 1
+    assert infinity_value(f) == 1
     g = parse_ratfun(GF4, "(a*x + 1) / (x + a)")
-    assert g.infinity_value() == 2
+    assert infinity_value(g) == 2
 
 
 def test_parse_print_roundtrip(rng):
@@ -120,25 +121,31 @@ def test_principal_parts_reassemble(rng):
     for field in (GF2, GF4):
         for _ in range(100):
             f = rand_ratfun(rng, field, 6)
-            poly_part, parts = principal_parts(f)
-            assert assemble(field, poly_part, parts) == f
-            for q, rs in parts.items():
-                assert all(r.degree < q.degree for r in rs)
-                assert rs[-1].coeffs  # top coefficient nonzero
+            v = principal_parts(f)
+            assert v.to_ratfun() == f
+            for (q, e) in factor(f.den):
+                width = field.degree * q.degree
+                d = v.places[q.code]
+                assert d >> (e - 1) * width  # top digit r_e nonzero
+                assert not d >> e * width  # r_1..r_e, each below q
+            assert len(v.places) == len(factor(f.den))
 
 
-# -- assemble against the RatFun-sum assembly it replaced -----------------------
+# -- to_ratfun against the sum of one RatFun per digit ----------------------
 
-def sum_assemble(field, poly_part, parts):
-    """Reference: poly_part plus one RatFun per nonzero digit, each sum
-    reduced to lowest terms by RatFun's gcd."""
-    f = RatFun.from_poly(poly_part)
-    for q, rs in parts.items():
-        qi = Poly.one(field)
-        for i, r in enumerate(rs, start=1):
+def sum_assemble(v):
+    """Reference: the polynomial part plus one RatFun per nonzero digit,
+    each sum reduced to lowest terms by RatFun's gcd."""
+    F = v.field
+    f = RatFun.from_poly(poly_of(F, v.poly))
+    for qv, d in v.places.items():
+        q, qi = poly_of(F, qv), Poly.one(F)
+        width = qv.bit_length() - 1
+        for i in range(-(-d.bit_length() // width)):
             qi = qi * q
-            if r.coeffs:
-                f = f + RatFun(r, qi)
+            r = d >> i * width & (1 << width) - 1
+            if r:
+                f = f + RatFun(poly_of(F, r), qi)
     return f
 
 
@@ -149,41 +156,28 @@ PLACES = {F: list(monic_irreducibles(F, 3 if F is GF2 else 2))
 
 @st.composite
 def partial_fraction_data(draw):
-    """A polynomial part and digits at a few places, where digits are often
-    0, so that top digits are 0 and some places are all zeros."""
+    """A vector with a polynomial part and digits at a few places, where
+    digits are often 0, top digits included."""
     F = draw(st.sampled_from(sorted(PLACES, key=lambda F: F.degree)))
-    elt = st.integers(0, F.order - 1)
-
-    def poly(n):
-        return Poly.make(F, draw(st.lists(elt, max_size=n)))
-    places = draw(st.lists(st.sampled_from(PLACES[F]), max_size=4,
-                           unique_by=lambda q: q.coeffs))
-    parts = {}
-    for q in places:
-        e = draw(st.integers(0, 3))
-        parts[q] = [poly(q.degree) if draw(st.booleans()) else Poly.zero(F)
-                    for _ in range(e)]
-    return F, poly(4), parts
+    places = {}
+    for q in draw(st.lists(st.sampled_from(PLACES[F]), max_size=4,
+                           unique_by=lambda q: q.code)):
+        width = F.degree * q.degree
+        digits = [draw(st.integers(0, (1 << width) - 1))
+                  if draw(st.booleans()) else 0
+                  for _ in range(draw(st.integers(0, 3)))]
+        if any(digits):
+            places[q.code] = pack(digits, width)
+    return ReducedForm(F, draw(st.integers(0, (1 << 4 * F.degree) - 1)),
+                       places)
 
 
 @settings(max_examples=300, deadline=None)
 @given(partial_fraction_data())
-def test_assemble_matches_the_ratfun_sum(case):
-    F, poly_part, parts = case
-    f = assemble(F, poly_part, parts)
-    assert f == sum_assemble(F, poly_part, parts)
+def test_assemble_matches_the_ratfun_sum(v):
+    f = v.to_ratfun()
+    assert f == sum_assemble(v)
     assert f.den.is_monic
     assert gcd(f.num, f.den).degree == 0
     if f.num.coeffs:
         assert f.num.coeffs[-1] != 0
-
-
-def test_assemble_drops_zero_digits():
-    q = Poly.make(GF2, [1, 1])  # x + 1
-    x = Poly.x(GF2)
-    zero, one = Poly.zero(GF2), Poly.one(GF2)
-    parts = {q: [one, zero, zero], x: [zero, zero]}
-    f = assemble(GF2, x, parts)
-    assert f == pr("x + 1/(x+1)")
-    assert f.den == q and f.num == x * q + one
-    assert assemble(GF2, zero, {q: [zero]}) == RatFun.zero(GF2)
