@@ -10,7 +10,8 @@ kept on the field instance, for the one loop that multiplies many elements
 of one field: the point counts in `zeta`.  Polynomial arithmetic in `poly`
 runs on packed codes and reads no tables.
 The absolute trace is GF(2)-linear: it is the parity of an element's bits
-under `trace_mask`, built once per field as sums of squarings.
+under `trace_mask`, read once per field off `trace_bits`, the traces of the
+powers of the generator, which Newton's identities give from the modulus.
 
 There is one instance per field.  A registry maps (degree, modulus) to the
 live field, so building a field that exists returns it, and fields compare
@@ -245,17 +246,25 @@ class BinaryField(Frozen):
         return r
 
     @functools.cached_property
+    def trace_bits(self):
+        """Bit k is Tr(a^k) for k < 2m - 1.  Tr(a^k) is the power sum p_k
+        of the modulus's roots, the conjugates of a, so Newton's identities
+        mod 2 give it from the coefficients c_i of x^(m-i):
+        p_k = c_1 p_(k-1) + ... + c_m p_(k-m) (terms with k - i >= 1),
+        plus k c_k for k <= m, and p_0 = Tr(1) = m."""
+        m = self.degree
+        low = self.modulus ^ (1 << m)  # bit m - i is c_i
+        bits = 0  # bit j is p_j for 1 <= j < k
+        for k in range(1, 2 * m - 1):
+            # bit m - i is p_(k-i), and k mod 2 where i = k (the k c_k term)
+            window = (bits | k & 1) << (m - k) if k <= m else bits >> (k - m)
+            bits |= ((low & window).bit_count() & 1) << k
+        return bits | m & 1
+
+    @functools.cached_property
     def trace_mask(self):
-        """The bits whose parity is the absolute trace: bit i is Tr(2^i),
-        the sum of the squarings (2^i)^(2^k) for k < m."""
-        mask = 0
-        for i in range(self.degree):
-            acc = t = 1 << i
-            for _ in range(self.degree - 1):
-                t = self.sqr(t)
-                acc ^= t
-            mask |= acc << i  # acc is 0 or 1
-        return mask
+        """The bits whose parity is the absolute trace: bit i is Tr(2^i)."""
+        return self.trace_bits & (self.order - 1)
 
     def trace(self, a):
         """Absolute trace down to GF(2), an int in {0,1}: it is GF(2)-linear,

@@ -30,10 +30,14 @@ a place share it; f is regular where no place vanishes, which is where D
 is nonzero.  Shifts fold each lane's parity into its bit 0.  Those bit
 planes are memoized per (curve, d), and one fibre rule, `_points`, counts
 points from bit counts of their ANDs: a cover reads its three quotients'
-planes, and N_1..N_n share the planes of the divisors of n.  Infinity is
-one more lane, read off the forms' constant digits.  Above 16 bits, every
-element of GF(q^n) is evaluated with the bit-loop arithmetic on the
-curves' RatFuns, and each is one lane for the same rule.
+planes, never their tallies or counts.  Infinity is one more point of
+degree 1, read off the forms' constant digits.  The points over degree d
+depend on n only through the parity of n/d, so they are tallied once per
+(curves, d) for both parities and memoized, and N_n is the sum of the
+tallies at the divisors d of n: no plane is read twice for one tuple of
+curves.  Above 16 bits, every element of GF(q^n) is evaluated with the
+bit-loop arithmetic on the curves' RatFuns, and each is one lane for the
+same rule.
 
 For a quotient curve, counts N_1..N_g determine the L-polynomial through
 Newton's identities plus the functional equation, and the 2-rank is read
@@ -50,6 +54,7 @@ import struct
 import sys
 from collections import namedtuple
 
+from . import field
 from .ascurve import ASCurve
 from .field import MAX_DEGREE, TABLE_MAX_DEGREE, BinaryField, span
 from .klein4 import KleinFourCover
@@ -80,29 +85,34 @@ def _eval(coeffs, x, mul):
     return acc
 
 
-def _points(planes, ones, odd):
-    """Points over the closed points in the lanes of ones, from each
-    function's (trace, regular) planes there: one curve, or a cover's three
-    quotients.  odd is the parity of n/d, which carries each trace bit up to
-    GF(q^n).  Where f is regular its fibre is 2 or 0 as that bit is 0 or 1,
-    and where f has a pole it is one point.  For a cover, f3 is read only
-    over a pole of f1 or f2: elsewhere the fibre is the product of the f1
-    and f2 fibres.  Over a pole exactly one function is regular, and its
-    bit decides a fibre of 2 or 0, or none is and the fibre is one point; a
-    pole of exactly one of three functions cannot occur since f3 = f1 + f2.
+def _points(planes, ones):
+    """Points over the closed points of degree d in the lanes of ones, from
+    each function's (trace, regular) planes there: one curve, or a cover's
+    three quotients.  Returns them over GF(q^n) for n/d even and for n/d
+    odd: the trace bit over GF(q^n) is n/d times the bit over GF(q^d), so
+    it is 0 for even n/d and the plane's bit for odd.  Where f is regular
+    its fibre is 2 or 0 as that bit is 0 or 1, and where f has a pole it is
+    one point.  For a cover, f3 is read only over a pole of f1 or f2:
+    elsewhere the fibre is the product of the f1 and f2 fibres.  Over a
+    pole exactly one function is regular, and its bit decides a fibre of 2
+    or 0, or none is and the fibre is one point; a pole of exactly one of
+    three functions cannot occur since f3 = f1 + f2.
     """
-    even = [r ^ t if odd else r for t, r in planes]  # regular, trace 0
     if len(planes) == 1:
-        return 2 * even[0].bit_count() + (ones ^ planes[0][1]).bit_count()
-    (_, r1), (_, r2), (_, r3) = planes
-    e1, e2, e3 = even
+        (t, r), = planes
+        ramified = (ones ^ r).bit_count()
+        return 2 * r.bit_count() + ramified, 2 * (r ^ t).bit_count() + ramified
+    (t1, r1), (t2, r2), (t3, r3) = planes
     poles = ones ^ (r1 & r2)
     if poles & r3 & (r1 | r2):
         raise AssertionError(
             "a place supporting exactly one pole contradicts f3 = f1+f2")
-    return (4 * (e1 & e2).bit_count()
-            + 2 * (poles & (e1 | e2 | e3)).bit_count()
-            + (ones ^ (r1 | r2 | r3)).bit_count())
+    ramified = (ones ^ (r1 | r2 | r3)).bit_count()
+
+    def points(e1, e2, e3):  # e_i: f_i is regular with trace bit 0
+        return (4 * (e1 & e2).bit_count()
+                + 2 * (poles & (e1 | e2 | e3)).bit_count() + ramified)
+    return points(r1, r2, r3), points(r1 ^ t1, r2 ^ t2, r3 ^ t3)
 
 
 def _orbit_reps(q, d):
@@ -138,8 +148,9 @@ def _trace_duals(fld):
     Tr(2^i c), so that Tr(u/v) = |u & W[v]| mod 2 for every v != 0.  w is
     GF(2)-linear, so it is spanned from its values at the basis 2^j."""
     log, exp = fld.log_tables()
-    w = span([sum(fld.trace(fld.mul(1 << i, 1 << j)) << i
-                  for i in range(fld.degree)) for j in range(fld.degree)])
+    # bit i of w(2^j) is Tr(2^(i+j)), bit i + j of trace_bits
+    w = span([fld.trace_bits >> j & (fld.order - 1)
+              for j in range(fld.degree)])
     by_log = list(map(w.__getitem__, exp[fld.order - 1:0:-1]))  # w(g^-k)
     code = _lane_code(fld.degree)
     return memoryview(struct.pack(f"{fld.order}{code}", 0, *map(
@@ -226,7 +237,8 @@ def _dual(base, q, i, d):
 
 
 # Keys are (curve, d).  A verify call uses at most 3 * 16, its three
-# quotients at each d <= 16, and a cover's count reads its quotients'.
+# quotients at each d <= 16, and reads each twice: for the quotient's
+# tally and for the cover's.
 @functools.lru_cache(maxsize=64)
 def _planes(curve, d):
     """(trace bits, regular bits) of a curve's reduced form over the closed
@@ -279,23 +291,36 @@ def _element_points(fns, ext, embed):
                 continue
             v = mul(_eval(num, x, mul), inv(d))
             planes.append(((v & tmask).bit_count() & 1, 1))
-        total += _points(planes, 1, 1)
+        total += _points(planes, 1)[1]
     return total
+
+
+# Keys are (curves, d).  A verify call uses at most 4 * 16, its three
+# quotients and the cover at each d <= 16, and the witnesses of one table
+# share quotients.
+@functools.lru_cache(maxsize=256)
+def _tallies(curves, d):
+    """d times the points over the closed points of degree d, for n/d even
+    and odd, from the curves' planes; the d = 1 entry also holds infinity."""
+    even, odd = _points([_planes(c, d) for c in curves],
+                        _lanes(curves[0].field, d)[3])
+    if d == 1:  # infinity is one more point of degree 1
+        at_infinity = _points(
+            [_planes_at_infinity(c.form) for c in curves], 1)
+        return even + at_infinity[0], odd + at_infinity[1]
+    return d * even, d * odd
 
 
 def _count(curves, n):
     """Points over GF(q^n) of the fibre product of the curves over P^1:
     (curve,) for a curve, its three quotients for a Klein-four cover."""
     base = curves[0].field
+    if 1 <= n and base.degree * n <= field.TABLE_MAX_DEGREE:
+        return sum(_tallies(curves, d)[(n // d) & 1]
+                   for d in range(1, n + 1) if n % d == 0)
     ext, embed = _extension(base, n)
-    total = _points([_planes_at_infinity(c.form) for c in curves], 1, n & 1)
-    if ext.log_tables() is None:
-        return total + _element_points([c.f for c in curves], ext, embed)
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total += d * _points([_planes(c, d) for c in curves],
-                                 _lanes(base, d)[3], (n // d) & 1)
-    return total
+    return (_points([_planes_at_infinity(c.form) for c in curves], 1)[n & 1]
+            + _element_points([c.f for c in curves], ext, embed))
 
 
 def count_points(curve, n):
@@ -527,10 +552,18 @@ def verify(target, depth=None, max_bits=MAX_DEGREE):
     depth defaults to (claimed genus + 1) extensions per quotient, enough
     to pin the L-polynomial and exercise the functional-equation check.
     max_bits bounds the total evaluation field; reports that hit it come
-    back flagged as truncated.  A negative depth raises ValueError.
+    back flagged as truncated.  A depth or max_bits that is not an int
+    raises TypeError; a negative depth, or a max_bits below 1, raises
+    ValueError.
     """
+    if not isinstance(depth, (int, type(None))):
+        raise TypeError(f"verify depth must be an int, got {depth!r}")
+    if not isinstance(max_bits, int):
+        raise TypeError(f"verify max_bits must be an int, got {max_bits!r}")
     if depth is not None and depth < 0:
         raise ValueError(f"verify depth must be >= 0, got {depth}")
+    if max_bits < 1:
+        raise ValueError(f"verify max_bits must be >= 1, got {max_bits}")
     max_bits = min(max_bits, MAX_DEGREE)
     if isinstance(target, ASCurve):
         if depth is None:

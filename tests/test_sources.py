@@ -49,7 +49,7 @@ def lru_caches():
 def test_every_lru_cache_is_bounded():
     caches = dict(lru_caches())
     assert {"poly._factor_cached", "poly.field_embedding",
-            "zeta._planes", "zeta._dual",
+            "zeta._tallies", "zeta._planes", "zeta._dual",
             "zeta._trace_duals",
             "field.default_modulus",
             "ascurve.reduce_standard",

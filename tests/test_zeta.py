@@ -181,6 +181,24 @@ def test_verify_refuses_a_negative_depth():
     assert verify(cover).status == "confirmed"
 
 
+def test_verify_refuses_a_max_bits_below_one():
+    with pytest.raises(ValueError, match="max_bits must be >= 1, got -3$"):
+        verify(ASCurve(pr2("x^3")), 2, max_bits=-3)
+    with pytest.raises(ValueError, match="max_bits must be >= 1, got 0$"):
+        verify(KleinFourCover(pr2("x"), pr2("1/x")), max_bits=0)
+
+
+def test_verify_refuses_a_max_bits_that_is_not_an_int():
+    with pytest.raises(TypeError, match="max_bits must be an int, got 2.5$"):
+        verify(ASCurve(pr2("x^3")), 2, max_bits=2.5)
+
+
+def test_verify_refuses_a_depth_that_is_not_an_int():
+    for depth in (2.0, "2"):
+        with pytest.raises(TypeError, match="depth must be an int"):
+            verify(KleinFourCover(pr2("x"), pr2("1/x")), depth)
+
+
 def test_verify_mismatch_when_cap_below_genus():
     c = ASCurve(pr2("x^3 + 1/x + 1/(x+1)"))  # genus 3
     r = verify(c, max_bits=2)
@@ -345,16 +363,18 @@ POLE_PATTERNS = (
 
 @pytest.fixture
 def fresh_zeta_caches():
-    """Empty the plane memo and the lane caches before and after the test,
-    so a run with the table cap patched recomputes every plane instead of
-    reading one memoized by an earlier run."""
-    def clear():
-        for cache in (zeta._planes, zeta._dual, zeta._lanes,
-                      zeta._trace_duals):
-            cache.cache_clear()
-    clear()
+    """Empty the tally and plane memos and the lane caches before and after
+    the test, so a run with the table cap patched recomputes every tally
+    and plane instead of reading one memoized by an earlier run."""
+    clear_zeta_caches()
     yield
-    clear()
+    clear_zeta_caches()
+
+
+def clear_zeta_caches():
+    for cache in (zeta._tallies, zeta._planes, zeta._dual, zeta._lanes,
+                  zeta._trace_duals):
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("table_max_degree", [16, 4])
@@ -374,6 +394,33 @@ def test_counts_match_the_per_element_loops(table_max_degree, monkeypatch,
                 for sub in cov.quotients:
                     assert count_points(sub, n) == \
                         seed_count_points(sub, n), (sub, n)
+
+
+@settings(max_examples=8, deadline=None)
+@given(raw_pairs(max_deg=2, nonzero=True),
+       st.randoms(use_true_random=False))
+def test_tallies_do_not_depend_on_order_or_path(pair, rng):
+    # every n with m*n <= 12 in a shuffled order from empty memos, on the
+    # lanes throughout and then with the cap at 4, where lane and per-element
+    # counts of one curve interleave
+    try:
+        cov = KleinFourCover(*pair)
+    except (InvalidCover, DegenerateCover):
+        assume(False)
+    ns = list(range(1, 12 // cov.field.degree + 1))
+    expected = {n: [seed_count_points_cover(cov, n)]
+                + [seed_count_points(sub, n) for sub in cov.quotients]
+                for n in ns}
+    for cap in (field_module.TABLE_MAX_DEGREE, 4):
+        clear_zeta_caches()
+        rng.shuffle(ns)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(field_module, "TABLE_MAX_DEGREE", cap)
+            for n in ns:
+                assert [count_points_cover(cov, n)] + [
+                    count_points(sub, n) for sub in cov.quotients] \
+                    == expected[n], (cov, n, cap)
+    clear_zeta_caches()
 
 
 @settings(max_examples=100, deadline=None)
@@ -535,9 +582,9 @@ def assert_points_match(planes, ones, odd, expected):
     """_points on the planes equals expected, or raises where it is None."""
     if expected is None:
         with pytest.raises(AssertionError, match="exactly one pole"):
-            zeta._points(planes, ones, odd)
+            zeta._points(planes, ones)
     else:
-        assert zeta._points(planes, ones, odd) == expected
+        assert zeta._points(planes, ones)[odd] == expected
 
 
 def test_points_match_the_reference_fibre_rule_on_one_lane():
@@ -730,18 +777,22 @@ def test_the_widest_lane_counts_exactly():
 def test_verify_computes_each_plane_once(rng, fresh_zeta_caches):
     for cov in (KleinFourCover(pr2("1/x + x^3"), pr2("1/x + x^5")),
                 rand_cover(rng, GF4, max_deg=3)):
-        for cache in (zeta._planes, zeta._dual):
+        for cache in (zeta._tallies, zeta._planes, zeta._dual):
             cache.cache_clear()
         assert verify(cov).confirmed
         depth = max(sub.genus for sub in cov.quotients) + 1
-        # each quotient at each d once; every count N_n, of a quotient or
-        # of the cover, reads the three quotients' planes at each d | n
-        # from the memo, which computed them for N_d
-        info = zeta._planes.cache_info()
-        assert info.misses == info.currsize == 3 * depth
+        # each of the three quotients and the cover is tallied once at each
+        # d <= depth; every count N_n reads its tallies at each d | n from
+        # the memo, which computed them for N_d
+        info = zeta._tallies.cache_info()
+        assert info.misses == info.currsize == 4 * depth
         reads = sum(n % d == 0 for n in range(1, depth + 1)
                     for d in range(1, n + 1))
-        assert info.hits == 2 * 3 * reads - 3 * depth
+        assert info.hits == 4 * (reads - depth)
+        # each quotient's plane at each d is computed once and read twice:
+        # by the quotient's own tally and by the cover's
+        info = zeta._planes.cache_info()
+        assert info.misses == info.currsize == info.hits == 3 * depth
         # each (place, pole order, d) of the three forms once, and only
         # the orders whose digit is nonzero
         duals = {(q, i, d) for form in cov.forms
@@ -776,6 +827,26 @@ def test_trace_duals_give_the_trace_of_every_quotient(F):
         for u in range(F.order):
             assert (F.mul(u, c) & tmask).bit_count() & 1 == \
                 (u & W[v]).bit_count() & 1, (u, v)
+
+
+@pytest.mark.parametrize("F", [BinaryField.default(m)
+                               for m in range(1, MAX_DEGREE + 1)]
+                         + [GF8_ALT], ids=repr)
+def test_trace_bits_are_the_traces_of_the_powers_of_a(F):
+    x = 1  # a^k, where a is 0 in GF(2)
+    for k in range(2 * F.degree - 1):
+        assert F.trace_bits >> k & 1 == squarings_trace(F, x), k
+        x = F.mul(x, 2)
+    assert F.trace_bits >> max(2 * F.degree - 1, 1) == 0
+    assert F.trace_mask == seed_trace_mask(F)
+    # the rows that span W: bit i of row j is Tr(2^i 2^j)
+    rows = [sum(squarings_trace(F, F.mul(1 << i, 1 << j)) << i
+                for i in range(F.degree)) for j in range(F.degree)]
+    assert rows == [F.trace_bits >> j & (F.order - 1)
+                    for j in range(F.degree)]
+    if F.degree <= 12:  # W[v] = w(1/v)
+        W = zeta._trace_duals(F)
+        assert rows == [W[F.inv(1 << j)] for j in range(F.degree)]
 
 
 @pytest.mark.parametrize("m", [12, 16])
