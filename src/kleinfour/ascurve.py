@@ -309,9 +309,6 @@ class ASCurve:
     def two_rank(self):
         return self.invariants.two_rank
 
-    def pole_divisor(self):
-        return self.f.pole_divisor()
-
     def __eq__(self, other):
         return isinstance(other, ASCurve) and self.form == other.form
 

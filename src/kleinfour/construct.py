@@ -383,9 +383,7 @@ def construct_half_minus(g, sigma, p):
             f"this family only reaches even 2-ranks 2..{g - 3}, not {sigma}")
     if p.g != g or 2 * p.entries[0] != g - 1:
         raise ValueError(f"type {p} does not contain (g-1)/2 for g={g}")
-    _, ga, gb = p.entries
-    if gb < 1:
-        raise ValueError(f"type {p} needs two positive companion genera")
+    _, ga, gb = p.entries  # gb >= 1, since ga <= (g-1)/2 = g - ga - gb
     k = sigma // 2
     # the largest ka < ga with kb < gb; a companion of genus 1 alone may
     # take no pack

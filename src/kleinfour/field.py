@@ -4,11 +4,10 @@ Field elements are plain ints holding coefficient bit-vectors: bit i is the
 coefficient of a^i, where `a` is the residue of the generator modulo the
 field's defining polynomial.  Zero and one are the ints 0 and 1 in every
 field.  A BinaryField carries degree and modulus, and its element methods
-(`mul`, `inv`, ...) work on raw ints with bit loops.  Fields of degree at
-most TABLE_MAX_DEGREE also offer log/antilog tables, built on first use and
-kept on the field instance, for the one loop that multiplies many elements
-of one field: the point counts in `zeta`.  Polynomial arithmetic in `poly`
-runs on packed codes and reads no tables.
+(`mul`, `inv`, ...) work on raw ints with bit loops, one element at a
+time.  The field keeps no tables: the one loop that multiplies many
+elements of one field, the point counts, builds its log/antilog tables in
+`zeta`, and polynomial arithmetic in `poly` runs on packed codes.
 The absolute trace is GF(2)-linear: it is the parity of an element's bits
 under `trace_mask`, read once per field off `trace_bits`, the traces of the
 powers of the generator, which Newton's identities give from the modulus.
@@ -26,7 +25,8 @@ on moduli: `default_modulus` takes the first candidate with no factor, and
 again.  `span`, every subset XOR of some ints, is the one GF(2) span.
 
 `Frozen` is the base of the package's immutable value types: fields,
-polynomials, places, pole divisors and construction recipes.
+polynomials, places, pole divisors, genus triples and construction
+recipes.
 
 The canonical GF(4) modulus is a^2+a+1, so the cube root of unity used by
 the witness constructions prints as `a`.
@@ -38,11 +38,6 @@ import functools
 import weakref
 
 MAX_DEGREE = 24  # desk-scale bound: no field larger than GF(2^24)
-# Largest degree with log/antilog tables, which serve only the point counts
-# in `zeta`: at 16 they are int lists of 2^16 and 2^17 entries, about 6 MB,
-# built in about 0.015 s.  Above it `zeta` counts element by element on the
-# bit-loop `mul`.
-TABLE_MAX_DEGREE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -61,20 +56,6 @@ def _mod2(a, b):
         a ^= b << (da - db)
         da = _deg2(a)
     return a
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _smallest_factor2(p):
@@ -153,9 +134,8 @@ class BinaryField(Frozen):
     """GF(2^m) given by an irreducible monic modulus over GF(2).
 
     One instance per (degree, modulus), so two fields are interchangeable
-    exactly when they are the same object (see the module docstring).  Its
-    instance dict holds the cached tables.  All element-level methods take
-    and return raw ints.
+    exactly when they are the same object (see the module docstring).  All
+    element-level methods take and return raw ints.
     """
 
     def __new__(cls, degree, modulus):
@@ -196,9 +176,6 @@ class BinaryField(Frozen):
     @property
     def order(self):
         return 1 << self.degree
-
-    def add(self, a, b):
-        return a ^ b
 
     def mul(self, a, b):
         r = 0
@@ -281,40 +258,6 @@ class BinaryField(Frozen):
         """Smallest element (by bit encoding) with trace 1: the lowest bit
         of trace_mask, as every smaller element misses the mask."""
         return self.trace_mask & -self.trace_mask
-
-    def log_tables(self):
-        """(log, exp) with exp[k] = g^k for the smallest primitive element g.
-
-        exp has 2(2^m - 1) entries, so a sum of two logs indexes it without
-        reduction; log[v] is the k < 2^m - 1 with g^k = v (log[0] is
-        unused).  None for degrees above TABLE_MAX_DEGREE.  Built on first
-        use and kept on the field instance.
-        """
-        if self.degree > TABLE_MAX_DEGREE:
-            return None
-        return self._tables
-
-    @functools.cached_property
-    def _tables(self):
-        n1 = self.order - 1
-        primes = _prime_divisors(n1)
-        g = next(v for v in range(1, self.order)
-                 if all(self.pow(v, n1 // p) != 1 for p in primes))
-        # times g is GF(2)-linear: the XOR of its values on the low h bits
-        # and on the high bits of an element, one lookup each
-        h = (self.degree + 1) // 2
-        low = span([self.mul(1 << i, g) for i in range(h)])
-        high = span([self.mul(1 << i, g) for i in range(h, self.degree)])
-        mask = (1 << h) - 1
-        exp = [1] * n1
-        v = 1
-        for k in range(1, n1):
-            v = low[v & mask] ^ high[v >> h]
-            exp[k] = v
-        log = [0] * self.order
-        for k, v in enumerate(exp):
-            log[v] = k
-        return log, exp + exp
 
     def format_elt(self, bits):
         return _poly2_text(bits, "a")

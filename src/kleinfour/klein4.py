@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 
 from .ascurve import ASCurve, ReducedForm, reduce_form
+from .field import Frozen
 from .ratfun import RatFun
 
 
@@ -26,11 +27,13 @@ class InvalidPartition(ValueError):
     """Not a valid genus triple."""
 
 
-class Partition:
+class Partition(Frozen):
     """Unordered genus triple {g1, g2, g3}, stored sorted descending.
 
     Valid triples have nonnegative entries summing to g with each entry at
-    most (g+1)/2.
+    most (g+1)/2.  Immutable, like the other value types: it is hashed by
+    its entries, and a copy or a pickle is rebuilt, and so validated,
+    through the constructor.
     """
 
     __slots__ = ("entries",)
@@ -43,7 +46,10 @@ class Partition:
         if 2 * entries[0] > g + 1:
             raise InvalidPartition(
                 f"entry {entries[0]} exceeds (g+1)/2 for g={g}")
-        self.entries = tuple(entries)
+        object.__setattr__(self, "entries", tuple(entries))
+
+    def __reduce__(self):
+        return Partition, self.entries
 
     @property
     def g(self):

@@ -17,11 +17,11 @@ Over GF(2) there is one image, so the kernel reduces to carry-less shifts
 and XORs.  It reads no field tables; the bit-loop `mul` and `inv` serve
 only single elements.
 
-Factorization runs squarefree / distinct-degree / equal-degree stages.  The
-equal-degree splitting in characteristic 2 uses the absolute trace map; its
-internal randomness is drawn from a Random seeded by the polynomial itself,
-so results never depend on call order.  The sorted factor list is unique
-whatever the random stream.
+Factorization runs squarefree / distinct-degree / equal-degree stages, and
+draws no random numbers.  The equal-degree splitting in characteristic 2
+uses the absolute trace map on a fixed sequence of candidates, the GF(2)
+basis 2^j x^k (k >= 1) of the residue ring in order.  `is_irreducible` is
+the distinct-degree loop's first step.
 
 `xor_rows` applies a GF(2)-linear map, given by its rows, to a bit vector:
 the kernel scales with it, the census reads its tables with it, and
@@ -33,7 +33,6 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
-import random
 
 from .field import Frozen
 
@@ -384,7 +383,9 @@ def _sqf_decompose(f):
 def _ddf(f):
     """Distinct-degree split of a monic squarefree polynomial.
 
-    Yields (product of irreducible factors of degree d, d).
+    Yields (product of irreducible factors of degree d, d).  For any f of
+    degree >= 1 the first pair has the least degree of an irreducible
+    factor of f, so it is (f, deg f) exactly when f is irreducible.
     """
     F = f.field
     x = Poly.x(F)
@@ -403,25 +404,32 @@ def _ddf(f):
         yield f, f.degree
 
 
-def _edf(f, d, rng):
-    """Split monic squarefree f, all of whose factors have degree d."""
+def _edf(f, d, start=None):
+    """Split monic squarefree f, all of whose factors have degree d.
+
+    Candidate t is u = 2^j x^k with t = k*m + j, from t = start (by
+    default m, the candidate x) up: u splits f exactly when its absolute
+    traces in f's residue fields are not all equal.  A candidate that does
+    not split f splits no factor of f, and the one that does is constant on
+    each part, so each part is split from the next candidate on.  The
+    traces of the basis span GF(2)^r for r factors, and those of the
+    constants (k = 0) are constant, so some candidate splits f when r >= 2.
+    """
     if f.degree == d:
         return [f]
     F = f.field
     nbits = F.degree * d
-    while True:
-        u = poly_of(F, rng.getrandbits(F.degree * f.degree))
-        if u.degree < 1:
-            continue
+    for t in itertools.count(start or F.degree):
+        u = poly_of(F, 1 << t)
         # absolute trace of u in each residue field of degree d
-        t = u
+        tr = u
         s = u
         for _ in range(nbits - 1):
             s = (s * s) % f
-            t = t + s
-        g = gcd(t, f)
+            tr = tr + s
+        g = gcd(tr, f)
         if 0 < g.degree < f.degree:
-            return _edf(g, d, rng) + _edf(f // g, d, rng)
+            return _edf(g, d, t + 1) + _edf(f // g, d, t + 1)
 
 
 # `k4 table -g 12 --verify` factors 8 distinct polynomials and the census
@@ -429,14 +437,10 @@ def _edf(f, d, rng):
 # factors, a few hundred bytes at these degrees.
 @functools.lru_cache(maxsize=1 << 14)
 def _factor_cached(p):
-    F = p.field
-    # tuples of ints hash reproducibly, so the stream depends only on the
-    # polynomial, never on call order
-    rng = random.Random(hash((F.degree, F.modulus, p.code)))
     out = []
     for (sq, mult) in _sqf_decompose(p.monic()):
         for (block, d) in _ddf(sq):
-            for irr in _edf(block, d, rng):
+            for irr in _edf(block, d):
                 out.append((irr, mult))
     out.sort(key=lambda t: t[0].sort_key())
     return tuple(out)
@@ -455,20 +459,11 @@ def factor(p):
 
 
 def is_irreducible(p):
-    """Ben-Or's test: p of degree n is irreducible exactly when no monic
-    irreducible of degree d <= n/2 divides it, that is, when p is prime to
-    x^(Q^d) - x for each such d, Q the field's order.  Most reducible p
-    fail at a small d, so this is much cheaper than factoring them."""
-    if p.degree < 1:
-        return False
-    x = Poly.x(p.field)
-    h = x
-    for _ in range(p.degree // 2):
-        for _ in range(p.field.degree):
-            h = (h * h) % p
-        if gcd(h + x, p).degree > 0:
-            return False
-    return True
+    """p of degree n is irreducible exactly when the distinct-degree loop
+    finds no factor of degree d <= n/2, so that its first block is p
+    itself.  Most reducible p fail at a small d, so this is much cheaper
+    than factoring them."""
+    return p.degree >= 1 and next(_ddf(p))[1] == p.degree
 
 
 def _irreducibles(field):

@@ -158,9 +158,6 @@ class RatFun:
             return NotImplemented
         return RatFun(self.num * other.num, self.den * other.den)
 
-    def scale(self, c):
-        return RatFun(self.num.scale(c), self.den)
-
     def __eq__(self, other):
         return (isinstance(other, RatFun) and self.field == other.field
                 and self.num == other.num and self.den == other.den)

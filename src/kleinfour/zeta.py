@@ -13,31 +13,32 @@ fibre over one of its elements, because the trace over GF(q^n) of an
 element of GF(q^d) is (n/d) times its trace over GF(q^d).  Infinity is a
 degree-1 place.
 
-While m*n <= 16, GF(q^d) has log/antilog tables and the closed points of
-degree d are evaluated all at once.  Each is a lane of a packed int, the
-narrowest native unsigned int that holds an element of GF(q^d), and the
-point 0 is one more lane among those of degree 1.  A polynomial's values
-at every lane are the XOR of cached term vectors, the lanes of b*x^i for
-each power i and basis element b of GF(q) set in its coefficients' bits.
-A curve is read from its reduced form, the polynomial part plus r_i / q^i
-over its places q, never from a num/den RatFun.  With W the per-field
-table of trace duals, spanned by `field.span` from its values at a basis,
-Tr(u/v) is the parity of u & W[v], so the trace bit
-of f is the parity of the XOR of values(poly) & W[1] and values(r_i) & D,
-where D holds W[q^i] in every lane.  D is the only lane-by-lane lookup,
-and it is memoized per (field, place, order, d), so the curves that share
-a place share it; f is regular where no place vanishes, which is where D
-is nonzero.  Shifts fold each lane's parity into its bit 0.  Those bit
-planes are memoized per (curve, d), and one fibre rule, `_points`, counts
-points from bit counts of their ANDs: a cover reads its three quotients'
-planes, never their tallies or counts.  Infinity is one more point of
-degree 1, read off the forms' constant digits.  The points over degree d
-depend on n only through the parity of n/d, so they are tallied once per
-(curves, d) for both parities and memoized, and N_n is the sum of the
-tallies at the divisors d of n: no plane is read twice for one tuple of
-curves.  Above 16 bits, every element of GF(q^n) is evaluated with the
-bit-loop arithmetic on the curves' RatFuns, and each is one lane for the
-same rule.
+While m*n <= TABLE_MAX_DEGREE (16), the closed points of degree d are
+evaluated all at once, on tables of GF(q^d) that only this module builds:
+`_tables` is the one per-field cache, of log, exp and W.  Each closed
+point is a lane of a packed int, the narrowest native unsigned int that
+holds an element of GF(q^d), and the point 0 is one more lane among those
+of degree 1.  A polynomial's values at every lane are the XOR of cached
+term vectors, the lanes of b*x^i for each power i and basis element b of
+GF(q) set in its coefficients' bits.  A curve is read from its reduced
+form, the polynomial part plus r_i / q^i over its places q, never from a
+num/den RatFun.  W, the table of trace duals, is spanned by `field.span`
+from its values at a basis, and Tr(u/v) is the parity of u & W[v], so the
+trace bit of f is the parity of the XOR of values(poly) & W[1] and
+values(r_i) & D, where D holds W[q^i] in every lane.  D is the only
+lane-by-lane lookup, and it is memoized per (field, place, order, d), so
+the curves that share a place share it; f is regular where no place
+vanishes, which is where D is nonzero.  Shifts fold each lane's parity
+into its bit 0.  Those bit planes are memoized per (curve, d), and one
+fibre rule, `_points`, counts points from bit counts of their ANDs: a
+cover reads its three quotients' planes, never their tallies or counts.
+Infinity is one more point of degree 1, read off the forms' constant
+digits.  The points over degree d depend on n only through the parity of
+n/d, so they are tallied once per (curves, d) for both parities and
+memoized, and N_n is the sum of the tallies at the divisors d of n: no
+plane is read twice for one tuple of curves.  Above the cap, every element
+of GF(q^n) is evaluated with the bit-loop arithmetic on the curves'
+RatFuns, and each is one lane for the same rule.
 
 For a quotient curve, counts N_1..N_g determine the L-polynomial through
 Newton's identities plus the functional equation, and the 2-rank is read
@@ -54,11 +55,17 @@ import struct
 import sys
 from collections import namedtuple
 
-from . import field
 from .ascurve import ASCurve
-from .field import MAX_DEGREE, TABLE_MAX_DEGREE, BinaryField, span
+from .field import MAX_DEGREE, BinaryField, span
 from .klein4 import KleinFourCover
 from .poly import field_embedding
+
+
+# Largest degree of a field with tables, log, exp and W, which `_tables`
+# builds for the lanes: at 16, log and exp are int lists of 2^16 entries
+# and W is a packed array, about 5 MB in all, built in about 0.03 s.  Above
+# it every element of GF(q^n) is evaluated on the bit-loop `mul`.
+TABLE_MAX_DEGREE = 16
 
 
 class InconsistentCounts(ValueError):
@@ -143,18 +150,40 @@ def _lane_code(bits):
 
 # One entry per table field.
 @functools.lru_cache(maxsize=2 * TABLE_MAX_DEGREE)
-def _trace_duals(fld):
-    """W in lane format: W[v] = w(1/v) and W[0] = 0, where bit i of w(c) is
+def _tables(fld):
+    """(log, exp, W) for a field of degree m at most TABLE_MAX_DEGREE;
+    above it, ValueError.  exp[k] = g^k for k < 2^m - 1, g the smallest
+    primitive element, and log[v] is the k with g^k = v (log[0] is unused).
+    W is in lane format: W[v] = w(1/v) and W[0] = 0, where bit i of w(c) is
     Tr(2^i c), so that Tr(u/v) = |u & W[v]| mod 2 for every v != 0.  w is
     GF(2)-linear, so it is spanned from its values at the basis 2^j."""
-    log, exp = fld.log_tables()
+    if fld.degree > TABLE_MAX_DEGREE:
+        raise ValueError(f"{fld} is above the table cap "
+                         f"GF(2^{TABLE_MAX_DEGREE})")
+    n1 = fld.order - 1
+    # times g is GF(2)-linear: the XOR of its values on the low h bits and
+    # on the high bits of an element, one lookup each
+    h = (fld.degree + 1) // 2
+    mask = (1 << h) - 1
+    for g in range(1, fld.order):
+        low = span([fld.mul(1 << i, g) for i in range(h)])
+        high = span([fld.mul(1 << i, g) for i in range(h, fld.degree)])
+        exp, v = [1], g
+        while v != 1:
+            exp.append(v)
+            v = low[v & mask] ^ high[v >> h]
+        if len(exp) == n1:  # g's powers return to 1 no earlier than n1
+            break
+    log = [0] * fld.order
+    for k, v in enumerate(exp):
+        log[v] = k
     # bit i of w(2^j) is Tr(2^(i+j)), bit i + j of trace_bits
-    w = span([fld.trace_bits >> j & (fld.order - 1)
-              for j in range(fld.degree)])
-    by_log = list(map(w.__getitem__, exp[fld.order - 1:0:-1]))  # w(g^-k)
+    w = span([fld.trace_bits >> j & n1 for j in range(fld.degree)])
+    by_log = list(map(w.__getitem__, exp[:1] + exp[:0:-1]))  # w(g^-k)
     code = _lane_code(fld.degree)
-    return memoryview(struct.pack(f"{fld.order}{code}", 0, *map(
+    W = memoryview(struct.pack(f"{fld.order}{code}", 0, *map(
         by_log.__getitem__, log[1:]))).cast(code)
+    return log, exp, W
 
 
 def _fold(t, r, width, ones):
@@ -186,10 +215,9 @@ def _lanes(base, d):
     of GF(q^d).  trace holds W[1] in every lane, ones holds 1, and width
     is the lane width in bits."""
     fld, embed = _extension(base, d)
-    log, exp = fld.log_tables()
+    log, exp, W = _tables(fld)
     n1 = fld.order - 1
     reps = _orbit_reps(base.order, d)
-    W = _trace_duals(fld)
     size = len(reps) + (d == 1)  # the point 0 is the last lane of degree 1
     fmt = f"{size}{W.format}"
 
@@ -315,7 +343,7 @@ def _count(curves, n):
     """Points over GF(q^n) of the fibre product of the curves over P^1:
     (curve,) for a curve, its three quotients for a Klein-four cover."""
     base = curves[0].field
-    if 1 <= n and base.degree * n <= field.TABLE_MAX_DEGREE:
+    if 1 <= n and base.degree * n <= TABLE_MAX_DEGREE:
         return sum(_tallies(curves, d)[(n // d) & 1]
                    for d in range(1, n + 1) if n % d == 0)
     ext, embed = _extension(base, n)
@@ -362,10 +390,6 @@ class LPoly(namedtuple("LPoly", "coeffs q")):
 
     __slots__ = ()
 
-    @property
-    def genus(self):
-        return (len(self.coeffs) - 1) // 2
-
     def two_rank(self):
         """Degree of L mod 2."""
         deg = 0
@@ -388,19 +412,6 @@ class LPoly(namedtuple("LPoly", "coeffs q")):
     def predicted_counts(self, upto):
         return [self.q**n + 1 - p
                 for n, p in enumerate(self.power_sums(upto), start=1)]
-
-    def __str__(self):
-        terms = []
-        for i, b in enumerate(self.coeffs):
-            if b == 0:
-                continue
-            if i == 0:
-                terms.append(str(b))
-            elif i == 1:
-                terms.append(f"{b}*T" if b != 1 else "T")
-            else:
-                terms.append(f"{b}*T^{i}" if b != 1 else f"T^{i}")
-        return " + ".join(terms) if terms else "0"
 
 
 def lpoly_from_counts(counts, genus, q=2):
@@ -517,14 +528,14 @@ def _verify_cover(cover, depth, max_bits):
     q = cover.field.order
     failures = []
     max_n = min(depth, max_bits // cover.field.degree)
-    if max_n < depth:
-        report.truncated = True
     quotient_counts = []
     for i, sub in enumerate(cover.quotients, start=1):
         subreport = _verify_curve(sub, depth, max_bits)
         report.quotients.append(subreport)
         if not subreport.confirmed:
             failures.append(f"quotient {i}: {subreport.detail}")
+        # a quotient counts to at least depth, so it is truncated whenever
+        # the cover's identity rows stop short of depth
         report.truncated = report.truncated or subreport.truncated
         # A subreport that counted at all holds N_1..N_max_n; one that
         # stopped short of its genus did not count, so count here.

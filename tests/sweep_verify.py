@@ -13,8 +13,8 @@ Prints the row count and time per genus, the time spent recounting, and
 exits 1 on the first failing cell.  The sweep verifies 657 cells in about
 a second, and recounts them in about another.
 
-Counts over GF(2^17) are above TABLE_MAX_DEGREE, so they evaluate every
-element with the bit-loop arithmetic.  Two of them are checked exactly:
+Counts over GF(2^17) are above `zeta.TABLE_MAX_DEGREE`, so they evaluate
+every element with the bit-loop arithmetic.  Two of them are checked exactly:
 N_17 of y^2 + y = x^3 over GF(2), which is 2^17 + 1 (about 2 s), and the
 count identity at n = 17 for (1/x + x^3, 1/x + x^5) over GF(2), whose
 shared pole at 0 is regular for f3 (about 20 s).  The script imports no
@@ -29,11 +29,12 @@ import time
 from kleinfour import zeta
 from kleinfour.ascurve import ASCurve
 from kleinfour.construct import construct
-from kleinfour.field import GF2, TABLE_MAX_DEGREE
+from kleinfour.field import GF2
 from kleinfour.klein4 import KleinFourCover, partitions_of
 from kleinfour.ratfun import parse_ratfun
 from kleinfour.realize import realizable
-from kleinfour.zeta import count_points, count_points_cover, verify
+from kleinfour.zeta import (TABLE_MAX_DEGREE, count_points,
+                            count_points_cover, verify)
 
 MAX_G = 16
 N_ELEMENT = 17  # the smallest n over GF(2) above the table cap

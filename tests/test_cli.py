@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from kleinfour import cli, zeta
 from kleinfour.cli import main
 
 
@@ -64,6 +65,38 @@ def test_construct_refuses_a_negative_verify_depth(capsys):
     code, out, err = run(capsys, "construct", "-g", "5", "-s", "2",
                          "-p", "2,2,1", "--verify-depth", "-3")
     assert code == 2 and out == "" and "verify depth" in err
+
+
+@pytest.mark.parametrize("partition", ["1,1", "a,b,c"])
+def test_a_malformed_partition_is_bad_input(capsys, partition):
+    for command in ("check", "construct"):
+        code, out, err = run(capsys, command, "-g", "5", "-s", "1",
+                             "-p", partition)
+        assert code == 2 and out == "" and "three integers" in err
+
+
+def test_an_unknown_default_field_is_bad_input(capsys, monkeypatch):
+    monkeypatch.setenv("K4_DEFAULT_FIELD", "gf8")
+    code, out, err = run(capsys, "invariants", "-f", "x^3")
+    assert code == 2 and out == "" and "unknown field 'gf8'" in err
+
+
+def test_a_report_not_confirmed_exits_3(capsys, monkeypatch):
+    # the count oracle's report, marked as a mismatch, as a wrong witness
+    # or a wrong count would leave it
+    def mismatched(target, depth=None):
+        report = zeta.verify(target, depth)
+        report.status = "mismatch"
+        return report
+
+    monkeypatch.setattr(cli, "verify", mismatched)
+    code, doc = run_json(capsys, "construct", "-g", "5", "-s", "2",
+                         "-p", "2,2,1", "--verify-depth", "2")
+    assert code == 3 and doc["report"]["status"] == "mismatch"
+    code, doc = run_json(capsys, "table", "-g", "3", "--verify", "--json")
+    assert code == 3
+    verified = [row["verified"] for row in doc["rows"] if row["exists"]]
+    assert verified and not any(verified)
 
 
 def test_invariants(capsys):

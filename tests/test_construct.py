@@ -18,7 +18,7 @@ from kleinfour.construct import (NotRealizable, _direct, _fill_degrees,
 from kleinfour.field import GF2, GF4, BinaryField
 from kleinfour.klein4 import KleinFourCover, Partition, partitions_of
 from kleinfour.poly import Poly, monic_irreducibles
-from kleinfour.ratfun import parse_ratfun
+from kleinfour.ratfun import INFINITY, parse_ratfun
 from kleinfour.realize import realizable
 
 
@@ -227,6 +227,32 @@ def test_half_minus_contract():
         assert c.invariants == (g, s) and c.type == p
     with pytest.raises(ValueError):
         construct_half_minus(5, 0, Partition(2, 2, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_hyperelliptic(2, 3), "2-rank <= genus"),
+    (lambda: make_hyperelliptic(2, -1), "2-rank <= genus"),
+    (lambda: make_hyperelliptic(2, 1, avoid={INFINITY}), "avoiding it"),
+    (lambda: construct_unbalanced_odd(4, 3, Partition(2, 1, 1)), "odd g"),
+    (lambda: construct_unbalanced_odd(5, 2, Partition(3, 1, 1)), "odd g"),
+    (lambda: construct_unbalanced_odd(5, 3, Partition(2, 2, 1)),
+     r"does not contain \(g\+1\)/2"),
+    (lambda: construct_unbalanced_odd(5, 7, Partition(3, 1, 1)),
+     "does not split"),
+    (lambda: construct_half_minus(6, 2, Partition(3, 2, 1)), "odd g"),
+    (lambda: construct_half_minus(7, 3, Partition(3, 3, 1)), "even sigma"),
+    (lambda: construct_half_minus(7, 0, Partition(3, 3, 1)), r"2\.\.4"),
+    (lambda: construct_half_minus(7, 6, Partition(3, 3, 1)), r"2\.\.4"),
+    (lambda: construct_half_minus(7, 2, Partition(4, 2, 1)),
+     r"does not contain \(g-1\)/2"),
+    # k = 1 cannot go to a companion of genus 2 or more and leave the other
+    # one a pack: the cell is realizable, and `construct` builds it another way
+    (lambda: construct_half_minus(9, 2, Partition(4, 3, 2)),
+     "does not split"),
+])
+def test_families_refuse_input_outside_them(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_sigma0_schemes():

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import squarings_trace
-from kleinfour import field as field_module
+from kleinfour import zeta
 from kleinfour.field import (GF2, GF4, MAX_DEGREE, BinaryField, _poly2_text,
                              default_modulus)
 
@@ -189,14 +189,17 @@ def test_fields_interchangeable_only_if_identical():
     assert BinaryField.default(3) != BinaryField(3, 0b1101)
 
 
+# The log/antilog tables are built and held by `zeta`, the one module that
+# reads them; these tests check them against the bit loop.
+
 def table_mul(tables, a, b):
-    log, exp = tables
-    return exp[log[a] + log[b]] if a and b else 0
+    log, exp, _ = tables
+    return exp[(log[a] + log[b]) % len(exp)] if a and b else 0
 
 
 def table_inv(tables, a):
-    log, exp = tables
-    return exp[len(exp) // 2 - log[a]]
+    log, exp, _ = tables
+    return exp[-log[a] % len(exp)]
 
 
 def multiplicative_order(F, v):
@@ -212,14 +215,17 @@ TABLE_FIELDS = [BinaryField.default(m) for m in range(1, 7)] + [
 
 @pytest.mark.parametrize("F", TABLE_FIELDS, ids=repr)
 def test_tables_match_bit_loop_exhaustive(F):
-    tables = F.log_tables()
-    log, exp = tables
+    tables = zeta._tables(F)
+    log, exp, _ = tables
     n1 = F.order - 1
-    assert len(exp) == 2 * n1
-    assert sorted(exp[:n1]) == list(range(1, F.order))
+    assert len(exp) == n1
+    assert sorted(exp) == list(range(1, F.order))
     assert all(log[exp[k]] == k for k in range(n1))
-    # the generator exp[1] is the smallest element of multiplicative order n1
-    assert all(multiplicative_order(F, v) < n1 for v in range(1, exp[1]))
+    # the generator g = exp[1 % n1] is the smallest element of
+    # multiplicative order n1 (in GF(2), exp[0] = 1)
+    g = exp[1 % n1]
+    assert multiplicative_order(F, g) == n1
+    assert all(multiplicative_order(F, v) < n1 for v in range(1, g))
     for a in range(F.order):
         for b in range(F.order):
             assert table_mul(tables, a, b) == F.mul(a, b)
@@ -230,9 +236,9 @@ def test_tables_match_bit_loop_exhaustive(F):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_tables_match_bit_loop_sampled(data):
-    m = data.draw(st.integers(7, field_module.TABLE_MAX_DEGREE))
+    m = data.draw(st.integers(7, zeta.TABLE_MAX_DEGREE))
     F = BinaryField.default(m)
-    tables = F.log_tables()
+    tables = zeta._tables(F)
     a = data.draw(st.integers(0, F.order - 1))
     b = data.draw(st.integers(0, F.order - 1))
     assert table_mul(tables, a, b) == F.mul(a, b)
@@ -241,8 +247,15 @@ def test_tables_match_bit_loop_sampled(data):
 
 
 def test_tables_stop_at_the_cap(monkeypatch):
-    assert BinaryField.default(16).log_tables() is not None
-    assert BinaryField.default(17).log_tables() is None
-    monkeypatch.setattr(field_module, "TABLE_MAX_DEGREE", 4)
-    assert BinaryField.default(5).log_tables() is None
-    assert GF4.log_tables() is not None
+    cap = zeta.TABLE_MAX_DEGREE
+    assert len(zeta._tables(BinaryField.default(cap))[1]) == (1 << cap) - 1
+    with pytest.raises(ValueError, match="table cap"):
+        zeta._tables(BinaryField.default(cap + 1))
+    # the cap is read on every build, so one patched below a cached field
+    # refuses it once the cache is emptied
+    monkeypatch.setattr(zeta, "TABLE_MAX_DEGREE", 4)
+    zeta._tables.cache_clear()
+    with pytest.raises(ValueError, match="table cap"):
+        zeta._tables(BinaryField.default(5))
+    assert len(zeta._tables(GF4)[1]) == 3
+    zeta._tables.cache_clear()

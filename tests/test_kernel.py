@@ -5,15 +5,16 @@ replaced.
 one kernel (`poly.images`, with `_mul` and `_divmod` over it), in every
 field.  The reference below is the schoolbook code that ran on the
 bit-loop `BinaryField.mul` coefficient by coefficient, kept here to check
-the kernel in fields on both sides of TABLE_MAX_DEGREE, which the kernel
-never reads, and under two GF(8) moduli.
+the kernel in fields on both sides of `zeta.TABLE_MAX_DEGREE`, the cap on
+the point counts' tables, which the kernel never reads, and under two
+GF(8) moduli.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kleinfour import field as field_module
+from kleinfour import zeta
 from kleinfour.field import BinaryField, default_modulus
 from kleinfour.poly import Poly, ext_gcd, gcd, invmod
 
@@ -114,13 +115,14 @@ def no_trailing_zero(*ps):
 
 def test_the_kernel_reads_no_tables(monkeypatch):
     # the fields straddle the table cap, and no field's tables are read
-    assert FIELDS[4].degree <= field_module.TABLE_MAX_DEGREE < FIELDS[5].degree
-    assert FIELDS[5].log_tables() is None
+    assert FIELDS[4].degree <= zeta.TABLE_MAX_DEGREE < FIELDS[5].degree
+    with pytest.raises(ValueError, match="table cap"):
+        zeta._tables(FIELDS[5])
 
-    def no_tables(self):
+    def no_tables(fld):
         raise AssertionError("the polynomial kernel read the log tables")
 
-    monkeypatch.setattr(BinaryField, "log_tables", no_tables)
+    monkeypatch.setattr(zeta, "_tables", no_tables)
     for F in FIELDS:
         a = Poly.make(F, [F.order - 1, 1, 2 % F.order, F.order - 1])
         b = Poly.make(F, [1, F.order - 1, F.order - 1])

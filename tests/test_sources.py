@@ -1,7 +1,8 @@
 """Static checks on the sources: the oldest supported Python parses them,
 every lru_cache in the package is bounded, every function in it is used
-somewhere, no module rebinds its own state at run time, and no module
-imports another's private names."""
+somewhere, no module rebinds its own state at run time, no module imports
+another's private names, only `zeta` holds the table cap and builds
+log/antilog tables, and `poly` draws no random numbers."""
 
 import ast
 import importlib
@@ -50,7 +51,7 @@ def test_every_lru_cache_is_bounded():
     caches = dict(lru_caches())
     assert {"poly._factor_cached", "poly.field_embedding",
             "zeta._tallies", "zeta._planes", "zeta._dual",
-            "zeta._trace_duals",
+            "zeta._tables",
             "field.default_modulus",
             "ascurve.reduce_standard",
             "poly._irreducibles_found"} <= set(caches)
@@ -107,3 +108,49 @@ def test_no_private_imports_across_modules():
              and (node.level or (node.module or "").startswith("kleinfour"))
              for alias in node.names if alias.name.startswith("_")]
     assert not found, f"private names imported: {found}"
+
+
+def table_writes(path):
+    """What a module writes of the point counts' tables: "cap" where it
+    assigns TABLE_MAX_DEGREE, and "log" or "exp" where it assigns a name
+    log, or fills a log or exp table by item or by append."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if node.id == "TABLE_MAX_DEGREE":
+                found.add("cap")
+            elif node.id == "log":
+                found.add("log")
+        elif (isinstance(node, ast.Subscript)
+              and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("log", "exp")):
+            found.add(node.value.id)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("append", "extend")
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id in ("log", "exp")):
+            found.add(node.func.value.id)
+    return found
+
+
+def test_only_zeta_holds_the_table_cap_and_builds_tables():
+    writes = {path.name: table_writes(path)
+              for path in sorted((ROOT / "src" / "kleinfour").glob("*.py"))}
+    assert writes.pop("zeta.py") == {"cap", "log", "exp"}
+    assert not any(writes.values()), writes
+    field_names = set(vars(importlib.import_module("kleinfour.field")))
+    field_names |= set(vars(kleinfour.field.BinaryField))
+    assert not field_names & {"TABLE_MAX_DEGREE", "log_tables", "_tables"}
+
+
+def test_poly_imports_no_random():
+    # factoring is deterministic: the equal-degree split tries a fixed
+    # sequence of candidates
+    tree = ast.parse((ROOT / "src" / "kleinfour" / "poly.py").read_text())
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module}
+    assert not {m for m in modules if m.split(".")[0] == "random"}

@@ -13,6 +13,7 @@ from kleinfour.ascurve import Invariants
 from kleinfour.census import CensusCell
 from kleinfour.construct import Recipe
 from kleinfour.field import GF2, GF4, BinaryField
+from kleinfour.klein4 import Partition
 from kleinfour.poly import Poly
 from kleinfour.ratfun import INFINITY, Place, PoleDivisor
 from kleinfour.realize import Verdict
@@ -46,6 +47,7 @@ VALUES = {
               "LPoly(coeffs=(1, 2, 2), q=2)"),
     "Invariants": (lambda: Invariants(1, 0), "genus",
                    "Invariants(genus=1, two_rank=0)"),
+    "Partition": (lambda: Partition(2, 2, 1), "entries", "Partition(2, 2, 1)"),
     "CensusCell": (
         lambda: CensusCell(1, 0, (1, 0, 0), 4, None), "witness_count",
         "CensusCell(g=1, sigma=0, type=(1, 0, 0), witness_count=4, "

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from conftest import (infinity_value, rand_cover, raw_pairs,
                       squarings_trace)
-from kleinfour import field as field_module
 from kleinfour import zeta
 from kleinfour.ascurve import (ASCurve, DegenerateCover, ReducedForm,
                                reduce_form)
@@ -373,7 +372,7 @@ def fresh_zeta_caches():
 
 def clear_zeta_caches():
     for cache in (zeta._tallies, zeta._planes, zeta._dual, zeta._lanes,
-                  zeta._trace_duals):
+                  zeta._tables):
         cache.cache_clear()
 
 
@@ -381,7 +380,7 @@ def clear_zeta_caches():
 def test_counts_match_the_per_element_loops(table_max_degree, monkeypatch,
                                             rng, fresh_zeta_caches):
     # with the cap at 4, GF(2^5) and up take the per-element path instead
-    monkeypatch.setattr(field_module, "TABLE_MAX_DEGREE", table_max_degree)
+    monkeypatch.setattr(zeta, "TABLE_MAX_DEGREE", table_max_degree)
     for F in (GF2, GF4, BinaryField.default(3)):
         # the patterns up to GF(2^8) only, to keep the reference loops short
         covers = [(rand_cover(rng, F, max_deg=3), 12) for _ in range(2)]
@@ -411,11 +410,11 @@ def test_tallies_do_not_depend_on_order_or_path(pair, rng):
     expected = {n: [seed_count_points_cover(cov, n)]
                 + [seed_count_points(sub, n) for sub in cov.quotients]
                 for n in ns}
-    for cap in (field_module.TABLE_MAX_DEGREE, 4):
+    for cap in (zeta.TABLE_MAX_DEGREE, 4):
         clear_zeta_caches()
         rng.shuffle(ns)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(field_module, "TABLE_MAX_DEGREE", cap)
+            mp.setattr(zeta, "TABLE_MAX_DEGREE", cap)
             for n in ns:
                 assert [count_points_cover(cov, n)] + [
                     count_points(sub, n) for sub in cov.quotients] \
@@ -504,6 +503,31 @@ def test_quotient_capped_below_its_genus_still_gets_identity_rows(
     assert report.identity_checks == recounted_identity(cov, 2)
 
 
+def test_counts_that_break_the_weil_bound_are_a_mismatch(monkeypatch):
+    # a curve's counts are believed only through its L-polynomial: counts
+    # outside the Weil bound for the claimed genus are reported, not fitted
+    curve = ASCurve(pr2("x^3"))
+    monkeypatch.setattr(zeta, "count_points",
+                        lambda c, n: 2**n + 1 + 3 * 2**n)
+    report = verify(curve, 2)
+    assert report.status == "mismatch" and not report.confirmed
+    assert report.oracle["genus_consistent"] is False
+    assert "lpoly" not in report.oracle
+    assert "Weil bound" in report.detail
+
+
+def test_a_cover_past_the_evaluation_cap_is_truncated():
+    # quotient genera 1, 0 and 2: two counts pin every L-polynomial, so the
+    # report is confirmed, but the identity is checked at n <= 2 only
+    cov = KleinFourCover(pr2("x^3"), pr2("1/x"))
+    assert [sub.genus for sub in cov.quotients] == [1, 0, 2]
+    report = verify(cov, depth=4, max_bits=2)
+    assert report.truncated and report.confirmed
+    assert all(sub.truncated for sub in report.quotients)
+    assert [row["n"] for row in report.identity_checks] == [1, 2]
+    assert report.to_json()["truncated"] is True
+
+
 @pytest.mark.parametrize("table_max_degree", [16, 0])
 @pytest.mark.parametrize("pole", ["x", "x+1", "x^2+x+1"])
 def test_a_pole_of_f1_alone_is_still_caught(pole, table_max_degree,
@@ -511,7 +535,7 @@ def test_a_pole_of_f1_alone_is_still_caught(pole, table_max_degree,
     # f3 is read wherever f1 or f2 has a pole, so a third quotient that is
     # not f1 + f2 and is regular at a pole of f1 alone trips the fibre rule,
     # on the table path and (with the cap at 0) the per-element path
-    monkeypatch.setattr(field_module, "TABLE_MAX_DEGREE", table_max_degree)
+    monkeypatch.setattr(zeta, "TABLE_MAX_DEGREE", table_max_degree)
     cov = KleinFourCover(pr2(f"1/({pole}) + x"), pr2("x^3"))
     q1, q2, _ = cov.quotients
     cov.quotients = (q1, q2, ASCurve(pr2("x^3 + x")))  # drops the pole
@@ -526,7 +550,7 @@ def scalar_states_by_orbit(fns, q, d, fld, embed):
     """The state tuple of the functions at each lane of degree d, in lane
     order: the points g^k of the orbit reps, then for d = 1 the point 0.
     A state is None at a pole, else the trace bit of the value there."""
-    log, exp = fld.log_tables()
+    log, exp, _ = zeta._tables(fld)
     n1 = fld.order - 1
     tmask = seed_trace_mask(fld)
     polys = [([embed(c) for c in reversed(f.num.coeffs)],
@@ -535,7 +559,7 @@ def scalar_states_by_orbit(fns, q, d, fld, embed):
     def state(nv, dv):
         if not dv:
             return None
-        return (exp[log[nv] - log[dv] + n1] & tmask).bit_count() & 1 \
+        return (exp[(log[nv] - log[dv]) % n1] & tmask).bit_count() & 1 \
             if nv else 0
 
     def value(coeffs, k):
@@ -544,7 +568,7 @@ def scalar_states_by_orbit(fns, q, d, fld, embed):
             return coeffs[-1] if coeffs else 0
         acc = 0
         for c in coeffs:
-            acc = exp[log[acc] + k] ^ c if acc else c
+            acc = exp[(log[acc] + k) % n1] ^ c if acc else c
         return acc
 
     return [tuple(state(value(num, k), value(den, k)) for num, den in polys)
@@ -819,7 +843,7 @@ def test_the_planes_memo_keys_on_the_field(fresh_zeta_caches):
 @pytest.mark.parametrize("F", [BinaryField.default(m) for m in range(1, 9)]
                          + [GF8_ALT], ids=repr)
 def test_trace_duals_give_the_trace_of_every_quotient(F):
-    W = zeta._trace_duals(F)
+    W = zeta._tables(F)[2]
     tmask = seed_trace_mask(F)
     assert len(W) == F.order and W[0] == 0
     for v in range(1, F.order):
@@ -845,14 +869,14 @@ def test_trace_bits_are_the_traces_of_the_powers_of_a(F):
     assert rows == [F.trace_bits >> j & (F.order - 1)
                     for j in range(F.degree)]
     if F.degree <= 12:  # W[v] = w(1/v)
-        W = zeta._trace_duals(F)
+        W = zeta._tables(F)[2]
         assert rows == [W[F.inv(1 << j)] for j in range(F.degree)]
 
 
 @pytest.mark.parametrize("m", [12, 16])
 def test_trace_duals_on_a_sample_of_the_wide_fields(m):
     F = BinaryField.default(m)
-    W = zeta._trace_duals(F)
+    W = zeta._tables(F)[2]
     rng = random.Random(m)
     assert len(W) == F.order and W[0] == 0
     for _ in range(3000):
