@@ -20,7 +20,7 @@ import functools
 from collections import namedtuple
 
 from . import poly
-from .poly import Poly, poly_of
+from .poly import poly_of
 from .ratfun import INFINITY, Place, RatFun
 
 
@@ -31,39 +31,37 @@ class DegenerateCover(ValueError):
 Invariants = namedtuple("Invariants", "genus two_rank")
 
 
-def base_digits(c, q, e):
-    """The digits r_1..r_e of c = sum_i r_i q^(e-i), deg c < e deg q, packed
-    as `ReducedForm` packs a place's digits: r_i at bit (i - 1) * m * deg q.
-    This is the one base-q expansion."""
-    width = q.field.degree * q.degree
+def base_digits(F, c, q, e):
+    """The digits r_1..r_e of c = sum_i r_i q^(e-i), deg c < e deg q, for
+    the codes c and q, q monic, over F, packed as `ReducedForm` packs a
+    place's digits: r_i at bit (i - 1) * m * deg q.  This is the one
+    base-q expansion."""
+    width = q.bit_length() - 1  # m * deg q: q is monic
     v = 0
     for i in range(e - 1, -1, -1):  # r_e = c mod q first
-        c, r = divmod(c, q)
-        v |= r.code << i * width
+        c, r = poly.divmod_code(F, c, q)
+        v |= r << i * width
     return v
 
 
 def principal_parts(f):
     """The partial-fraction vector of f, not yet canonical: its polynomial
     part, and at each monic irreducible q^e dividing the denominator the
-    digits of f = ... + sum_i r_i / q^i, deg r_i < deg q."""
-    poly_part, rem = divmod(f.num, f.den)
+    digits of f = ... + sum_i r_i / q^i, deg r_i < deg q.  The digits at
+    q are those of c = rem * (den / q^e)^-1 mod q^e, rem = num mod den.
+    All of it runs on codes: only the factors of den are polynomials."""
+    F = f.field
+    den = f.den.code
+    poly_part, rem = poly.divmod_code(F, f.num.code, den)
     places = {}
     for (q, e) in poly.factor(f.den):
-        qe = q
+        q = qe = q.code
         for _ in range(e - 1):
-            qe = qe * q
-        c = (rem * poly.invmod(f.den // qe, qe)) % qe
-        places[q.code] = base_digits(c, q, e)
-    return ReducedForm(f.field, poly_part.code, places)
-
-
-def _sqrt_mod(u, q):
-    """Square root in the residue field GF(2^m)[x]/(q)."""
-    nbits = q.field.degree * q.degree
-    for _ in range(nbits - 1):
-        u = (u * u) % q
-    return u
+            qe = poly.mul_code(F, qe, q)
+        u = poly.invmod_code(F, poly.divmod_code(F, den, qe)[0], qe)
+        c = poly.divmod_code(F, poly.mul_code(F, rem, u), qe)[1]
+        places[q] = base_digits(F, c, q, e)
+    return ReducedForm(F, poly_part, places)
 
 
 def reduce_form(f):
@@ -83,16 +81,17 @@ def canonical_form(v):
     F = v.field
     places = {}
     for qv, d in v.places.items():
-        q = poly_of(F, qv)
         width = qv.bit_length() - 1  # m * deg q: q is monic
         mask = (1 << width) - 1
         for i in range(-(-d.bit_length() // width) & ~1, 1, -2):
             if r := d >> (i - 1) * width & mask:
-                s = _sqrt_mod(poly_of(F, r), q)
-                hi, lo = divmod(s * s, q)
-                assert lo.code == r, "square root must cancel the leading term"
-                d ^= (r << (i - 1) * width ^ hi.code << (i - 2) * width
-                      ^ s.code << (i // 2 - 1) * width)
+                s = r  # its square root in GF(2^m)[x]/(q): r^(2^(width-1))
+                for _ in range(width - 1):
+                    s = poly.square_mod(F, s, qv)
+                hi, lo = poly.divmod_code(F, poly.mul_code(F, s, s), qv)
+                assert lo == r, "square root must cancel the leading term"
+                d ^= (r << (i - 1) * width ^ hi << (i - 2) * width
+                      ^ s << (i // 2 - 1) * width)
         if d:
             places[qv] = d
 
@@ -140,17 +139,17 @@ class ReducedForm:
         adds H / q^e, H = sum_i r_i q^(e-i) by Horner from r_1, and H is r_e
         mod q, a nonzero residue: the sum is in lowest terms with no gcd."""
         F = self.field
-        num, den = poly_of(F, self.poly), Poly.one(F)
-        for qv, v in self.places.items():
-            q = poly_of(F, qv)
-            width = qv.bit_length() - 1  # m * deg q: q is monic
+        mul = functools.partial(poly.mul_code, F)
+        num, den = self.poly, 1
+        for q, v in self.places.items():
+            width = q.bit_length() - 1  # m * deg q: q is monic
             mask = (1 << width) - 1
-            h, qe = poly_of(F, v & mask), q
+            h, qe = v & mask, q
             for i in range(1, -(-v.bit_length() // width)):
-                h = h * q + poly_of(F, v >> i * width & mask)
-                qe = qe * q
-            num, den = num * qe + h * den, den * qe
-        return RatFun.lowest_terms(num, den)
+                h = mul(h, q) ^ v >> i * width & mask
+                qe = mul(qe, q)
+            num, den = mul(num, qe) ^ mul(h, den), mul(den, qe)
+        return RatFun.lowest_terms(poly_of(F, num), poly_of(F, den))
 
     def pole_places(self):
         """The places where f has a pole, read from the vector."""

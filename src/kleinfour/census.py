@@ -198,7 +198,7 @@ class BasisTables:
             rows = []
             for k in range(qe.degree):
                 for c in range(m):
-                    digits = base_digits(Poly.monomial(F, k, 1 << c), p, e)
+                    digits = base_digits(F, 1 << k * m + c, p.code, e)
                     form = canonical_form(ReducedForm(F, 0, {p.code: digits}))
                     rows.append(form.places.get(p.code, 0))
             wrap = images(F, qe.code ^ 1 << qe.degree * m)  # 2^c x^N mod p^e

@@ -10,18 +10,22 @@ and every other module reads `Poly.code` directly.
 Arithmetic has one kernel, on codes.  `images` lists a^j b for j < m, a
 the field's generator: each is the last with every coefficient multiplied
 by a at once, one masked shift.  Scaling b by c is then `xor_rows` over
-those images, a product is their XOR over the set bits of the other
-factor, each shifted to its coefficient, and long division clears the
-remainder's top bit at each step with one image of the monic divisor.
-Over GF(2) there is one image, so the kernel reduces to carry-less shifts
-and XORs.  It reads no field tables; the bit-loop `mul` and `inv` serve
-only single elements.
+those images, a product (`mul_code`) is their XOR over the set bits of the
+other factor, each shifted to its coefficient, and long division
+(`divmod_code`) clears the remainder's top bit at each step with one image
+of the monic divisor.  Over GF(2) there is one image, so the kernel
+reduces to carry-less shifts and XORs.  It reads no field tables; the
+bit-loop `mul` and `inv` serve only single elements.  `Poly` operators,
+`gcd` and `invmod` wrap the kernel's `*_code` functions, which other
+modules call directly on codes.
 
-Factorization runs squarefree / distinct-degree / equal-degree stages, and
-draws no random numbers.  The equal-degree splitting in characteristic 2
-uses the absolute trace map on a fixed sequence of candidates, the GF(2)
-basis 2^j x^k (k >= 1) of the residue ring in order.  `is_irreducible` is
-the distinct-degree loop's first step.
+Factorization runs squarefree / distinct-degree / equal-degree stages on
+codes, and draws no random numbers; `factor` wraps only its results as
+Polys.  The derivative is a mask over the even places of code >> m.  The
+equal-degree splitting in characteristic 2 uses the absolute trace map on
+a fixed sequence of candidates, the GF(2) basis 2^j x^k (k >= 1) of the
+residue ring in order.  `is_irreducible` is the distinct-degree loop's
+first step.
 
 `xor_rows` applies a GF(2)-linear map, given by its rows, to a bit vector:
 the kernel scales with it, the census reads its tables with it, and
@@ -125,7 +129,7 @@ class Poly(Frozen):
 
     def __mul__(self, other):
         self._same(other)
-        return poly_of(self.field, _mul(self.field, self.code, other.code))
+        return poly_of(self.field, mul_code(self.field, self.code, other.code))
 
     def scale(self, c):
         """Multiply by the field element with bits c."""
@@ -138,7 +142,7 @@ class Poly(Frozen):
     def __divmod__(self, other):
         self._same(other)
         F = self.field
-        quo, rem = _divmod(F, self.code, other.code)
+        quo, rem = divmod_code(F, self.code, other.code)
         return poly_of(F, quo), poly_of(F, rem)
 
     def __floordiv__(self, other):
@@ -151,17 +155,6 @@ class Poly(Frozen):
         """Monic associate (self scaled by 1/lc); zero stays zero."""
         lc = self.lc
         return self if lc <= 1 else self.scale(self.field.inv(lc))
-
-    def derivative(self):
-        # (i+1) * c_{i+1} survives mod 2 exactly when i is even
-        return Poly.make(self.field,
-                         (c if i % 2 == 0 else 0
-                          for i, c in enumerate(self.coeffs[1:])))
-
-    def even_part_sqrt(self):
-        """For a polynomial with zero derivative, the square root."""
-        F = self.field
-        return Poly.make(F, (F.sqrt(c) for c in self.coeffs[::2]))
 
     def map_field(self, target, embed):
         """Map coefficients into another field via embed(bits) -> bits."""
@@ -274,7 +267,7 @@ def images(field, code):
     return rows
 
 
-def _mul(field, a, b):
+def mul_code(field, a, b):
     """The code of a * b: over the set bits k of a, the XOR of b's image
     for bit j = k mod m of a coefficient, shifted by k - j to its place."""
     if a.bit_count() > b.bit_count():
@@ -290,120 +283,129 @@ def _mul(field, a, b):
     return out
 
 
-def _divmod(field, a, b):
+def divmod_code(field, a, b):
     """The codes of the quotient and remainder of a by b.  Each step clears
     the remainder's top bit k, bit j of its top coefficient, with the image
-    a^j (b / lc b), whose top coefficient is exactly that bit, and adds
-    a^j / lc b to the quotient at the same place."""
+    a^j (b / lc b), whose top coefficient is exactly that bit, and sets bit
+    k - m deg b of the quotient by b / lc b; that quotient times 1 / lc b
+    is the quotient by b."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     m = field.degree
     top = (b.bit_length() - 1) // m * m  # the place of b's top coefficient
     if a.bit_length() <= top:
         return 0, a
-    lc = inv = b >> top
-    if lc != 1:
-        inv = field.inv(lc)
+    inv = b >> top
+    if inv != 1:
+        inv = field.inv(inv)
         b = xor_rows(images(field, b), inv)
     rows = images(field, b)
-    quos = images(field, inv)
     quo = 0
     k = a.bit_length() - 1
     while k >= top:
         j = k % m
-        s = k - j - top
-        a ^= rows[j] << s
-        quo ^= quos[j] << s
+        a ^= rows[j] << (k - j - top)
+        quo ^= 1 << (k - top)
         k = a.bit_length() - 1
-    return quo, a
+    return quo if inv == 1 else xor_rows(images(field, quo), inv), a
+
+
+def square_mod(field, u, f):
+    """The code of u^2 mod f."""
+    return divmod_code(field, mul_code(field, u, u), f)[1]
+
+
+def gcd_code(field, a, b):
+    """The code of the monic gcd of a and b."""
+    while b:
+        a, b = b, divmod_code(field, a, b)[1]
+    m = field.degree
+    lc = a >> (a.bit_length() - 1) // m * m if a else 0
+    return xor_rows(images(field, a), field.inv(lc)) if lc > 1 else a
 
 
 def gcd(a, b):
     a._same(b)
-    F = a.field
-    x, y = a.code, b.code
-    while y:
-        x, y = y, _divmod(F, x, y)[1]
-    return poly_of(F, x).monic()
+    return poly_of(a.field, gcd_code(a.field, a.code, b.code))
 
 
-def ext_gcd(a, b):
-    """(g, u, v) with u*a + v*b = g, g monic."""
-    a._same(b)
-    F = a.field
-    r0, r1 = a.code, b.code
+def _bezout(field, a, b):
+    """The codes (g, u) of the last remainder g of Euclid's algorithm on a
+    and b, a gcd of theirs, and of a u with u*a + v*b = g for some v."""
     u0, u1 = 1, 0
-    v0, v1 = 0, 1
-    while r1:
-        q, r = _divmod(F, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 ^ _mul(F, q, u1)
-        v0, v1 = v1, v0 ^ _mul(F, q, v1)
-    g, u, v = poly_of(F, r0), poly_of(F, u0), poly_of(F, v0)
-    if g.lc > 1:
-        c = F.inv(g.lc)
-        g, u, v = g.scale(c), u.scale(c), v.scale(c)
-    return g, u, v
+    while b:
+        q, r = divmod_code(field, a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 ^ mul_code(field, q, u1)
+    return a, u0
+
+
+def invmod_code(field, a, m):
+    """The code of a^-1 mod m.  Euclid's last remainder g is a nonzero
+    constant exactly when a and m are coprime; else ZeroDivisionError."""
+    g, u = _bezout(field, divmod_code(field, a, m)[1], m)
+    if not 0 < g < field.order:
+        raise ZeroDivisionError(f"{poly_of(field, a)} not invertible mod "
+                                f"{poly_of(field, m)}")
+    return xor_rows(images(field, divmod_code(field, u, m)[1]), field.inv(g))
 
 
 def invmod(a, m):
-    g, u, _ = ext_gcd(a % m, m)
-    if g.degree != 0:
-        raise ZeroDivisionError(f"{a} not invertible mod {m}")
-    return u % m
+    a._same(m)
+    return poly_of(a.field, invmod_code(a.field, a.code, m.code))
 
 
-def _sqf_decompose(f):
-    """Squarefree decomposition of a monic polynomial of degree >= 1,
-    char-2 version."""
+# -- factoring, on codes ------------------------------------------------------
+
+def _sqf_decompose(field, f):
+    """Squarefree decomposition of a monic f of degree >= 1, char-2
+    version.  The derivative of f is sum c_i x^(i-1) over odd i: the
+    coefficients of f >> m at its even places."""
+    m = field.degree
     out = []
-    fp = f.derivative()
-    if not fp.code:
-        for (p, k) in _sqf_decompose(f.even_part_sqrt().monic()):
-            out.append((p, 2 * k))
-        return out
-    c = gcd(f, fp)
-    w = f // c
+    pairs = -(-f.bit_length() // (2 * m))
+    evens = ((1 << 2 * m * pairs) - 1) // ((1 << 2 * m) - 1) * ((1 << m) - 1)
+    c = gcd_code(field, f, f >> m & evens)  # f itself when f' = 0
+    w = divmod_code(field, f, c)[0]
     i = 1
-    while w.degree > 0:
-        y = gcd(w, c)
-        z = w // y
-        if z.degree > 0:
+    while w.bit_length() > m:  # w, and every other code here, is monic
+        y = gcd_code(field, w, c)
+        z = divmod_code(field, w, y)[0]
+        if z.bit_length() > m:
             out.append((z, i))
         w = y
-        c = c // y
+        c = divmod_code(field, c, y)[0]
         i += 1
-    if c.degree > 0:
-        for (p, k) in _sqf_decompose(c.even_part_sqrt().monic()):
-            out.append((p, 2 * k))
+    if c.bit_length() > m:  # c = s^2: its odd places are 0, and s is monic
+        s = pack(map(field.sqrt, unpack(c, 2 * m, pairs)), m)
+        out += [(p, 2 * k) for p, k in _sqf_decompose(field, s)]
     return out
 
 
-def _ddf(f):
+def _ddf(field, f):
     """Distinct-degree split of a monic squarefree polynomial.
 
     Yields (product of irreducible factors of degree d, d).  For any f of
     degree >= 1 the first pair has the least degree of an irreducible
     factor of f, so it is (f, deg f) exactly when f is irreducible.
     """
-    F = f.field
-    x = Poly.x(F)
-    h = x
+    m = field.degree
+    x = h = 1 << m
     d = 0
-    while f.degree > 2 * (d + 1) - 1:
+    while (f.bit_length() - 1) // m > 2 * d + 1:
         d += 1
-        for _ in range(F.degree):
-            h = (h * h) % f
-        g = gcd(h + x, f)
-        if g.degree > 0:
+        for _ in range(m):
+            h = square_mod(field, h, f)
+        g = gcd_code(field, h ^ x, f)
+        if g.bit_length() > m:
             yield g, d
-            f = f // g
-            h = h % f
-    if f.degree > 0:
-        yield f, f.degree
+            f = divmod_code(field, f, g)[0]
+            h = divmod_code(field, h, f)[1]
+    if f.bit_length() > m:
+        yield f, (f.bit_length() - 1) // m
 
 
-def _edf(f, d, start=None):
+def _edf(field, f, d, start=None):
     """Split monic squarefree f, all of whose factors have degree d.
 
     Candidate t is u = 2^j x^k with t = k*m + j, from t = start (by
@@ -414,21 +416,20 @@ def _edf(f, d, start=None):
     traces of the basis span GF(2)^r for r factors, and those of the
     constants (k = 0) are constant, so some candidate splits f when r >= 2.
     """
-    if f.degree == d:
+    m = field.degree
+    n = (f.bit_length() - 1) // m
+    if n == d:
         return [f]
-    F = f.field
-    nbits = F.degree * d
-    for t in itertools.count(start or F.degree):
-        u = poly_of(F, 1 << t)
+    for t in itertools.count(start or m):
         # absolute trace of u in each residue field of degree d
-        tr = u
-        s = u
-        for _ in range(nbits - 1):
-            s = (s * s) % f
-            tr = tr + s
-        g = gcd(tr, f)
-        if 0 < g.degree < f.degree:
-            return _edf(g, d, t + 1) + _edf(f // g, d, t + 1)
+        tr = s = 1 << t
+        for _ in range(m * d - 1):
+            s = square_mod(field, s, f)
+            tr ^= s
+        g = gcd_code(field, tr, f)
+        if 0 < (g.bit_length() - 1) // m < n:
+            return (_edf(field, g, d, t + 1)
+                    + _edf(field, divmod_code(field, f, g)[0], d, t + 1))
 
 
 # `k4 table -g 12 --verify` factors 8 distinct polynomials and the census
@@ -436,13 +437,12 @@ def _edf(f, d, start=None):
 # factors, a few hundred bytes at these degrees.
 @functools.lru_cache(maxsize=1 << 14)
 def _factor_cached(p):
-    out = []
-    for (sq, mult) in _sqf_decompose(p.monic()):
-        for (block, d) in _ddf(sq):
-            for irr in _edf(block, d):
-                out.append((irr, mult))
-    out.sort(key=lambda t: t[0].sort_key())
-    return tuple(out)
+    F = p.field
+    out = sorted((irr, mult)
+                 for sq, mult in _sqf_decompose(F, p.monic().code)
+                 for block, d in _ddf(F, sq)
+                 for irr in _edf(F, block, d))
+    return tuple((poly_of(F, irr), mult) for irr, mult in out)
 
 
 def factor(p):
@@ -462,7 +462,7 @@ def is_irreducible(p):
     finds no factor of degree d <= n/2, so that its first block is p
     itself.  Most reducible p fail at a small d, so this is much cheaper
     than factoring them."""
-    return p.degree >= 1 and next(_ddf(p))[1] == p.degree
+    return p.degree >= 1 and next(_ddf(p.field, p.code))[1] == p.degree
 
 
 def _irreducibles(field):

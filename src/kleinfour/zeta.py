@@ -258,11 +258,13 @@ def _lanes(base, d):
 # `table -g 16 --verify` meets 255 in all.
 @functools.lru_cache(maxsize=1024)
 def _dual(base, q, i, d):
-    """The lanes of W[q^i] over the closed points of degree d: Tr(r/q^i) is
-    the parity of values(r) & this, and a lane where q vanishes holds 0.
+    """The lanes of W[q^i] over the closed points of degree d, and the
+    regular bits of 1/q^i, one per lane: Tr(r/q^i) is the parity of
+    values(r) & the lanes, and a lane holds 0 exactly where q vanishes.
     q is a monic irreducible packed as `ReducedForm` packs a place."""
-    values, dual, *_ = _lanes(base, d)
-    return dual(values(q), i)
+    values, dual, _, ones, width = _lanes(base, d)
+    w = dual(values(q), i)
+    return w, _fold(0, w, width, ones)[1]
 
 
 # Keys are (curve, d).  A verify call uses at most 3 * 16, its three
@@ -274,8 +276,8 @@ def _planes(curve, d):
     points of degree d, one bit per lane: the trace bit of f (0 at a pole)
     and whether f is regular.  f is its polynomial part plus r_i / q^i over
     places q and digits r_i, so its trace bit is the parity of
-    values(poly) & trace XOR values(r_i) & _dual(q, i), and f is regular
-    where no place q vanishes."""
+    values(poly) & trace XOR values(r_i) & W[q^i], and f is regular where
+    no place q vanishes; `_dual` gives both per (q, i)."""
     form = curve.form
     values, _, trace, ones, width = _lanes(form.field, d)
     t, regular = values(form.poly) & trace, ones
@@ -284,10 +286,9 @@ def _planes(curve, d):
         low = (1 << digit_bits) - 1
         for i in range(1, -(-v.bit_length() // digit_bits) + 1):
             if r := v >> (i - 1) * digit_bits & low:
-                w = _dual(form.field, q, i, d)
+                w, off_q = _dual(form.field, q, i, d)
                 t ^= values(r) & w
-        # the top digit is nonzero, so its w is 0 exactly at q's roots
-        regular &= _fold(0, w, width, ones)[1]
+        regular &= off_q  # the lanes where q does not vanish
     return _fold(t, 0, width, ones)[0] & regular, regular
 
 

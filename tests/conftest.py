@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from kleinfour import poly
 from kleinfour.ascurve import DegenerateCover
 from kleinfour.field import GF2, GF4, BinaryField
 from kleinfour.klein4 import InvalidCover, KleinFourCover
@@ -30,6 +31,16 @@ def rand_cover(rng, field, max_deg=5):
                                   rand_ratfun(rng, field, max_deg))
         except (InvalidCover, DegenerateCover):
             continue
+
+
+def ext_gcd(a, b):
+    """(g, u, v) with u*a + v*b = g, g monic, from the kernel's Euclid loop
+    `poly._bezout`, which gives g up to a constant and u; v*b = g - u*a."""
+    F = a.field
+    g, u = (poly.poly_of(F, c) for c in poly._bezout(F, a.code, b.code))
+    v = (g + u * a) // b if b.code else b
+    c = F.inv(g.lc) if g.code else 1
+    return g.scale(c), u.scale(c), v.scale(c)
 
 
 def squarings_trace(F, a):

@@ -9,10 +9,12 @@ constant-free parts, must give the cells of the census that pairs every
 class (`unfolded_census`).  The census stands on the polynomial kernel,
 so the sweep also checks `*`, `divmod` and `gcd` against test_kernel.py's
 bit-loop reference on every pair of polynomials of degree <= 6 over GF(2)
-and <= 3 over GF(4), which adds about 3.5 s.  Prints each check with its
-time and exits 1 on the first mismatch.  The sweep takes about 6 s on
-one core, too long for the tier-1 suite, so its name keeps pytest from
-collecting it:
+and <= 3 over GF(4), which adds about 3.5 s, and `factor` against
+test_factor.py's `Poly`-level reference on every monic polynomial of
+degree <= 10 over GF(2), <= 5 over GF(4) and <= 3 over GF(8), which adds
+about 0.5 s.  Prints each check with its time and exits 1 on the first
+mismatch.  The sweep takes about 7 s on one core, too long for the tier-1
+suite, so its name keeps pytest from collecting it:
 
     PYTHONPATH=src python tests/sweep_census.py
 """
@@ -25,10 +27,11 @@ import time
 
 from kleinfour.cli import main as k4
 from kleinfour.census import count_covers, run_census
-from kleinfour.field import GF2, GF4
-from kleinfour.poly import gcd, poly_of
+from kleinfour.field import GF2, GF4, BinaryField
+from kleinfour.poly import factor, gcd, poly_of
 from test_census import (census_classes, pair_loop_count_covers,
                          unfolded_census)
+from test_factor import ref_factor
 from test_kernel import ref_divmod, ref_gcd, ref_mul
 
 CENSUS_JSON_SHA256 = {
@@ -57,6 +60,17 @@ def kernel_mismatch(F, max_deg):
     return None
 
 
+def factor_mismatch(F, max_deg):
+    """The first monic polynomial of degree 1..max_deg over F whose
+    `factor` differs from the reference, or None."""
+    for d in range(1, max_deg + 1):
+        for low in range(F.order ** d):
+            p = poly_of(F, 1 << d * F.degree | low)
+            if factor(p) != ref_factor(p):
+                return p
+    return None
+
+
 def main():
     for F, max_deg in ((GF2, 6), (GF4, 3)):
         start = time.perf_counter()
@@ -68,6 +82,15 @@ def main():
         print(f"the kernel matches the bit loop on every pair of degree "
               f"<= {max_deg} over {F} ({time.perf_counter() - start:.1f} s)",
               flush=True)
+    for F, max_deg in ((GF2, 10), (GF4, 5), (BinaryField.default(3), 3)):
+        start = time.perf_counter()
+        bad = factor_mismatch(F, max_deg)
+        if bad:
+            print(f"FAIL: factor differs from the reference over {F} on {bad}")
+            return 1
+        print(f"factor matches the reference on every monic polynomial of "
+              f"degree <= {max_deg} over {F} "
+              f"({time.perf_counter() - start:.1f} s)", flush=True)
     for (field, max_deg), expected in CENSUS_JSON_SHA256.items():
         start = time.perf_counter()
         out = io.StringIO()

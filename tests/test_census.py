@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import raw_pairs
+from test_factor import ref_base_digits
 from kleinfour import census, poly
-from kleinfour.ascurve import (ASCurve, ReducedForm, base_digits,
-                               canonical_form, reduce_form, reduce_standard)
+from kleinfour.ascurve import (ASCurve, ReducedForm, canonical_form,
+                               reduce_form, reduce_standard)
 from kleinfour.census import (BasisTables, CensusCell, CensusViolation,
                               coprime_codes, count_covers, enumerate_functions,
                               factored_denominators, fold_keys,
@@ -627,7 +628,7 @@ def partial_fractions(num, den, places):
     `place_inverses(den)`; a place num/den cancels gets all-zero digits."""
     poly_part, rem = divmod(num, den)
     return ReducedForm(num.field, poly_part.code, {
-        q.code: base_digits((rem * inv) % qe, q, e)
+        q.code: ref_base_digits((rem * inv) % qe, q, e)
         for (q, e, qe, inv) in places})
 
 

@@ -2,8 +2,8 @@
 replaced.
 
 `Poly` adds, multiplies, divides, scales and shifts on its code through
-one kernel (`poly.images`, with `_mul` and `_divmod` over it), in every
-field.  The reference below is the schoolbook code that ran on the
+one kernel (`poly.images`, with `mul_code` and `divmod_code` over it), in
+every field.  The reference below is the schoolbook code that ran on the
 bit-loop `BinaryField.mul` coefficient by coefficient, kept here to check
 the kernel in fields on both sides of `zeta.TABLE_MAX_DEGREE`, the cap on
 the point counts' tables, which the kernel never reads, and under two
@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ext_gcd
 from kleinfour import zeta
 from kleinfour.field import BinaryField, default_modulus
-from kleinfour.poly import Poly, ext_gcd, gcd, invmod
+from kleinfour.poly import Poly, gcd, invmod
 
 FIELDS = [BinaryField.default(m) for m in (1, 2, 3, 12, 16, 17)] + [
     BinaryField(3, 0b1101)]  # GF(8) under its other modulus

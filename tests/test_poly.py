@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
+from conftest import ext_gcd
 from kleinfour.field import (GF2, GF4, MAX_DEGREE, BinaryField,
                              _smallest_factor2)
-from kleinfour.poly import (Poly, _edf, ext_gcd, factor, field_embedding,
-                            gcd, invmod, is_irreducible, monic_irreducibles)
+from kleinfour.poly import (Poly, _edf, factor, field_embedding, gcd, invmod,
+                            is_irreducible, monic_irreducibles)
 
 x2 = Poly.x(GF2)
 one2 = Poly.one(GF2)
@@ -68,11 +69,11 @@ def test_factor_deterministic_across_seeds():
     # depend on the candidate it starts from
     quadratics = [q for q in monic_irreducibles(GF4, 2) if q.degree == 2]
     block = quadratics[0] * quadratics[2] * quadratics[5]
-    splits = [sorted(_edf(block, 2, start), key=Poly.sort_key)
+    splits = [sorted(_edf(GF4, block.code, 2, start))
               for start in (None, 5, 12)]
     assert splits[0] == splits[1] == splits[2]
-    assert splits[0] == [q for q, _ in factor(block)]
-    assert splits[0] == [quadratics[0], quadratics[2], quadratics[5]]
+    assert splits[0] == [q.code for q, _ in factor(block)]
+    assert splits[0] == [quadratics[i].code for i in (0, 2, 5)]
 
 
 def test_repeated_factors():
