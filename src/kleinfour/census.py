@@ -10,23 +10,23 @@ both summands (checked by the tests at every degree cap).
 
 The census runs on plain ints.  A numerator is its code sum c_i q^i, whose
 bit i*m + b is bit b of c_i (q = 2^m): the int a `Poly` holds, so every
-code is read straight off `Poly.code` and none is packed.  A sieve
-yields the monic denominators with their factors, so none is factored
+code is read straight off `Poly.code` and none is packed.  A sieve yields
+the monic denominators with their factors, so none is factored
 (`factored_denominators`).  Reduction is GF(2)-linear and acts place by
 place, so the forms of each denominator's basis numerators 2^b x^i are read
 off tables built once per place power met, as XORs of rows over the bits of
-a residue and of a quotient; only the rows are canonicalised
-(`BasisTables`).  The forms of all its numerators follow with one XOR each
-(`field.span`).  The numerators sharing a factor with the denominator are the
-multiples of its irreducible factors, and their codes are dropped with no
-gcd (`coprime_codes`).  Every form is one int, laid out by the same
-tables with a slot per place sized from the degree bound, so a pair sum is
-an XOR, a constant sum is an int below 1 << m, and the lowest-pair test is
-a dict hit.  Genus and 2-rank add up over places, so a pair with no shared
-pole has a key fixed by its classes' invariants and is counted in bulk
-(`count_covers`), and a sum with a shared pole that is not itself a class
-takes its invariants from the pair's, corrected only at the shared places
-(`sum_invariants`, through the same per-place rule as
+2^b times a residue and a quotient (`poly.images`); only the rows are
+canonicalised (`BasisTables`).  The forms of all its numerators follow with
+one XOR each (`field.span`).  The numerators sharing a factor with the
+denominator are the multiples of its irreducible factors, and their codes
+are dropped with no gcd (`coprime_codes`).  Every form is one int, laid out
+by the same tables with a slot per place sized from the degree bound, so a
+pair sum is an XOR, a constant sum is an int below 1 << m, and the
+lowest-pair test is a dict hit.  Genus and 2-rank add up over places, so a
+pair with no shared pole has a key fixed by its classes' invariants and is
+counted in bulk (`count_covers`), and a sum with a shared pole that is not
+itself a class takes its invariants from the pair's, corrected only at the
+shared places (`sum_invariants`, through the same per-place rule as
 `ReducedForm.invariants`).  Covers are counted under an int key and folded
 into (genus, 2-rank, type) cells afterwards (`fold_keys`); RatFuns are
 built only for each cell's example, its earliest pair, when printed.  A
@@ -160,34 +160,26 @@ class BasisTables:
     of (x^i u mod p^e) / p^e, so its canonical digits are an XOR of rows,
     one per bit of the residue x^i u mod p^e, which a times-x map steps
     from u.  The polynomial part is read the same way from the bits of
-    x^i // den.  Only the rows are canonicalised, and den's factors come
-    from the caller."""
+    x^i // den, and 2^b x^i / den from the bits of 2^b times the residue
+    and the quotient (`poly.images`).  Only the rows are canonicalised,
+    and den's factors come from the caller."""
 
     def __init__(self, field, n):
         self.field = field
         self.n = n
         m = field.degree  # bit k*m + c is the code of 2^c x^k
-        self._poly_rows = self._per_bit(
-            [canonical_form(ReducedForm(field, 1 << k * m + c, {})).poly
-             for k in range(n) for c in range(m)])
+        self._poly_rows = [
+            canonical_form(ReducedForm(field, 1 << k * m + c, {})).poly
+            for k in range(n) for c in range(m)]
         self._places = {}  # (p, e) -> (p^e, digit rows, times-x rows)
         self._offsets = {}  # place -> offset, in slot order after infinity
         self.slots = [(m, (1 << (n - 1) * m) - 1, m, 1)]
 
-    def _per_bit(self, rows):
-        """For each bit b of a field element, `rows` composed with scaling
-        by 2^b: row k*m + c of table b is the XOR of rows k*m + t over the
-        bits t of 2^b * 2^c."""
-        F = self.field
-        m = F.degree
-        return [[xor_rows(rows, F.mul(1 << b, 1 << j % m) << (j - j % m))
-                 for j in range(len(rows))] for b in range(m)]
-
     def _place(self, p, e):
-        """p^e; for each bit b, the canonical digits at p of 2^b times each
-        residue bit 2^c x^k / p^e, at row k*m + c; and x^N mod p^e times
-        each bit 2^c, N = deg p^e, which reduces a residue times x.  A new
-        place p gets its slot here."""
+        """p^e; the canonical digits at p of each residue bit 2^c x^k / p^e,
+        at row k*m + c; and x^N mod p^e times each bit 2^c, N = deg p^e,
+        which reduces a residue times x.  A new place p gets its slot
+        here."""
         tables = self._places.get((p, e))
         if tables is None:
             F = self.field
@@ -208,12 +200,12 @@ class BasisTables:
                 width = m * p.degree
                 bits = (self.n - 1) // p.degree * width
                 self.slots.append((offset, (1 << bits) - 1, width, p.degree))
-            tables = self._places[p, e] = qe, self._per_bit(rows), wrap
+            tables = self._places[p, e] = qe, rows, wrap
         return tables
 
     def forms(self, den, factors):
-        """The packed reduce_form(2^b x^i / den) at index i*m + b, for i < n
-        and each bit b, given den's factors.  Raises ValueError when den
+        """reduce_form(2^b x^i / den) packed at index i*m + b, i < n, from
+        2^b times den's residues and quotients.  Raises ValueError when den
         has degree n or more: its digits would not fit the slots."""
         if den.degree >= self.n:
             raise ValueError(f"denominator degree {den.degree} does not fit "
@@ -227,18 +219,18 @@ class BasisTables:
             qe, rows, wrap = self._place(p, e)
             top = qe.degree * m
             r = poly.invmod(den // qe, qe).code
-            residues = []  # x^i u mod p^e, packed
+            residues = []  # 2^b x^i u mod p^e at [i][b], packed
             for _ in range(self.n):
-                residues.append(r)
+                residues.append(images(F, r))
                 r <<= m  # times x, then x^N is reduced mod p^e
                 r ^= (r >> top << top) ^ xor_rows(wrap, r >> top)
             places.append((self._offsets[p.code], rows, residues))
         forms = []
         for i, quotient in enumerate(quotients):
-            for b, poly_rows in enumerate(self._poly_rows):
-                x = xor_rows(poly_rows, quotient)
+            for b, scaled in enumerate(images(F, quotient)):
+                x = xor_rows(self._poly_rows, scaled)
                 for offset, rows, residues in places:
-                    x |= xor_rows(rows[b], residues[i]) << offset
+                    x |= xor_rows(rows, residues[i][b]) << offset
                 forms.append(x)
         return forms
 

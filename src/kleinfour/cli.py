@@ -212,7 +212,8 @@ def build_parser():
 
     c = sub.add_parser("census",
                        help="enumerate all small covers, check soundness")
-    c.add_argument("--field", choices=sorted(_FIELDS))
+    c.add_argument("--field", choices=sorted(_FIELDS),
+                   help="coefficient field (default gf2 or K4_DEFAULT_FIELD)")
     c.add_argument("--max-deg", type=int, default=2)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_census)

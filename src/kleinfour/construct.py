@@ -144,36 +144,24 @@ def _free_rational(field, avoid):
 
 def _choose_places(field, budget, avoid, rational):
     """Distinct places outside avoid whose degrees sum to budget, or None:
-    from a short ascending run of places of degree 2 and more, joined by
-    the degree-1 places in rational only when the run alone cannot fill
-    the budget; the run widens, in the same order, while neither fills.
-    Bit b of sums is set when some sublist of the run sums to b, so
-    `_fill_degrees` runs only on a list that fills the budget."""
+    the first fit (`_fill_degrees`) in a short ascending run of places of
+    degree 2 and more, or else in the run followed by the degree-1 places
+    in rational; the run widens, in the same order, while neither fits."""
     wider = (pl for q in monic_irreducibles(field, max(budget, 2))
              if q.degree > 1 and (pl := Place(q)) not in avoid)
-    full = (1 << (budget + 1)) - 1
-
-    def widen(sums, places):
-        for pl in places:
-            sums = (sums | sums << pl.degree) & full
-        return sums
-
     pool, total = [], 0
     for pl in wider:
         pool.append(pl)
         total += pl.degree
         if total >= 3 * (budget + 2):
             break
-    sums = widen(1, pool)
     while True:
-        for places, reach in ((pool, sums),
-                              (pool + rational, widen(sums, rational))):
-            if reach >> budget & 1:
-                return _fill_degrees(places, budget)
+        for places in (pool, pool + rational):
+            if (chosen := _fill_degrees(places, budget)) is not None:
+                return chosen
         if (pl := next(wider, None)) is None:
             return None
         pool.append(pl)
-        sums = widen(sums, [pl])
 
 
 # -- pole packs (hyperelliptic building blocks) -----------------------------

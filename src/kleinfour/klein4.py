@@ -30,8 +30,8 @@ class InvalidPartition(ValueError):
 class Partition(Frozen):
     """Unordered genus triple {g1, g2, g3}, stored sorted descending.
 
-    Valid triples have nonnegative entries summing to g with each entry at
-    most (g+1)/2.  Immutable, like the other value types: it is hashed by
+    Valid triples have nonnegative int entries summing to g with each entry
+    at most (g+1)/2.  Immutable, like the other value types: it is hashed by
     its entries, and a copy or a pickle is rebuilt, and so validated,
     through the constructor.
     """
@@ -39,6 +39,9 @@ class Partition(Frozen):
     __slots__ = ("entries",)
 
     def __init__(self, g1, g2, g3):
+        if not all(isinstance(e, int) for e in (g1, g2, g3)):
+            raise TypeError(f"partition entries must be ints, got "
+                            f"{(g1, g2, g3)!r}")
         entries = sorted((g1, g2, g3), reverse=True)
         if entries[2] < 0:
             raise InvalidPartition(f"negative entry in {entries}")
@@ -84,7 +87,9 @@ class Partition(Frozen):
 
 
 def check_genus(g):
-    """Raise ValueError unless g is a possible genus."""
+    """Raise TypeError unless g is an int, ValueError unless it is >= 0."""
+    if not isinstance(g, int):
+        raise TypeError(f"genus must be an int, got {g!r}")
     if g < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
 

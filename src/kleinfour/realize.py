@@ -57,6 +57,8 @@ def partition_validate(g, raw):
 
 def _check_two_rank(g, sigma):
     check_genus(g)
+    if not isinstance(sigma, int):
+        raise TypeError(f"2-rank must be an int, got {sigma!r}")
     if not 0 <= sigma <= g:
         raise ValueError(f"2-rank must be in 0..{g}, got {sigma}")
 

@@ -59,7 +59,7 @@ from collections import namedtuple
 from .ascurve import ASCurve
 from .field import MAX_DEGREE, BinaryField, span
 from .klein4 import KleinFourCover
-from .poly import field_embedding
+from .poly import field_embedding, images
 
 
 # Largest degree of a field with tables, log, exp and W, which `_tables`
@@ -162,13 +162,13 @@ def _tables(fld):
         raise ValueError(f"{fld} is above the table cap "
                          f"GF(2^{TABLE_MAX_DEGREE})")
     n1 = fld.order - 1
-    # times g is GF(2)-linear: the XOR of its values on the low h bits and
-    # on the high bits of an element, one lookup each
+    # times g is GF(2)-linear, with rows images(fld, g): the XOR of its
+    # values on the low h bits and on the high bits, one lookup each
     h = (fld.degree + 1) // 2
     mask = (1 << h) - 1
     for g in range(1, fld.order):
-        low = span([fld.mul(1 << i, g) for i in range(h)])
-        high = span([fld.mul(1 << i, g) for i in range(h, fld.degree)])
+        rows = images(fld, g)
+        low, high = span(rows[:h]), span(rows[h:])
         exp, v = [1], g
         while v != 1:
             exp.append(v)
@@ -400,30 +400,16 @@ class LPoly(namedtuple("LPoly", "coeffs q")):
                 deg = i
         return deg
 
-    def power_sums(self, upto):
-        """Frobenius power sums p_1..p_upto implied by the coefficients."""
-        ps = []
-        for k in range(1, upto + 1):
-            s = -k * (self.coeffs[k] if k < len(self.coeffs) else 0)
-            for j in range(1, k):
-                b = self.coeffs[k - j] if k - j < len(self.coeffs) else 0
-                s -= ps[j - 1] * b
-            ps.append(s)
-        return ps
-
-    def predicted_counts(self, upto):
-        return [self.q**n + 1 - p
-                for n, p in enumerate(self.power_sums(upto), start=1)]
-
 
 def lpoly_from_counts(counts, genus, q=2):
     """Recover L from N_1..N_g (extra counts are consistency-checked).
 
-    Newton's identities give b_1..b_g; the functional equation
-    b_{2g-i} = q^(g-i) b_i completes the upper half.  Raises
-    InconsistentCounts when a coefficient fails to be integral, a count
-    violates the Weil bound for the claimed genus, or a count beyond N_g
-    disagrees with the completed polynomial.
+    One pass of Newton's identities k b_k = -(p_k + p_(k-1) b_1 + ...),
+    p_k = q^k + 1 - N_k and b_i = 0 past 2g, solves b_1..b_g, completes b
+    at k = g by the functional equation b_(2g-i) = q^(g-i) b_i, and past g
+    checks each identity.  Raises InconsistentCounts when a coefficient
+    fails to be integral, a count violates the Weil bound for the claimed
+    genus, or a count beyond N_g disagrees with the completed polynomial.
     """
     counts = list(counts)
     if len(counts) < genus:
@@ -433,33 +419,33 @@ def lpoly_from_counts(counts, genus, q=2):
             f"counts {counts} violate the Weil bound for genus {genus}")
     ps = [q**n + 1 - N for n, N in enumerate(counts, start=1)]
     b = [1]
-    for k in range(1, genus + 1):
+    for k in range(1, len(counts) + 1):
         s = 0
-        for j in range(1, k + 1):
+        for j in range(max(1, k - 2 * genus), k + 1):
             s += ps[j - 1] * b[k - j]
-        if s % k:
-            raise InconsistentCounts(
-                f"coefficient b_{k} = {-s}/{k} is not integral")
-        b.append(-s // k)
-    for i in range(genus - 1, -1, -1):
-        b.append(q ** (genus - i) * b[i])
-    L = LPoly(tuple(b), q)
-    if len(counts) > genus:
-        predicted = L.predicted_counts(len(counts))
-        for n in range(genus, len(counts)):
-            if predicted[n] != counts[n]:
+        if k <= genus:
+            if s % k:
                 raise InconsistentCounts(
-                    f"N_{n+1} = {counts[n]} but the completed L-polynomial "
-                    f"predicts {predicted[n]}")
-    return L
+                    f"coefficient b_{k} = {-s}/{k} is not integral")
+            b.append(-s // k)
+        else:
+            s += k * b[k] if k <= 2 * genus else 0
+            if s:  # N_k + s is the count the completed L predicts
+                raise InconsistentCounts(
+                    f"N_{k} = {counts[k - 1]} but the completed "
+                    f"L-polynomial predicts {counts[k - 1] + s}")
+        if k == genus:
+            b += [q ** (genus - i) * b[i] for i in reversed(range(genus))]
+    return LPoly(tuple(b), q)
 
 
 class Report:
     """Outcome of comparing formula invariants against the count oracle.
 
     target is the ASCurve or KleinFourCover checked, and a cover's report
-    holds one subreport per quotient; both are rendered only by to_json,
-    so verify itself builds no RatFun.  verify fills it in as it goes."""
+    holds one subreport per quotient; both are rendered only by to_json.
+    verify fills it in as it goes, and builds a curve's RatFun only to
+    count above TABLE_MAX_DEGREE (`_element_planes`)."""
 
     def __init__(self, target, formula, oracle):
         self.target = target

@@ -9,9 +9,12 @@ cell is confirmed, the per-curve memos of `zeta` (tallies, planes and
 place duals) are emptied and the quotients and the cover are counted again
 for n descending: the counts and identity rows must equal the report's
 exactly, so no count depends on the order its tallies were filled in.
-Prints the row count and time per genus, the time spent recounting, and
-exits 1 on the first failing cell.  The sweep verifies 657 cells in about
-a second, and recounts them in about another.
+Each quotient's counts, and one copy of them with a single count raised
+by one, must also give `lpoly_from_counts` the L-polynomial or the error
+of test_zeta.py's two-pass reference.  Prints the row count and time per
+genus, the time spent recounting and checking L-polynomials, and exits 1
+on the first failing cell.  The sweep verifies 657 cells in about a
+second, and recounts them in about another.
 
 Counts over GF(2^17) are above `zeta.TABLE_MAX_DEGREE`, so they evaluate
 every element with the bit-loop arithmetic.  Two of them are checked exactly:
@@ -19,8 +22,9 @@ N_17 of y^2 + y = x^3 over GF(2), which is 2^17 + 1 (about 1.5 s), and the
 count identity at n = 17 for (1/x + x^3, 1/x + x^5) over GF(2), whose
 shared pole at 0 is regular for f3 (about 8 s on one 2-core Xeon).  The
 cover's count there computes the planes of its three quotients, and their
-own counts after it must compute none again.  The script imports no test
-module, and its name keeps pytest from collecting it:
+own counts after it must compute none again.  The script imports only
+the L-polynomial reference from the tests, and its name keeps pytest from
+collecting it:
 
     PYTHONPATH=src python tests/sweep_verify.py
 """
@@ -36,7 +40,8 @@ from kleinfour.klein4 import KleinFourCover, partitions_of
 from kleinfour.ratfun import parse_ratfun
 from kleinfour.realize import realizable
 from kleinfour.zeta import (TABLE_MAX_DEGREE, count_points,
-                            count_points_cover, verify)
+                            count_points_cover, lpoly_from_counts, verify)
+from test_zeta import lpoly_outcome, ref_lpoly_from_counts
 
 MAX_G = 16
 N_ELEMENT = 17  # the smallest n over GF(2) above the table cap
@@ -63,10 +68,27 @@ def recount_mismatch(cover, report):
     return None
 
 
+def lpoly_mismatch(counts, genus, q, at):
+    """The first of counts and a copy with count at % len(counts) raised
+    by one on which `lpoly_from_counts` differs from the two-pass
+    reference, or None."""
+    vectors = [counts]
+    if counts:
+        perturbed = list(counts)
+        perturbed[at % len(counts)] += 1
+        vectors.append(perturbed)
+    for v in vectors:
+        if (lpoly_outcome(lpoly_from_counts, v, genus, q)
+                != lpoly_outcome(ref_lpoly_from_counts, v, genus, q)):
+            return v
+    return None
+
+
 def main():
     start = time.perf_counter()
     total = 0
-    recount_s = 0.0
+    recount_s = lpoly_s = 0.0
+    vectors = 0
     for g in range(MAX_G + 1):
         rows = 0
         for p in partitions_of(g):
@@ -86,6 +108,17 @@ def main():
                 if mismatch:
                     print(f"FAIL ({g}, {s}, {p}): recounted {mismatch}")
                     return 1
+                lpoly_start = time.perf_counter()
+                for sub in report.quotients:
+                    vectors += 1
+                    bad = lpoly_mismatch(sub.oracle["counts"],
+                                         sub.formula["genus"],
+                                         cover.field.order, vectors)
+                    if bad is not None:
+                        print(f"FAIL ({g}, {s}, {p}): L-polynomial of "
+                              f"counts {bad} differs from the reference")
+                        return 1
+                lpoly_s += time.perf_counter() - lpoly_start
                 rows += 1
         total += rows
         print(f"g = {g}: {rows} cells confirmed, "
@@ -93,6 +126,9 @@ def main():
     print(f"every realizable cell with g <= {MAX_G} ({total}) confirmed in "
           f"{time.perf_counter() - start:.1f} s, {recount_s:.1f} s of it "
           f"recounting from empty memos, n descending")
+    print(f"L-polynomials of {vectors} quotient count vectors, each as "
+          f"counted and perturbed, match the two-pass reference, "
+          f"{lpoly_s:.2f} s")
     return per_element_counts()
 
 

@@ -39,6 +39,31 @@ def test_sigma_out_of_range():
         realizable(6, 2, Partition(2, 2, 1))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: realizable(3, 1.5, Partition(2, 1, 0)),
+     "2-rank must be an int, got 1.5"),
+    (lambda: realizable(3.0, 1, Partition(2, 1, 0)),
+     "genus must be an int, got 3.0"),
+    (lambda: realizable_any(2.5, 1), "genus must be an int, got 2.5"),
+    (lambda: realizable_any(3, 1.0), "2-rank must be an int, got 1.0"),
+    (lambda: hyperelliptic_extra_involution(3.0, 1),
+     "genus must be an int, got 3.0"),
+    (lambda: hyperelliptic_extra_involution(3, 1.0),
+     "2-rank must be an int, got 1.0"),
+    (lambda: partition_validate(1, (0.5, 0.5, 0)),
+     r"partition entries must be ints, got \(0.5, 0.5, 0\)"),
+    (lambda: partition_validate(1.0, (1, 0, 0)),
+     "genus must be an int, got 1.0"),
+    (lambda: Partition(2, 1, 0.0),
+     r"partition entries must be ints, got \(2, 1, 0.0\)"),
+    (lambda: partitions_of(4.0), "genus must be an int, got 4.0"),
+])
+def test_non_integers_are_refused(call, message):
+    # a float that sorts and compares like an int must not get an answer
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
+
+
 def test_realizable_any_examples():
     assert realizable_any(6, 5) is False  # almost ordinary
     assert realizable_any(6, 1) is False  # even genus, 2-rank 1

@@ -2,7 +2,8 @@
 every lru_cache in the package is bounded, every function in it is used
 somewhere, no module rebinds its own state at run time, no module imports
 another's private names, only `zeta` holds the table cap and builds
-log/antilog tables, and `poly` draws no random numbers."""
+log/antilog tables, and `poly` draws no random numbers; and README's
+library sketch runs as annotated."""
 
 import ast
 import importlib
@@ -154,3 +155,25 @@ def test_poly_imports_no_random():
     modules |= {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module}
     assert not {m for m in modules if m.split(".")[0] == "random"}
+
+
+def test_readme_library_sketch_runs_as_annotated():
+    # each statement of the sketch runs in turn, and each annotated
+    # expression's comment starts with the repr of its value
+    readme = (ROOT / "README.md").read_text()
+    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme,
+                       re.S).group(1)
+    lines = sketch.splitlines()
+    scope = {}
+    annotated = 0
+    for stmt in ast.parse(sketch).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), scope)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md",
+                             "eval"), scope)
+        note = lines[stmt.end_lineno - 1].split("# ", 1)[1]
+        assert note == repr(value) or note.startswith(repr(value) + ","), (
+            note, value)
+        annotated += 1
+    assert annotated == 4

@@ -8,17 +8,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (infinity_value, rand_cover, raw_pairs,
+from conftest import (infinity_value, rand_cover, rand_ratfun, raw_pairs,
                       squarings_trace)
 from kleinfour import zeta
 from kleinfour.ascurve import (ASCurve, DegenerateCover, ReducedForm,
-                               reduce_form)
+                               reduce_form, reduce_standard)
 from kleinfour.field import GF2, GF4, MAX_DEGREE, BinaryField
 from kleinfour.klein4 import InvalidCover, KleinFourCover
 from kleinfour.poly import (Poly, field_embedding, is_irreducible,
                             monic_irreducibles, pack)
 from kleinfour.ratfun import RatFun, parse_ratfun
-from kleinfour.zeta import (InconsistentCounts, count_points,
+from kleinfour.zeta import (InconsistentCounts, LPoly, count_points,
                             count_points_cover, lpoly_from_counts,
                             verify, weil_ok)
 
@@ -29,6 +29,68 @@ def pr2(t):
 
 def pr4(t):
     return parse_ratfun(GF4, t)
+
+
+def ref_power_sums(coeffs, upto):
+    """Frobenius power sums p_1..p_upto implied by L's coefficients, by
+    Newton's identities run backward from b: the reference for the forward
+    pass of `lpoly_from_counts`."""
+    ps = []
+    for k in range(1, upto + 1):
+        s = -k * (coeffs[k] if k < len(coeffs) else 0)
+        for j in range(1, k):
+            b = coeffs[k - j] if k - j < len(coeffs) else 0
+            s -= ps[j - 1] * b
+        ps.append(s)
+    return ps
+
+
+def ref_predicted_counts(L, upto):
+    """N_1..N_upto predicted by the L-polynomial L."""
+    return [L.q**n + 1 - p
+            for n, p in enumerate(ref_power_sums(L.coeffs, upto), start=1)]
+
+
+def ref_lpoly_from_counts(counts, genus, q=2):
+    """L from counts in two passes: b_1..b_g forward by Newton's identities
+    and completed by the functional equation, then every count beyond N_g
+    compared with `ref_predicted_counts`."""
+    counts = list(counts)
+    if len(counts) < genus:
+        raise ValueError(f"need at least {genus} counts, got {len(counts)}")
+    if not weil_ok(counts, genus, q):
+        raise InconsistentCounts(
+            f"counts {counts} violate the Weil bound for genus {genus}")
+    ps = [q**n + 1 - N for n, N in enumerate(counts, start=1)]
+    b = [1]
+    for k in range(1, genus + 1):
+        s = 0
+        for j in range(1, k + 1):
+            s += ps[j - 1] * b[k - j]
+        if s % k:
+            raise InconsistentCounts(
+                f"coefficient b_{k} = {-s}/{k} is not integral")
+        b.append(-s // k)
+    for i in range(genus - 1, -1, -1):
+        b.append(q ** (genus - i) * b[i])
+    L = LPoly(tuple(b), q)
+    if len(counts) > genus:
+        predicted = ref_predicted_counts(L, len(counts))
+        for n in range(genus, len(counts)):
+            if predicted[n] != counts[n]:
+                raise InconsistentCounts(
+                    f"N_{n+1} = {counts[n]} but the completed L-polynomial "
+                    f"predicts {predicted[n]}")
+    return L
+
+
+def lpoly_outcome(recover, counts, genus, q):
+    """recover's L-polynomial from the counts, or the class and message of
+    what it raised."""
+    try:
+        return recover(counts, genus, q)
+    except Exception as e:
+        return type(e), str(e)
 
 
 def test_count_points_examples():
@@ -87,7 +149,7 @@ def test_lpoly_functional_equation():
     assert L.coeffs[0] == 1 and L.coeffs[6] == 8
     for i in range(3):
         assert L.coeffs[6 - i] == 2 ** (3 - i) * L.coeffs[i]
-    assert L.predicted_counts(6) == counts
+    assert ref_predicted_counts(L, 6) == counts
     assert L.two_rank() == 2
 
 
@@ -104,6 +166,31 @@ def test_inconsistent_counts():
     with pytest.raises(InconsistentCounts,
                        match=r"coefficient b_2 = -1/2 is not integral"):
         lpoly_from_counts([3, 4], 2, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((GF2, GF4)), st.integers(0, 2**32),
+       st.sampled_from((-1, 0, 1)), st.data())
+def test_lpoly_recovery_matches_the_two_pass_reference(F, seed, shift, data):
+    # a curve of genus g <= 5 with counts to g + 2, one of them perturbed
+    # or none, under a claimed genus of g - 1, g or g + 1: the one pass
+    # gives the same L-polynomial, or raises the same error
+    rng = random.Random(seed)
+    while True:
+        f = rand_ratfun(rng, F, 3)
+        if not reduce_standard(f).is_constant:
+            curve = ASCurve(f)
+            if curve.genus <= 5:
+                break
+    g = curve.genus
+    counts = [count_points(curve, n) for n in range(1, g + 3)]
+    at = data.draw(st.integers(-1, g + 1), label="perturbed count")
+    if at >= 0:
+        counts[at] += data.draw(st.sampled_from((-2, -1, 1, 2)),
+                                label="perturbation")
+    claim = max(0, g + shift)
+    assert (lpoly_outcome(lpoly_from_counts, counts, claim, F.order)
+            == lpoly_outcome(ref_lpoly_from_counts, counts, claim, F.order))
 
 
 def test_weil_bounds_on_series(rng):
@@ -211,8 +298,6 @@ def test_verify_mismatch_when_cap_below_genus():
 def test_oracle_agrees_on_random_small_curves(rng):
     # formula invariants equal count-derived invariants for arbitrary
     # curves, not just constructed witnesses
-    from conftest import rand_ratfun
-    from kleinfour.ascurve import reduce_standard
     done = 0
     while done < 40:
         field = (GF2, GF4)[done % 2]
@@ -233,7 +318,7 @@ def test_lpoly_over_gf4_base():
     L = lpoly_from_counts(counts, 1, q=4)
     assert L.coeffs[0] == 1 and L.coeffs[2] == 4  # functional equation, q=4
     assert L.two_rank() == 0
-    assert L.predicted_counts(2) == counts
+    assert ref_predicted_counts(L, 2) == counts
 
 
 def test_cover_mismatch_names_the_quotient():
