@@ -16,7 +16,7 @@ from .field import GF2, GF4, BinaryField, default_modulus
 from .klein4 import (InvalidCover, InvalidPartition, KleinFourCover,
                      Partition, partitions_of)
 from .poly import Poly, factor, is_irreducible, monic_irreducibles
-from .ratfun import INFINITY, Place, PoleDivisor, RatFun, parse_ratfun
+from .ratfun import RatFun, parse_ratfun
 from .realize import (Verdict, hyperelliptic_extra_involution,
                       partition_validate, realizable, realizable_any)
 from .zeta import (InconsistentCounts, LPoly, Report, count_points,

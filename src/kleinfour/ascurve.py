@@ -21,7 +21,7 @@ from collections import namedtuple
 
 from . import poly
 from .poly import poly_of
-from .ratfun import INFINITY, Place, RatFun
+from .ratfun import RatFun
 
 
 class DegenerateCover(ValueError):
@@ -152,10 +152,11 @@ class ReducedForm:
         return RatFun.lowest_terms(poly_of(F, num), poly_of(F, den))
 
     def pole_places(self):
-        """The places where f has a pole, read from the vector."""
-        places = {Place(poly_of(self.field, qv)) for qv in self.places}
+        """The places where f has a pole, read from the vector: the keys of
+        `places`, and None for infinity."""
+        places = set(self.places)
         if self.poly >> self.field.degree:
-            places.add(INFINITY)
+            places.add(None)
         return places
 
     def __add__(self, other):

@@ -7,12 +7,15 @@ pole packs from one builder, make_hyperelliptic.  Every other cell lies k
 steps of (+3, +3, +1 each) above a cell a scheme builds, and one
 place_step reaches it: simple poles at places of total degree k raise each
 quotient's genus and 2-rank by k.  The packs and the step choose their
-places with one helper.  Every term, c*x^k or r/P^e with k and e odd, is
-already reduced, so pairs are reduced forms: a sum is an XOR and poles are
-read from the vector.  The cell builds one KleinFourCover, checked against
-its target invariants; a failure raises InternalMismatch and means a bug,
-not bad input.  The recipes record which scheme fired, with its parameters
-and the step's places, so a derivation can be replayed.
+places with one helper, and name a place as `ReducedForm.places` keys it:
+by its monic irreducible's code, or None for infinity.  Every term,
+c*x^k or r/P^e with k and e odd, is already reduced, so pairs are reduced
+forms: a sum is an XOR and poles are read from the vector.  The cell
+builds one KleinFourCover, checked against its target invariants; a
+failure raises InternalMismatch and means a bug, not bad input.  The
+recipes record which scheme fired, with its parameters and the step's
+places, printed as polynomials or "infinity", so a derivation can be
+replayed.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from __future__ import annotations
 from .ascurve import ReducedForm, reduce_form
 from .field import GF2, GF4, BinaryField, Frozen
 from .klein4 import MAX_GENUS, KleinFourCover, Partition
-from .poly import Poly, field_embedding, monic_irreducibles
-from .ratfun import INFINITY, Place, RatFun
+from .poly import field_embedding, monic_irreducibles, poly_of
+from .ratfun import RatFun
 from .realize import realizable
 
 
@@ -75,24 +78,19 @@ class Recipe(Frozen):
 
 def _xk(F, k, c=1):
     """c * x^k, k odd, as a reduced form."""
-    return ReducedForm(F, Poly.monomial(F, k, c).code, {})
+    return ReducedForm(F, c << k * F.degree, {})
 
 
-def _pole(q, e=1, r=None):
-    """r / q^e, e odd, as a reduced form; r is a nonzero residue mod q, 1
-    if None, and the one digit r_e, at bit (e - 1) * m * deg q."""
-    top = 1 if r is None else r.code
-    width = q.field.degree * q.degree
-    return ReducedForm(q.field, 0, {q.code: top << (e - 1) * width})
+def _pole(F, q, e=1, r=1):
+    """r / q^e, e odd, as a reduced form: q is a monic irreducible's code,
+    r a nonzero residue's code mod q, and the one digit r_e sits at bit
+    (e - 1) * m * deg q.  The code of x + c is F.order | c."""
+    return ReducedForm(F, 0, {q: r << (e - 1) * (q.bit_length() - 1)})
 
 
 def _inv_xk(F, k, c=1):
     """c / x^k, k odd."""
-    return _pole(Poly.monomial(F, 1), k, Poly.const(F, c))
-
-
-def _x_plus(F, cbits):
-    return Poly.make(F, (cbits, 1))
+    return _pole(F, F.order, k, c)
 
 
 def _alpha(F):
@@ -114,60 +112,63 @@ def lift_pair(pair, target):
 # -- places (shared by the pole packs and the place step) -------------------
 
 def _fill_degrees(places, budget):
-    """The first sublist of places, in list order, whose degrees sum to
-    budget, or None.  Bit b of reach[i] is set when some sublist of
-    places[i:] sums to b, so the first fit takes each place whose degree
-    leaves a remainder that the places after it still reach."""
-    degrees = [pl.degree for pl in places]
+    """The places of the first sublist of (place, degree) pairs, in list
+    order, whose degrees sum to budget, or None.  Bit b of reach[i] is set
+    when some sublist of places[i:] sums to b, so the first fit takes each
+    place whose degree leaves a remainder that the places after it still
+    reach."""
     full = (1 << (budget + 1)) - 1
     reach = [1]
-    for d in reversed(degrees):
+    for _, d in reversed(places):
         reach.append((reach[-1] | reach[-1] << d) & full)
     reach.reverse()
     if not reach[0] >> budget & 1:
         return None
     chosen = []
-    for i, d in enumerate(degrees):
+    for i, (pl, d) in enumerate(places):
         if not budget:
             break
         if d <= budget and reach[i + 1] >> (budget - d) & 1:
-            chosen.append(places[i])
+            chosen.append(pl)
             budget -= d
     return chosen
 
 
 def _free_rational(field, avoid):
     """The finite rational places of field outside avoid, by coefficient."""
-    return [pl for c in range(field.order)
-            if (pl := Place(_x_plus(field, c))) not in avoid]
+    return [q for c in range(field.order)
+            if (q := field.order | c) not in avoid]
 
 
 def _choose_places(field, budget, avoid, rational):
     """Distinct places outside avoid whose degrees sum to budget, or None:
     the first fit (`_fill_degrees`) in a short ascending run of places of
     degree 2 and more, or else in the run followed by the degree-1 places
-    in rational; the run widens, in the same order, while neither fits."""
-    wider = (pl for q in monic_irreducibles(field, max(budget, 2))
-             if q.degree > 1 and (pl := Place(q)) not in avoid)
-    pool, total = [], 0
-    for pl in wider:
-        pool.append(pl)
-        total += pl.degree
-        if total >= 3 * (budget + 2):
-            break
-    while True:
-        for places in (pool, pool + rational):
-            if (chosen := _fill_degrees(places, budget)) is not None:
-                return chosen
-        if (pl := next(wider, None)) is None:
-            return None
-        pool.append(pl)
+    in rational.  The run widens, in the same order, while neither fits:
+    reach holds the sums of its subsets up to budget, and the places in
+    rational add any sum from 0 to len(rational)."""
+    pool, total, reach = [], 0, 1
+    full = (1 << (budget + 1)) - 1
+    low = max(budget - len(rational), 0)  # rational tops up any sum >= low
+    for q in monic_irreducibles(field, max(budget, 2)):
+        if q.degree > 1 and q.code not in avoid:
+            pool.append((q.code, q.degree))
+            total += q.degree
+            reach = (reach | reach << q.degree) & full
+            if total >= 3 * (budget + 2) and reach >> low:
+                break
+    if reach >> budget & 1:
+        return _fill_degrees(pool, budget)
+    if reach >> low:
+        return _fill_degrees(pool + [(pl, 1) for pl in rational], budget)
+    return None
 
 
 # -- pole packs (hyperelliptic building blocks) -----------------------------
 
 def make_hyperelliptic(h, s, avoid=frozenset(), at_infinity=True, field=GF2):
-    """A reduced form over field: genus h, 2-rank s, no pole in avoid.
+    """A reduced form over field: genus h, 2-rank s, no pole in avoid, a
+    set of places (codes, and None for infinity) as `pole_places` gives.
 
     A pole of order 2(h-s)+1 goes at infinity when requested, else at the
     first free rational point (no such anchor when h = s), and simple poles
@@ -180,7 +181,7 @@ def make_hyperelliptic(h, s, avoid=frozenset(), at_infinity=True, field=GF2):
     """
     if not 0 <= s <= h:
         raise ValueError(f"need 0 <= 2-rank <= genus, got ({h}, {s})")
-    if at_infinity and INFINITY in avoid:
+    if at_infinity and None in avoid:
         raise ValueError("asked for a pole at infinity while avoiding it")
     rational = _free_rational(field, avoid)
     deep = 2 * (h - s) + 1
@@ -191,7 +192,7 @@ def make_hyperelliptic(h, s, avoid=frozenset(), at_infinity=True, field=GF2):
         if not rational:
             raise ValueError(f"no free rational point of {field} for the "
                              f"pole of order {deep}")
-        f = _pole(rational.pop(0).poly, deep)
+        f = _pole(field, rational.pop(0), deep)
     else:
         f = ReducedForm(field, 0, {})
         budget = s + 1
@@ -199,7 +200,7 @@ def make_hyperelliptic(h, s, avoid=frozenset(), at_infinity=True, field=GF2):
     if chosen is None:
         raise ValueError(f"no room in {field} for simple poles of total "
                          f"degree {budget}")
-    return sum((_pole(pl.poly) for pl in chosen), f)
+    return sum((_pole(field, q) for q in chosen), f)
 
 
 # -- the per-rank schemes ----------------------------------------------------
@@ -267,7 +268,7 @@ def _construct_sigma4(p):
         c = 2 * (g2 + g3 - g1) + 1
         if a > c:
             F = GF2
-            f1 = _xk(F, a) + _inv_xk(F, b) + _pole(_x_plus(F, 1))
+            f1 = _xk(F, a) + _inv_xk(F, b) + _pole(F, F.order | 1)
             f3 = _xk(F, c) + _inv_xk(F, b)
             return (f1, f1 + f3), Recipe("S4a", {"a": a, "b": b, "c": c})
         # a == c makes f1 + f3 drop its infinity pole; share the top
@@ -276,7 +277,7 @@ def _construct_sigma4(p):
         top = 2 * (g2 + g3 - g1) + 1
         u = 2 * (g1 - g3) - 1
         v = 2 * (g1 - g2) - 1
-        f1 = _xk(F, top) + _inv_xk(F, u) + _pole(_x_plus(F, 1), v)
+        f1 = _xk(F, top) + _inv_xk(F, u) + _pole(F, F.order | 1, v)
         f2 = _xk(F, top, 2) + _inv_xk(F, u)
         return (f1, f2), Recipe("S4a", {"a": top, "b": u, "c": v,
                                         "variant": 1})
@@ -285,18 +286,18 @@ def _construct_sigma4(p):
         b = 2 * g3 - 3
         F = GF2
         f1 = _xk(F, a) + _inv_xk(F, 1)
-        f3 = _xk(F, b) + _inv_xk(F, 1) + _pole(_x_plus(F, 1))
+        f3 = _xk(F, b) + _inv_xk(F, 1) + _pole(F, F.order | 1)
         return (f1, f1 + f3), Recipe("S4b", {"a": a, "b": b})
     if g3 == 0:
         # {g/2, g/2, 0}, g even
         F = GF4
-        f1 = _xk(F, g - 3) + _inv_xk(F, 1) + _pole(_x_plus(F, 1))
+        f1 = _xk(F, g - 3) + _inv_xk(F, 1) + _pole(F, F.order | 1)
         f2 = _xk(F, 1, 2)
         return (f1, f2), Recipe("S4c", {"a": g - 3})
     # {(g-1)/2, (g-1)/2, 1}, g odd >= 7; the second function must be a
     # cubic, not linear, to keep its quotient at genus 1
     F = GF4
-    f1 = _xk(F, g - 4) + _inv_xk(F, 1) + _pole(_x_plus(F, 1))
+    f1 = _xk(F, g - 4) + _inv_xk(F, 1) + _pole(F, F.order | 1)
     f2 = _xk(F, 3, 2)
     return (f1, f2), Recipe("S4d", {"a": g - 4, "c": 3, "corrected": 1})
 
@@ -310,12 +311,12 @@ def _construct_sigma5(p):
     if a % 2 == 1:
         F = GF4
         f1 = _xk(F, a) + _inv_xk(F, a)
-        f2 = _xk(F, a) + _pole(_x_plus(F, 1), a - 2) + _pole(_x_plus(F, 2))
+        f2 = _xk(F, a) + _pole(F, F.order | 1, a - 2) + _pole(F, F.order | 2)
         return (f1, f2), Recipe("S5bal", {"a": a})
     # even a: partial cancellation at two points, all over GF(2)
     F = GF2
-    f1 = _xk(F, 1) + _inv_xk(F, a - 1) + _pole(_x_plus(F, 1), a - 1)
-    f2 = _xk(F, 1) + _inv_xk(F, a - 3) + _pole(_x_plus(F, 1), a + 1)
+    f1 = _xk(F, 1) + _inv_xk(F, a - 1) + _pole(F, F.order | 1, a - 1)
+    f2 = _xk(F, 1) + _inv_xk(F, a - 3) + _pole(F, F.order | 1, a + 1)
     return (f1, f2), Recipe("S5bal", {"a": a, "variant": 1})
 
 
@@ -403,7 +404,8 @@ def place_step(pair, k):
     Each quotient gains a simple pole of degree deg P at each P, so its
     genus and, by Deuring-Shafarevich, its 2-rank rise by k.  A pair with
     no room moves to the field of twice the degree.  Returns the stepped
-    pair and the places; k = 0 returns the pair with no places.
+    pair and the list of places, codes over its field and None for
+    infinity; k = 0 returns the pair with no places.
     """
     if k < 0:
         raise ValueError(f"a place step needs k >= 0, got {k}")
@@ -413,20 +415,19 @@ def place_step(pair, k):
         rational = []
         if F.degree % 2 == 0:
             rational = _free_rational(F, poles)
-            if INFINITY not in poles:
-                rational.insert(0, INFINITY)
+            if None not in poles:
+                rational.insert(0, None)
         places = _choose_places(F, k, poles, rational)
         if places is not None:
             break
         pair = lift_pair(pair, BinaryField.default(F.degree * 2))
     f1, f2 = pair
-    for pl in places:
-        if pl.is_infinity:
+    for q in places:
+        if q is None:
             t1, t2 = _xk(F, 1), _xk(F, 1, _alpha(F))
-        else:
-            r = (Poly.monomial(F, 1) if pl.degree > 1
-                 else Poly.const(F, _alpha(F)))
-            t1, t2 = _pole(pl.poly), _pole(pl.poly, 1, r)
+        else:  # r is x (code F.order) when deg q >= 2, so q >> 2m is set
+            r = F.order if q >> 2 * F.degree else _alpha(F)
+            t1, t2 = _pole(F, q), _pole(F, q, 1, r)
         f1, f2 = f1 + t1, f2 + t2
     return (f1, f2), places
 
@@ -452,8 +453,10 @@ def construct(g, sigma, p):
     pair, recipe = built
     if k:
         pair, places = place_step(pair, k)
-        recipe = Recipe("INDUCT", {"k": k, "places": list(map(str, places))},
-                        base=recipe)
+        F = pair[0].field
+        names = ["infinity" if q is None else str(poly_of(F, q))
+                 for q in places]
+        recipe = Recipe("INDUCT", {"k": k, "places": names}, base=recipe)
     cover = KleinFourCover(*pair)
     got = (cover.invariants, cover.type)
     if got != ((g, sigma), p):

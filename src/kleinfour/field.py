@@ -25,8 +25,8 @@ on moduli: `default_modulus` takes the first candidate with no factor, and
 again.  `span`, every subset XOR of some ints, is the one GF(2) span.
 
 `Frozen` is the base of the package's immutable value types: fields,
-polynomials, places, pole divisors, genus triples and construction
-recipes.
+polynomials, genus triples and construction recipes.  A place needs no
+type: it is its monic irreducible's code, or None for infinity.
 
 The canonical GF(4) modulus is a^2+a+1, so the cube root of unity used by
 the witness constructions prints as `a`.

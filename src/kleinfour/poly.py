@@ -160,11 +160,6 @@ class Poly(Frozen):
         """Map coefficients into another field via embed(bits) -> bits."""
         return Poly.make(target, (embed(c) for c in self.coeffs))
 
-    def sort_key(self):
-        """The code: codes order polynomials over one field by degree, then
-        by their coefficients from the top."""
-        return self.code
-
     def __str__(self):
         if not self.code:
             return "0"

@@ -2,92 +2,21 @@
 text grammar they are parsed from.
 
 A RatFun is a reduced fraction num/den with monic denominator and
-gcd(num, den) = 1.  Places of the projective line are the closed points:
-either the degree-1 place at infinity or a monic irreducible polynomial; a
-finite place of degree d stands for d conjugate geometric points.  Partial
-fractions are not kept here: `ascurve.principal_parts` expands a RatFun
-into a packed vector, `ascurve.ReducedForm`, and `to_ratfun` rebuilds it.
+gcd(num, den) = 1.  Places of the projective line are the closed points,
+each named by a plain value: None for the degree-1 place at infinity, and
+a monic irreducible's code for a finite place, which stands for deg q
+conjugate geometric points; `ascurve.ReducedForm` keys its places the same
+way.  Partial fractions are not kept here: `ascurve.principal_parts`
+expands a RatFun into a packed vector, `ascurve.ReducedForm`, and
+`to_ratfun` rebuilds it.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from . import poly as P
-from .field import Frozen
 from .poly import Poly
-
-
-class Place(Frozen):
-    """A closed point of P^1: None for infinity, else a monic irreducible."""
-
-    __slots__ = ("poly",)
-
-    def __init__(self, poly=None):
-        object.__setattr__(self, "poly", poly)
-
-    def __eq__(self, other):
-        if other.__class__ is not Place:
-            return NotImplemented
-        return self.poly == other.poly
-
-    def __hash__(self):
-        return hash(self.poly)
-
-    @property
-    def is_infinity(self):
-        return self.poly is None
-
-    @property
-    def degree(self):
-        return 1 if self.poly is None else self.poly.degree
-
-    def sort_key(self):
-        if self.poly is None:
-            return (0, 0)
-        return (1, self.poly.sort_key())
-
-    def __str__(self):
-        return "infinity" if self.poly is None else str(self.poly)
-
-    def __repr__(self):
-        return f"Place({self})"
-
-
-INFINITY = Place(None)
-
-
-class PoleDivisor(Frozen):
-    """Distinct places with positive pole orders, sorted."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        object.__setattr__(self, "entries", entries)  # (Place, order) pairs
-
-    def __eq__(self, other):
-        if other.__class__ is not PoleDivisor:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def places(self):
-        return {pl for (pl, _) in self.entries}
-
-    def __str__(self):
-        if not self.entries:
-            return "(none)"
-        return ", ".join(f"{pl}^{n}" if n > 1 else str(pl)
-                         for (pl, n) in self.entries)
-
-    def __repr__(self):
-        return f"PoleDivisor(entries={self.entries!r})"
 
 
 class RatFun:
@@ -169,15 +98,15 @@ class RatFun:
         return (self.num.code, self.den.code)
 
     def pole_divisor(self):
-        """Finite poles from the factored denominator, plus infinity."""
+        """The poles as (place, order) pairs: infinity, named None, first,
+        then each factor of the denominator, by its code, in `factor`'s
+        order."""
         entries = []
         if not self.is_zero and self.num.degree > self.den.degree:
-            entries.append((INFINITY, self.num.degree - self.den.degree))
+            entries.append((None, self.num.degree - self.den.degree))
         if self.den.degree > 0:
-            for (q, e) in P.factor(self.den):
-                entries.append((Place(q), e))
-        entries.sort(key=lambda t: t[0].sort_key())
-        return PoleDivisor(tuple(entries))
+            entries += [(q.code, e) for (q, e) in P.factor(self.den)]
+        return entries
 
     def __str__(self):
         if self.den.degree == 0:
@@ -196,7 +125,8 @@ class RatFun:
 # Text grammar.  A rational function is a sum of fraction terms; each term is
 # a polynomial, optionally divided by a parenthesized polynomial or a bare
 # monomial: "x^3 + 1/x", "(x^2+x) / (x^2+x+1)", "a*x + (a+1)*x^2".  A
-# parenthesized polynomial may be raised to a power: "1/(x+1)^3".
+# polynomial in one or more pairs of parentheses may be a term of its own
+# or raised to a power: "x + ((x+1))", "1/(x+1)^3".
 
 # Largest exponent the parser accepts, and largest degree of a power or of
 # the running denominator of the sum.  `construct` emits degree at most 21
@@ -205,15 +135,25 @@ class RatFun:
 # half a second.
 MAX_EXPONENT = 256
 
+# Deepest nesting of parentheses the parser accepts.  Each level is one
+# more recursion into `_parse_poly`, so deeper input is refused up front
+# rather than left to exhaust Python's recursion limit.
+MAX_NESTING = 32
+
+
 def _parse_poly(field, text):
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")") and _balanced(text[1:-1]):
-        text = text[1:-1].strip()
-    terms = _split_top(text, "+")
     p = Poly.zero(field)
-    for term in terms:
+    for term in _split_top(_unwrap(text), "+"):
         p = p + _parse_term(field, term.strip())
     return p
+
+
+def _unwrap(text):
+    """text without every balanced outer pair of parentheses."""
+    text = text.strip()
+    while text[:1] == "(" and text[-1:] == ")" and _balanced(text[1:-1]):
+        text = text[1:-1].strip()
+    return text
 
 
 def _balanced(s):
@@ -283,9 +223,7 @@ def _parse_term(field, term):
     coeff = 1
     if "*" in term:
         ctext, _, mtext = term.partition("*")
-        ctext = ctext.strip()
-        if ctext.startswith("(") and ctext.endswith(")"):
-            ctext = ctext[1:-1]
+        ctext = _unwrap(ctext)
         try:
             coeff = field.parse_elt(ctext)
         except ValueError as e:
@@ -303,9 +241,9 @@ def _parse_term(field, term):
         else:
             raise ValueError(f"bad monomial {term!r}")
         return Poly.monomial(field, k, coeff)
-    # bare constant, possibly multiplied into coeff already
-    if term.startswith("(") and term.endswith(")"):
-        term = term[1:-1].strip()
+    # a parenthesized polynomial or a bare constant, times coeff
+    if _unwrap(term) != term:
+        return _parse_poly(field, term).scale(coeff)
     bits = field.parse_elt(term)
     return Poly.const(field, field.mul(coeff, bits) if coeff != 1 else bits)
 
@@ -315,6 +253,10 @@ def parse_ratfun(field, text):
     text = text.strip()
     if not text:
         raise ValueError("empty rational function")
+    nesting = max(accumulate((ch == "(") - (ch == ")") for ch in text))
+    if nesting > MAX_NESTING:
+        raise ValueError(f"parentheses nest {nesting} deep, above the cap "
+                         f"of {MAX_NESTING}")
     total = RatFun.zero(field)
     for part in _split_top(text, "+"):
         part = part.strip()

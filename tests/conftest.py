@@ -53,6 +53,22 @@ def squarings_trace(F, a):
     return acc
 
 
+def place_degree(F, q):
+    """The degree of a place over F: 1 for infinity, named None, else the
+    degree of the monic irreducible with code q."""
+    return 1 if q is None else (q.bit_length() - 1) // F.degree
+
+
+def place_text(F, q):
+    """A place as a recipe prints it."""
+    return "infinity" if q is None else str(poly.poly_of(F, q))
+
+
+def divisor_places(f):
+    """The places of a RatFun's pole divisor, as a set."""
+    return {q for q, _ in f.pole_divisor()}
+
+
 def constant_bits(f):
     """The value of a constant function, as raw bits."""
     assert f.is_constant

@@ -150,6 +150,35 @@ def test_invariants_parses_a_power_of_a_polynomial(capsys):
     assert time.perf_counter() - t0 < 1
 
 
+def test_invariants_strips_nested_parentheses(capsys):
+    # a polynomial inside two or more pairs of parentheses once fell
+    # through to the constant parser ("bad element term 'x'")
+    for plain, nested in (("x+1", "((x+1))"), ("1/(x+1)", "1/((x+1))"),
+                          ("x^3", "((x^3))"),
+                          ("x^3 + x + 1", "x^3 + ((x+1))"),
+                          ("x^3 + 1/(x^2+x+1)",
+                           "(((x^3))) + 1/(((x^2+x+1)))"),
+                          ("a*x^3", "((a))*x^3")):
+        code, out, _ = run(capsys, "invariants", "--field", "gf4",
+                           "-f", plain)
+        assert code == 0
+        assert run(capsys, "invariants", "--field", "gf4",
+                   "-f", nested) == (0, out, ""), nested
+
+
+def test_invariants_refuses_deep_nesting(capsys):
+    # 400 nested powers once ran the parser into a RecursionError, a
+    # traceback and exit code 1
+    deep = "(" * 400 + "x" + ")^1" * 400
+    code, out, err = run(capsys, "invariants", "-f", deep)
+    assert code == 2 and not out
+    assert "nest 400 deep, above the cap of 32" in err
+    assert "Traceback" not in err
+    at_cap = "(" * 32 + "x" + ")^1" * 32
+    assert run(capsys, "invariants", "-f", at_cap)[:2] == run(
+        capsys, "invariants", "-f", "x")[:2]
+
+
 def test_invariants_env_field(capsys, monkeypatch):
     monkeypatch.setenv("K4_DEFAULT_FIELD", "gf4")
     code, doc = run_json(capsys, "invariants", "-f", "a*x^3")

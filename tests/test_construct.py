@@ -4,13 +4,17 @@ import itertools
 import json
 import random
 import time
-from types import SimpleNamespace
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import divisor_places, place_degree, place_text
 from kleinfour.ascurve import principal_parts, reduce_form
-from kleinfour.construct import (NotRealizable, _direct, _fill_degrees,
-                                 _inv_xk, _pole, _xk, construct,
+from kleinfour.construct import (NotRealizable, _choose_places, _direct,
+                                 _fill_degrees, _free_rational, _inv_xk,
+                                 _pole, _xk, construct,
                                  construct_half_minus, construct_sigma0,
                                  construct_unbalanced_even,
                                  construct_unbalanced_odd, lift_pair,
@@ -18,7 +22,7 @@ from kleinfour.construct import (NotRealizable, _direct, _fill_degrees,
 from kleinfour.field import GF2, GF4, BinaryField
 from kleinfour.klein4 import KleinFourCover, Partition, partitions_of
 from kleinfour.poly import Poly, monic_irreducibles
-from kleinfour.ratfun import INFINITY, parse_ratfun
+from kleinfour.ratfun import parse_ratfun
 from kleinfour.realize import realizable
 
 
@@ -69,7 +73,6 @@ def test_make_hyperelliptic_examples():
 
 def test_make_hyperelliptic_contract(rng):
     from kleinfour.ascurve import ASCurve
-    from kleinfour.ratfun import INFINITY
     for _ in range(60):
         h = rng.randrange(7)
         s = rng.randrange(h + 1)
@@ -77,8 +80,8 @@ def test_make_hyperelliptic_contract(rng):
         f = make_hyperelliptic(h, s, at_infinity=at_inf).to_ratfun()
         curve = ASCurve(f)
         assert curve.invariants == (h, s)
-        places = f.pole_divisor().places()
-        assert (INFINITY in places) == at_inf
+        places = divisor_places(f)
+        assert (None in places) == at_inf
         assert all(n % 2 == 1 for (_, n) in f.pole_divisor())
 
 
@@ -124,10 +127,9 @@ def _has_room(q, h, s, avoided_by_degree, at_infinity, infinity_avoided):
 def test_make_hyperelliptic_contract_with_avoid(rng, field):
     from kleinfour.ascurve import ASCurve
     from kleinfour.poly import monic_irreducibles
-    from kleinfour.ratfun import INFINITY, Place
-    small = [Place(q) for q in monic_irreducibles(field, 2)]
-    rational = [pl for pl in small if pl.degree == 1]
-    quadratic = [pl for pl in small if pl.degree == 2]
+    small = [q.code for q in monic_irreducibles(field, 2)]
+    rational = [pl for pl in small if place_degree(field, pl) == 1]
+    quadratic = [pl for pl in small if place_degree(field, pl) == 2]
     refused = 0
     for _ in range(60):
         h = rng.randrange(7)
@@ -139,33 +141,33 @@ def test_make_hyperelliptic_contract_with_avoid(rng, field):
         avoid |= set(rng.sample(quadratic,
                                 rng.randrange(len(quadratic) + 1)))
         if rng.random() < 0.2:
-            avoid.add(INFINITY)
+            avoid.add(None)
         room = _has_room(field.order, h, s,
                          {1: len(avoid & set(rational)),
                           2: len(avoid & set(quadratic))},
-                         at_inf, INFINITY in avoid)
+                         at_inf, None in avoid)
         try:
             f = make_hyperelliptic(h, s, avoid=frozenset(avoid),
                                    at_infinity=at_inf, field=field)
             f = f.to_ratfun()
         except ValueError:
-            assert not room, (h, s, at_inf, sorted(map(str, avoid)))
+            assert not room, (h, s, at_inf,
+                              sorted(place_text(field, q) for q in avoid))
             refused += 1
             continue
         assert room
         assert f.field == field
         assert ASCurve(f).invariants == (h, s)
-        places = f.pole_divisor().places()
+        places = divisor_places(f)
         assert not places & avoid
-        assert (INFINITY in places) == at_inf
+        assert (None in places) == at_inf
         assert all(n % 2 == 1 for (_, n) in f.pole_divisor())
     assert 0 < refused < 60
 
 
 def test_make_hyperelliptic_refuses_a_full_field():
-    from kleinfour.ratfun import Place
-    avoid = {Place(parse_ratfun(GF2, "x").num),
-             Place(parse_ratfun(GF2, "x+1").num)}
+    avoid = {parse_ratfun(GF2, "x").num.code,
+             parse_ratfun(GF2, "x+1").num.code}
     with pytest.raises(ValueError, match="rational"):
         make_hyperelliptic(2, 1, avoid=avoid, at_infinity=False, field=GF2)
 
@@ -175,20 +177,19 @@ def test_make_hyperelliptic_past_its_first_pool():
     # places of degree 3, and the budget of 4 needs one of degree 4
     from kleinfour.ascurve import ASCurve
     from kleinfour.poly import monic_irreducibles
-    from kleinfour.ratfun import Place
-    avoid = frozenset(Place(q) for q in monic_irreducibles(GF4, 2))
+    avoid = frozenset(q.code for q in monic_irreducibles(GF4, 2))
     assert len(avoid) == 10
     f = make_hyperelliptic(3, 3, avoid, at_infinity=False, field=GF4)
     f = f.to_ratfun()
     assert ASCurve(f).invariants == (3, 3)
-    assert not f.pole_divisor().places() & avoid
+    assert not divisor_places(f) & avoid
 
 
 def test_make_hyperelliptic_avoid(rng):
     f1 = make_hyperelliptic(3, 2)
-    avoid = f1.to_ratfun().pole_divisor().places()
+    avoid = divisor_places(f1.to_ratfun())
     f2 = make_hyperelliptic(2, 2, avoid=avoid, at_infinity=False)
-    shared = avoid & f2.to_ratfun().pole_divisor().places()
+    shared = avoid & divisor_places(f2.to_ratfun())
     assert not shared
 
 
@@ -232,7 +233,7 @@ def test_half_minus_contract():
 @pytest.mark.parametrize("call, message", [
     (lambda: make_hyperelliptic(2, 3), "2-rank <= genus"),
     (lambda: make_hyperelliptic(2, -1), "2-rank <= genus"),
-    (lambda: make_hyperelliptic(2, 1, avoid={INFINITY}), "avoiding it"),
+    (lambda: make_hyperelliptic(2, 1, avoid={None}), "avoiding it"),
     (lambda: construct_unbalanced_odd(4, 3, Partition(2, 1, 1)), "odd g"),
     (lambda: construct_unbalanced_odd(5, 2, Partition(3, 1, 1)), "odd g"),
     (lambda: construct_unbalanced_odd(5, 3, Partition(2, 2, 1)),
@@ -269,14 +270,14 @@ def test_place_step_examples():
     assert KleinFourCover(*p0).type == Partition(0, 0, 0)
     # k = 1 over GF(4) is the paper's step: x and a*x at infinity
     p1, places = place_step(p0, 1)
-    assert [str(pl) for pl in places] == ["infinity"]
+    assert [place_text(GF4, pl) for pl in places] == ["infinity"]
     assert _ratfuns(p1) == (parse_ratfun(GF4, "x + 1/x"),
                             parse_ratfun(GF4, "a*x + a/x"))
     c1 = KleinFourCover(*p1)
     assert c1.type == Partition(1, 1, 1) and c1.invariants == (3, 3)
     # k = 2 takes the first free place of degree 2, with r = x
     p2, places = place_step(p0, 2)
-    assert [str(pl) for pl in places] == ["x^2 + x + a"]
+    assert [place_text(GF4, pl) for pl in places] == ["x^2 + x + a"]
     assert p2[1].to_ratfun() == parse_ratfun(GF4, "a/x + x/(x^2+x+a)")
     c2 = KleinFourCover(*p2)
     assert c2.type == Partition(2, 2, 2) and c2.invariants == (6, 6)
@@ -284,22 +285,23 @@ def test_place_step_examples():
     # hold 1, r and 1 + r, so the pair moves to GF(4)
     over_f2 = _forms(parse_ratfun(GF2, "1/x"), parse_ratfun(GF2, "1/(x+1)"))
     stepped, places = place_step(over_f2, 1)
-    assert stepped[0].field == GF4 and [str(pl) for pl in places] == [
-        "infinity"]
+    assert stepped[0].field == GF4 and [
+        place_text(GF4, pl) for pl in places] == ["infinity"]
     # at k = 2 it stays over GF(2), at x^2 + x + 1
     stepped, places = place_step(over_f2, 2)
-    assert stepped[0].field == GF2 and [str(pl) for pl in places] == [
-        "x^2 + x + 1"]
+    assert stepped[0].field == GF2 and [
+        place_text(GF2, pl) for pl in places] == ["x^2 + x + 1"]
     # poles at all five rational places of GF(4) leave no room at k = 1
     full = _forms(parse_ratfun(GF4, "x + 1/x + 1/(x+1)"),
                   parse_ratfun(GF4, "1/(x+a) + 1/(x+a+1)"))
     base = KleinFourCover(*full)
     stepped, places = place_step(full, 1)
-    assert stepped[0].field.order == 16 and places[0].degree == 1
+    assert stepped[0].field.order == 16
+    assert place_degree(stepped[0].field, places[0]) == 1
     assert KleinFourCover(*stepped).invariants == tuple(
         v + 3 for v in base.invariants)
     stepped, places = place_step(full, 2)
-    assert stepped[0].field == GF4 and places[0].degree == 2
+    assert stepped[0].field == GF4 and place_degree(GF4, places[0]) == 2
 
 
 def test_place_step_refuses_a_negative_k():
@@ -330,13 +332,12 @@ def _step_has_room(pair, k):
     and rational only over a field containing GF(4), exist; judged from
     place counts."""
     F = pair[0].field
-    poles = set().union(*(f.to_ratfun().pole_divisor().places()
-                          for f in pair))
+    poles = set().union(*(divisor_places(f.to_ratfun()) for f in pair))
     reach = {0}
     for d in range(1 if F.degree % 2 == 0 else 2, k + 1):
         # infinity is one more place of degree 1
         free = (_places_of_degree(F.order, d) + (d == 1)
-                - sum(pl.degree == d for pl in poles))
+                - sum(place_degree(F, pl) == d for pl in poles))
         for _ in range(min(free, k // d)):
             reach |= {t + d for t in reach if t + d <= k}
     return k in reach
@@ -358,11 +359,12 @@ def test_place_step_contract(rng, field):
                     2 * pair[0].field.degree))
             assert stepped[0].field == pair[0].field
             lifted += pair[0].field != field
-            poles = set().union(*(f.to_ratfun().pole_divisor().places()
+            poles = set().union(*(divisor_places(f.to_ratfun())
                                   for f in pair))
             assert not poles & set(places)
             assert len(set(places)) == len(places)
-            assert sum(pl.degree for pl in places) == k
+            assert sum(place_degree(pair[0].field, pl)
+                       for pl in places) == k
             cover = KleinFourCover(*stepped)
             assert cover.invariants == (g + 3 * k, s + 3 * k)
             assert cover.type == Partition(*(e + k for e in c.type.entries))
@@ -375,13 +377,13 @@ def _first_fit_by_brute_force(places, budget):
     # list order returns
     found = [idx for n in range(len(places) + 1)
              for idx in itertools.combinations(range(len(places)), n)
-             if sum(places[i].degree for i in idx) == budget]
-    return [places[i] for i in min(found)] if found else None
+             if sum(places[i][1] for i in idx) == budget]
+    return [places[i][0] for i in min(found)] if found else None
 
 
 def test_fill_degrees_is_first_fit(rng):
     for _ in range(300):
-        places = [SimpleNamespace(degree=rng.randint(1, 5))
+        places = [(object(), rng.randint(1, 5))
                   for _ in range(rng.randrange(11))]
         budget = rng.randrange(16)
         assert _fill_degrees(places, budget) == _first_fit_by_brute_force(
@@ -391,11 +393,90 @@ def test_fill_degrees_is_first_fit(rng):
 def test_fill_degrees_refuses_an_odd_budget_at_once():
     # 26 places of degree 2 can never sum to an odd budget; without the
     # record of failed (start, budget) pairs this search took seconds
-    places = [SimpleNamespace(degree=2) for _ in range(26)]
+    places = [(i, 2) for i in range(26)]
     start = time.perf_counter()
     assert _fill_degrees(places, 27) is None
-    assert _fill_degrees(places, 26) == places[:13]
+    assert _fill_degrees(places, 26) == list(range(13))
     assert time.perf_counter() - start < 0.1
+
+
+def widening_choose_places(field, budget, avoid, rational):
+    """Reference place chooser: it widens its pool one place at a time and
+    runs the first fit on the pool, then on the pool and rational, at every
+    width, where `_choose_places` finds the width from one subset-sum
+    bitset and fits once."""
+    wider = ((q.code, q.degree)
+             for q in monic_irreducibles(field, max(budget, 2))
+             if q.degree > 1 and q.code not in avoid)
+    pool, total = [], 0
+    for pl in wider:
+        pool.append(pl)
+        total += pl[1]
+        if total >= 3 * (budget + 2):
+            break
+    while True:
+        for places in (pool, pool + [(pl, 1) for pl in rational]):
+            if (chosen := _fill_degrees(places, budget)) is not None:
+                return chosen
+        if (pl := next(wider, None)) is None:
+            return None
+        pool.append(pl)
+
+
+CHOOSER_FIELDS = (GF2, GF4, BinaryField.default(3))
+SMALL_PLACES = {F: [None] + [q.code for q in monic_irreducibles(F, 3)]
+                for F in CHOOSER_FIELDS}
+
+
+@st.composite
+def chooser_inputs(draw):
+    """A field, a budget, places to avoid among infinity and the places of
+    degree 3 or less, and the rational places as the pole packs (free
+    finite ones, maybe less the first) or the place step (infinity first)
+    pass them."""
+    F = draw(st.sampled_from(CHOOSER_FIELDS))
+    small = SMALL_PLACES[F]
+    avoid = set(draw(st.lists(st.sampled_from(small),
+                              max_size=len(small))))
+    if draw(st.booleans()):  # a whole degree, so the pool must widen
+        d = draw(st.integers(1, 3))
+        avoid |= {q for q in small if place_degree(F, q) == d}
+    rational = _free_rational(F, avoid)
+    if draw(st.booleans()):
+        if None not in avoid:
+            rational.insert(0, None)
+    elif rational and draw(st.booleans()):
+        rational.pop(0)
+    return F, draw(st.integers(0, 40)), frozenset(avoid), rational
+
+
+@settings(max_examples=300, deadline=None)
+@given(chooser_inputs())
+def test_choose_places_matches_the_widening_reference(args):
+    assert _choose_places(*args) == widening_choose_places(*args)
+
+
+def test_choose_places_fits_once(monkeypatch):
+    # the widening chooser ran the first fit twice per pool width: 507
+    # times here, 503 of them at a budget of 7 over GF(4) that places of
+    # degree 4 and 5 cannot fill
+    module = importlib.import_module("kleinfour.construct")
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in ("_choose_places", "_fill_degrees"):
+        monkeypatch.setattr(module, name, counted(name))
+    cover, _ = construct(266, 227, Partition(129, 105, 32))
+    assert cover.invariants == (266, 227)
+    assert calls["_choose_places"] == 3
+    assert calls["_fill_degrees"] <= calls["_choose_places"]
 
 
 def test_exhaustive_roundtrip_small():
@@ -493,7 +574,9 @@ def test_term_builders_match_reduce_form():
             for e in (1, 3, 5):
                 for r in residues:
                     text = "1" if r is None else str(r)
-                    assert _pole(q, e, r) == reduce_form(
+                    term = (_pole(F, q.code, e) if r is None
+                            else _pole(F, q.code, e, r.code))
+                    assert term == reduce_form(
                         parse_ratfun(F, f"({text})/({q})^{e}")), (q, e, r)
 
 
@@ -578,14 +661,26 @@ def _sampled_cells(seed, count, lo, hi):
     return cells
 
 
+# sha256 over the witness and recipe JSON of _sampled_cells(16, 120, 53,
+# MAX_GENUS), in the digest scheme of test_witnesses_pinned_through_g12;
+# recorded when the place chooser began to fit once
+WITNESSES_SHA256_SAMPLED = (
+    "ae95eb84d82bcd809888d2a1d5112b887e8d6c4d0066ba76ca265ec4306640c7")
+
+
 def test_sampled_cells_up_to_the_cap_construct():
     from kleinfour.klein4 import MAX_GENUS
     slowest = total = 0
+    digest = hashlib.sha256()
     for g, s, p in _sampled_cells(16, 120, 53, MAX_GENUS):
         start = time.perf_counter()
         cover, recipe = construct(g, s, p)
         took = time.perf_counter() - start
         slowest, total = max(slowest, took), total + took
         assert cover.field.degree <= 4, (g, s, p, recipe.tags())
+        digest.update(json.dumps({"w": cover.to_json(),
+                                  "r": recipe.to_json()},
+                                 sort_keys=True).encode())
+    assert digest.hexdigest() == WITNESSES_SHA256_SAMPLED
     # about 3 s in all and 0.2 s for the slowest cell on a 2-core Xeon
     assert slowest < 2 and total < 30, (slowest, total)

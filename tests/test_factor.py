@@ -115,7 +115,7 @@ def ref_factor(p):
         for (block, d) in ref_ddf(sq):
             for irr in ref_edf(block, d):
                 out.append((irr, mult))
-    out.sort(key=lambda t: t[0].sort_key())
+    out.sort(key=lambda t: t[0].code)
     return out
 
 

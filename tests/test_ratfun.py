@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import infinity_value, mobius, rand_ratfun
-from kleinfour.ascurve import ReducedForm, principal_parts
+from conftest import (infinity_value, mobius, place_degree, place_text,
+                      rand_ratfun)
+from kleinfour.ascurve import ReducedForm, principal_parts, reduce_form
 from kleinfour.field import GF2, GF4, BinaryField
 from kleinfour.poly import (Poly, factor, gcd, monic_irreducibles, pack,
                             poly_of)
-from kleinfour.ratfun import INFINITY, Place, RatFun, parse_ratfun
+from kleinfour.ratfun import RatFun, parse_ratfun
 
 
 def pr(text, field=GF2):
@@ -23,10 +24,16 @@ def test_normalization():
         RatFun(Poly.one(GF2), Poly.zero(GF2))
 
 
+def divisor_text(f):
+    return ", ".join(f"{place_text(f.field, q)}^{n}" if n > 1
+                     else place_text(f.field, q)
+                     for (q, n) in f.pole_divisor())
+
+
 def test_pole_divisor_examples():
-    assert str(pr("x^3 + 1/x").pole_divisor()) == "infinity^3, x"
-    assert str(pr("1/(x^2 + x^3)").pole_divisor()) == "x^2, x + 1"
-    assert str(pr("1/(x^2+x+1)").pole_divisor()) == "x^2 + x + 1"
+    assert divisor_text(pr("x^3 + 1/x")) == "infinity^3, x"
+    assert divisor_text(pr("1/(x^2 + x^3)")) == "x^2, x + 1"
+    assert divisor_text(pr("1/(x^2+x+1)")) == "x^2 + x + 1"
     assert len(RatFun.zero(GF2).pole_divisor()) == 0
 
 
@@ -36,8 +43,9 @@ def test_pole_divisor_degree_identity(rng):
         if f.is_zero:
             continue
         div = f.pole_divisor()
-        finite = sum(pl.degree * n for (pl, n) in div if not pl.is_infinity)
-        inf = sum(n for (pl, n) in div if pl.is_infinity)
+        finite = sum(place_degree(GF4, pl) * n for (pl, n) in div
+                     if pl is not None)
+        inf = sum(n for (pl, n) in div if pl is None)
         assert finite == f.den.degree
         assert inf == max(0, f.num.degree - f.den.degree)
 
@@ -110,11 +118,15 @@ def test_parse_powers_of_polynomials():
 
 
 def test_places_ordering_and_equality():
-    inf = Place(None)
-    p0 = Place(Poly.make(GF2, [0, 1]))
-    p1 = Place(Poly.make(GF2, [1, 1]))
-    assert inf == INFINITY and inf.degree == 1
-    assert sorted([p1, p0, inf], key=lambda p: p.sort_key()) == [inf, p0, p1]
+    # a place is None for infinity or its monic irreducible's code: the
+    # pole divisor lists infinity first, then the codes in ascending order,
+    # by degree and then by coefficients from the top; the vector's places
+    # are the same values
+    f = pr("x^3 + 1/(x^2+x+1) + 1/(x+1) + 1/x")
+    places = [q for q, _ in f.pole_divisor()]
+    assert places == [None, 0b10, 0b11, 0b111]
+    assert [place_degree(GF2, q) for q in places] == [1, 1, 1, 2]
+    assert reduce_form(f).pole_places() == set(places)
 
 
 def test_principal_parts_reassemble(rng):

@@ -15,7 +15,6 @@ from kleinfour.construct import Recipe
 from kleinfour.field import GF2, GF4, BinaryField
 from kleinfour.klein4 import Partition
 from kleinfour.poly import Poly
-from kleinfour.ratfun import INFINITY, Place, PoleDivisor
 from kleinfour.realize import Verdict
 from kleinfour.zeta import LPoly, Report
 
@@ -32,11 +31,6 @@ VALUES = {
     "BinaryField": (lambda: BinaryField(3, 0b1101), "degree",
                     "BinaryField(3, 0b1101)"),
     "Poly": (lambda: Poly(GF4, (1, 2)), "coeffs", "Poly(GF(4), a*x + 1)"),
-    "Place": (lambda: Place(x_plus_1()), "poly", "Place(x + 1)"),
-    "PoleDivisor": (
-        lambda: PoleDivisor(((Place(x_plus_1()), 3), (INFINITY, 1))),
-        "entries",
-        "PoleDivisor(entries=((Place(x + 1), 3), (Place(infinity), 1)))"),
     "Recipe": (
         lambda: Recipe("S0", {"a": 1}, Recipe("S1")), "base",
         "Recipe(lemma='S0', params={'a': 1}, "

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (infinity_value, rand_cover, rand_ratfun, raw_pairs,
-                      squarings_trace)
+from conftest import (infinity_value, place_text, rand_cover, rand_ratfun,
+                      raw_pairs, squarings_trace)
 from kleinfour import zeta
 from kleinfour.ascurve import (ASCurve, DegenerateCover, ReducedForm,
                                reduce_form, reduce_standard)
@@ -529,12 +529,12 @@ def test_pole_patterns_have_the_poles_they_name():
     for (a, b), shared in zip(POLE_PATTERNS[:3],
                               ("x", "x^2 + x + 1", "infinity")):
         cov = KleinFourCover(pr2(a), pr2(b))
-        poles = [{str(pl) for pl, _ in f.pole_divisor()}
+        poles = [{place_text(f.field, pl) for pl, _ in f.pole_divisor()}
                  for f in (cov.f1, cov.f2, cov.f3)]
         assert shared in poles[0] & poles[1] and shared not in poles[2]
     for (a, b), alone in zip(POLE_PATTERNS[3:], ("x", "x + 1")):
         cov = KleinFourCover(pr2(a), pr2(b))
-        poles = [{str(pl) for pl, _ in f.pole_divisor()}
+        poles = [{place_text(f.field, pl) for pl, _ in f.pole_divisor()}
                  for f in (cov.f1, cov.f2, cov.f3)]
         assert alone in poles[0] ^ poles[1] and alone in poles[2]
 
